@@ -43,8 +43,8 @@ from .harness import (
     classify_metric,
     report_json,
 )
-from .metrics import CATALOG, MetricSpec, metric_by_name
-from .oracle import nijenhuis_numeric
+from .metrics import CATALOG, SAMPLE_MARGIN, MetricSpec, metric_by_name
+from .oracle import nijenhuis_numeric, oracle_margin
 from .riemann import curvature_operator, decompose
 from .twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber, type_of_genJ
 
@@ -239,7 +239,9 @@ def _run_oracle(args) -> int:
     if args.points < 1:
         raise GentwistorError(f"--points must be at least 1, got {args.points}")
     kind = StructureKind(args.structure)
-    points = metric.interior_points(args.points, np.random.default_rng([args.seed, 0]))
+    # 5% of the width on boxes at least about 0.82 wide, the oracle's own margin on narrower ones
+    margin_frac = max(SAMPLE_MARGIN, oracle_margin(metric) / (metric.hi - metric.lo))
+    points = metric.interior_points(args.points, np.random.default_rng([args.seed, 0]), margin_frac)
     rng_fiber = np.random.default_rng([args.seed, 1])
     tags = tuple(ComponentTag)
     worst = 0.0

@@ -357,6 +357,12 @@ class TwistorChart:
         return GenField(zero, fiber_motion)
 
 
+def oracle_margin(metric: MetricSpec, step: float = DEFAULT_ORACLE_STEP) -> float:
+    """Distance from the box edge that nijenhuis_numeric needs at this
+    step: the nested oracle stencil plus the Christoffel stencil inside it."""
+    return 4.0 * step + 2.0 * metric.fd_step
+
+
 def nijenhuis_numeric(
     metric: MetricSpec,
     tp: TwistorPoint,
@@ -377,7 +383,7 @@ def nijenhuis_numeric(
         chart = TwistorChart.for_point(metric, tp)
     else:
         chart = TwistorChart(metric, tp.f.tag, poles)
-    metric.require_interior(tp.p, 4.0 * step + 2.0 * metric.fd_step)
+    metric.require_interior(tp.p, oracle_margin(metric, step))
     z0 = chart.embed(tp)
     jf = chart.structure_field(kind)
     y = chart.basic_field(selectors[0])

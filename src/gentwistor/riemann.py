@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -301,11 +302,7 @@ class GeneralizedCurvature:
 
     def rg(self, omega: np.ndarray) -> np.ndarray:
         """R_g on an arbitrary antisymmetric frame bivector omega."""
-        c = pair_coords(omega)
-        acc = np.zeros((4, 4))
-        for k in range(6):
-            acc = acc + c[k] * self.fpairs[k]
-        return _doubled(acc)
+        return _doubled(self.rc(omega))
 
     def rc(self, omega: np.ndarray) -> np.ndarray:
         """Underlying 4x4 curvature image of a frame bivector."""
@@ -314,6 +311,16 @@ class GeneralizedCurvature:
         for k in range(6):
             acc = acc + c[k] * self.fpairs[k]
         return acc
+
+    @cached_property
+    def rf(self) -> np.ndarray:
+        """Full antisymmetric frame curvature, rf[a, b] = R(theta_a, theta_b)
+        as a 4x4 endomorphism, so that rc(x ^ y) = x^a y^b rf[a, b]."""
+        rf = np.zeros((4, 4, 4, 4))
+        for (a, b), f in zip(WEDGE_PAIRS, self.fpairs):
+            rf[a, b] = f
+            rf[b, a] = -f
+        return rf
 
 
 def _doubled(m: np.ndarray) -> np.ndarray:

@@ -36,11 +36,30 @@ almost complex structure J1 needs only the first two (labelled C1', C2');
 semi-integrability (closure of the projection bracket) needs only C2',
 and is meaningful on the mixed components where it detects exactly the
 Einstein condition.
+
+Every family is linear in the frame curvature.  GeneralizedCurvature.rf
+holds it as the antisymmetric array Rf[a, b] = R(t_a, t_b), a 4x4
+endomorphism for each frame pair, so that R(x ^ y) = x^a y^b Rf[a, b].
+With u_a t_i the i-th column of u_a, the curvature terms at (i, j) are
+
+    R(t_i ^ t_j)                        = Rf[i, j]
+    R(u_a t_i ^ u_b t_j)                = u_a[a, i] u_b[b, j] Rf[a, b]
+    R(u_a t_i ^ t_j) + R(t_i ^ u_b t_j) = u_a[a, i] Rf[a, j] + u_b[b, j] Rf[i, b]
+
+fiber_residuals evaluates them as einsums for a batch of fibers x the
+six families x the 12 ordered pairs in one call, takes the Frobenius
+norms and keeps the first maximising pair of each family.  J1 is its
+(C1, C2) columns and semi its C2 column alone; constraints_genJ,
+constraints_J1 and semi_integrability_residual are one-fiber calls into
+it.  _constraint_block evaluates one family at one pair through rc and
+is the reference the kernel is tested against; the 8x8 obstruction
+matrices and the oracle's closed form are built from it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,24 +223,70 @@ def _constraint_block(
     return u_c @ inner - inner @ u_c
 
 
-def _collect(
+# Blocks feeding each family, as indices into (u1, u2): first wedge slot,
+# second wedge slot, commutator.  J1 reads the first two columns of the
+# kernel and semi the second one alone.
+_FAMILY_SLOTS = np.array([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1)])
+_KIND_COLUMNS = {
+    StructureKind.GENJ: (GENJ_LABELS, slice(0, 6)),
+    StructureKind.ALMOST_J1: (J1_LABELS, slice(0, 2)),
+    StructureKind.SEMI: (("C2'",), slice(1, 2)),
+}
+_PAIR_I, _PAIR_J = np.array(_ORDERED_PAIRS).T
+
+
+@dataclass(frozen=True)
+class FiberResiduals:
+    """Kernel output for a batch of fibers over one base point.
+
+    norms[n, k] is the Frobenius norm of family labels[k] at fibers[n],
+    maximised over the 12 ordered index pairs; pairs[n, k] indexes the
+    first ordered pair attaining it and matrices[n, k] is its 4x4."""
+
+    labels: tuple[str, ...]
+    norms: np.ndarray
+    pairs: np.ndarray = field(repr=False)
+    matrices: np.ndarray = field(repr=False)
+
+    def fiber(self, n: int) -> ConstraintResiduals:
+        """The residuals of fibers[n] in the one-fiber form."""
+        return ConstraintResiduals(
+            labels=self.labels,
+            norms={label: float(v) for label, v in zip(self.labels, self.norms[n])},
+            matrices=dict(zip(self.labels, self.matrices[n])),
+            pairs={label: _ORDERED_PAIRS[k] for label, k in zip(self.labels, self.pairs[n])},
+        )
+
+
+def fiber_residuals(
     gc: GeneralizedCurvature,
-    families: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> ConstraintResiduals:
-    norms: dict[str, float] = {}
-    mats: dict[str, np.ndarray] = {}
-    pairs: dict[str, tuple[int, int]] = {}
-    for label, (ua, ub, uc) in families.items():
-        best, best_mat, best_pair = -1.0, None, None
-        for i, j in _ORDERED_PAIRS:
-            e = _constraint_block(gc, ua, ub, uc, i, j)
-            n = float(np.linalg.norm(e))
-            if n > best:
-                best, best_mat, best_pair = n, e, (i, j)
-        norms[label] = best
-        mats[label] = best_mat
-        pairs[label] = best_pair
-    return ConstraintResiduals(labels=tuple(families), norms=norms, matrices=mats, pairs=pairs)
+    fibers: Sequence[FiberPoint],
+    kind: StructureKind = StructureKind.GENJ,
+) -> FiberResiduals:
+    """All residual families of one structure kind, for a batch of fibers
+    over the base point of gc, in one numpy evaluation."""
+    if not fibers:
+        raise UsageError("need at least one fiber point")
+    if kind is StructureKind.SEMI and not all(f.tag.mixed for f in fibers):
+        raise UsageError("semi-integrability is defined on the mixed components only")
+    labels, columns = _KIND_COLUMNS[kind]
+    slots = _FAMILY_SLOTS[columns]
+    u = np.array([fiber_to_structures(f) for f in fibers])  # (fiber, block, 4, 4)
+    # columns i of u_a and j of u_b, one per ordered pair: (fiber, family, 4, pair)
+    ua = u[:, slots[:, 0]][..., _PAIR_I]
+    ub = u[:, slots[:, 1]][..., _PAIR_J]
+    uc = u[:, slots[:, 2], None]
+    rf = gc.rf
+    # the curvature terms of the module docstring: rc1 = R(w1), rc2 = R(w2)
+    wedge_ab = np.einsum("fkan,fkbn->fknab", ua, ub)
+    rc1 = rf[_PAIR_I, _PAIR_J] - np.einsum("fknab,abpq->fknpq", wedge_ab, rf)
+    rc2 = np.einsum("fkan,anpq->fknpq", ua, rf[:, _PAIR_J]) + np.einsum("fkbn,nbpq->fknpq", ub, rf[_PAIR_I])
+    inner = rc1 + uc @ rc2
+    e = uc @ inner - inner @ uc  # (fiber, family, pair, 4, 4)
+    norms = np.linalg.norm(e, axis=(-2, -1))
+    pairs = norms.argmax(axis=2)  # first maximum, as a strict > scan keeps it
+    fib, fam = np.indices(pairs.shape)
+    return FiberResiduals(labels, norms.max(axis=2), pairs, e[fib, fam, pairs])
 
 
 def constraints_genJ(
@@ -233,16 +298,7 @@ def constraints_genJ(
     """All six residual families of the generalized structure."""
     if gc is None:
         gc = generalized_curvature(metric, p)
-    u1, u2 = fiber_to_structures(f)
-    families = {
-        "C1": (u1, u1, u1),
-        "C2": (u1, u1, u2),
-        "C3": (u2, u2, u1),
-        "C4": (u2, u2, u2),
-        "C5": (u1, u2, u1),
-        "C6": (u1, u2, u2),
-    }
-    return _collect(gc, families)
+    return fiber_residuals(gc, [f], StructureKind.GENJ).fiber(0)
 
 
 def constraints_J1(
@@ -254,9 +310,7 @@ def constraints_J1(
     """The two residual families of the ordinary almost complex structure."""
     if gc is None:
         gc = generalized_curvature(metric, p)
-    u1, u2 = fiber_to_structures(f)
-    families = {"C1'": (u1, u1, u1), "C2'": (u1, u1, u2)}
-    return _collect(gc, families)
+    return fiber_residuals(gc, [f], StructureKind.ALMOST_J1).fiber(0)
 
 
 def semi_integrability_residual(
@@ -271,12 +325,7 @@ def semi_integrability_residual(
         raise UsageError("semi-integrability is defined on the mixed components only")
     if gc is None:
         gc = generalized_curvature(metric, p)
-    u1, u2 = fiber_to_structures(f)
-    best = -1.0
-    for i, j in _ORDERED_PAIRS:
-        e = _constraint_block(gc, u1, u1, u2, i, j)
-        best = max(best, float(np.linalg.norm(e)))
-    return best
+    return float(fiber_residuals(gc, [f], StructureKind.SEMI).norms[0, 0])
 
 
 def doubled_obstruction_matrix(
@@ -328,30 +377,3 @@ def blockwise_obstruction_matrix(
     bot = _constraint_block(gc, ua, ub, u2, i, j)
     z = np.zeros((4, 4))
     return np.block([[top, z], [z, bot]])
-
-
-def projector_mixed_residual(
-    metric: MetricSpec,
-    p: np.ndarray,
-    f: FiberPoint,
-    i: int,
-    j: int,
-    first: int = 1,
-    comm: int = 1,
-    gc: GeneralizedCurvature | None = None,
-) -> np.ndarray:
-    """Constraint family with the second wedge slot fed by the averaged
-    block P = (u1 + u2) / 2 (the tangent projection of the structure);
-    this is the shape produced by pairing a horizontal field with a
-    vertical one-form.  first selects the block in the first slot.
-
-    By bilinearity in the second slot this equals the average of the
-    (first, 1) and (first, 2) families, so it introduces no verdicts of
-    its own; kept as a separate code path and cross-checked in tests."""
-    if gc is None:
-        gc = generalized_curvature(metric, p)
-    u1, u2 = fiber_to_structures(f)
-    pr = 0.5 * (u1 + u2)
-    ua = {1: u1, 2: u2}[first]
-    uc = {1: u1, 2: u2}[comm]
-    return _constraint_block(gc, ua, pr, uc, i, j)

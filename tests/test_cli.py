@@ -134,6 +134,14 @@ def test_oracle_verb_flat():
     assert "max over 1 points" in proc.stdout
 
 
+def test_oracle_verb_samples_inside_the_oracle_margin():
+    # the schwarzschild box is 0.8 wide: 5% of it is 0.04, less than the
+    # 0.0408 that the oracle stencils need.  Point 2 of this seed lies
+    # 0.0402 from the edge when sampled with the 5% margin.
+    proc = run("oracle", "--metric", "schwarzschild", "--points", "3", "--seed", "5406165350277484087")
+    assert "point 2 (+-)" in proc.stdout
+
+
 @pytest.mark.skipif(shutil.which("gentwistor") is None, reason="console script not on PATH")
 def test_console_script_entry():
     proc = subprocess.run(["gentwistor", "catalog"], capture_output=True, text=True)

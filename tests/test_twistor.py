@@ -3,15 +3,17 @@ import pytest
 
 from gentwistor.errors import InvalidInputError, UsageError
 from gentwistor.gca import BasisTag, ComponentTag, classify_component
-from gentwistor.metrics import MetricSpec, metric_by_name
+from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
 from gentwistor.riemann import GeneralizedCurvature, generalized_curvature
 from gentwistor.twistor import (
+    J1_LABELS,
     FiberPoint,
+    StructureKind,
     _constraint_block,
     constraints_genJ,
     constraints_J1,
+    fiber_residuals,
     fiber_to_structures,
-    projector_mixed_residual,
     random_fiber,
     semi_integrability_residual,
     sphere_directions,
@@ -348,24 +350,107 @@ def test_obstruction_linear_in_curvature():
     assert np.allclose(r2, 2.0 * r1, atol=1e-12)
 
 
-def test_projector_residual_is_family_average():
+# ---------------------------------------------------------------------------
+# the batched kernel against the per-block reference
+
+# (first wedge slot, second wedge slot, commutator) as indices into (u1, u2)
+_FAMILY_BLOCKS = {
+    "C1": (0, 0, 0),
+    "C2": (0, 0, 1),
+    "C3": (1, 1, 0),
+    "C4": (1, 1, 1),
+    "C5": (0, 1, 0),
+    "C6": (0, 1, 1),
+}
+_ORDERED = [(i, j) for i in range(4) for j in range(4) if i != j]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_kernel_matches_per_block_reference(name):
+    """Every family norm of the kernel equals the maximum of a loop of
+    _constraint_block over the 12 ordered pairs, within 1e-12 relative or
+    1e-12 of the curvature scale; its worst pair is the loop's first
+    maximum, or a pair tied with it to roundoff, and its worst matrix is
+    that pair's block."""
+    m = metric_by_name(name)
+    rng = np.random.default_rng(81)
+    p = m.interior_points(1, rng)[0]
+    gc = generalized_curvature(m, p)
+    tol = 1e-12 * np.abs(gc.rf).max()
+    untied = 0
+    for tag in ComponentTag:
+        fibers = [random_fiber(tag, rng) for _ in range(3)]
+        res = fiber_residuals(gc, fibers)
+        assert res.labels == tuple(_FAMILY_BLOCKS)
+        for n, f in enumerate(fibers):
+            blocks = fiber_to_structures(f)
+            for k, (a, b, c) in enumerate(_FAMILY_BLOCKS.values()):
+                mats = [_constraint_block(gc, blocks[a], blocks[b], blocks[c], i, j) for i, j in _ORDERED]
+                norms = [float(np.linalg.norm(x)) for x in mats]
+                first = int(np.argmax(norms))
+                got = int(res.pairs[n, k])
+                assert res.norms[n, k] == pytest.approx(norms[first], rel=1e-12, abs=tol)
+                if got == first:
+                    untied += 1
+                else:
+                    assert norms[got] == pytest.approx(norms[first], rel=1e-12, abs=tol)
+                assert np.allclose(res.matrices[n, k], mats[got], rtol=1e-12, atol=tol)
+    assert untied > 0
+
+
+def test_j1_and_semi_are_kernel_columns():
+    m = metric_by_name("schwarzschild")
+    p = np.array([2.4, 2.2, 2.5, 2.4])
+    gc = generalized_curvature(m, p)
+    rng = np.random.default_rng(82)
+    mixed = [random_fiber(tag, rng) for tag in (ComponentTag.PM, ComponentTag.MP) for _ in range(3)]
+    pure = [random_fiber(tag, rng) for tag in (ComponentTag.PP, ComponentTag.MM) for _ in range(3)]
+    for fibers in (mixed, pure):
+        full = fiber_residuals(gc, fibers)
+        j1 = fiber_residuals(gc, fibers, StructureKind.ALMOST_J1)
+        assert j1.labels == J1_LABELS
+        assert np.array_equal(j1.norms, full.norms[:, :2])
+        assert np.array_equal(j1.pairs, full.pairs[:, :2])
+        assert np.array_equal(j1.matrices, full.matrices[:, :2])
+        for n, f in enumerate(fibers):
+            one = constraints_J1(m, p, f, gc=gc)
+            assert [one.norms[label] for label in J1_LABELS] == full.norms[n, :2].tolist()
+            assert constraints_genJ(m, p, f, gc=gc).norms == dict(zip(full.labels, full.norms[n].tolist()))
+    full = fiber_residuals(gc, mixed)
+    semi = fiber_residuals(gc, mixed, StructureKind.SEMI)
+    assert semi.labels == ("C2'",)
+    assert np.array_equal(semi.norms, full.norms[:, 1:2])
+    assert [semi_integrability_residual(m, p, f, gc=gc) for f in mixed] == full.norms[:, 1].tolist()
+
+
+@pytest.mark.parametrize("kind", list(StructureKind))
+def test_kernel_fibers_bit_identical_across_batch_sizes(kind):
+    """A fiber's values do not depend on the batch it rides in; check()'s
+    prefix-stable sample sets rely on this."""
     m = metric_by_name("eguchi-hanson")
     p = np.array([2.3, 2.2, 2.5, 2.4])
     gc = generalized_curvature(m, p)
-    rng = np.random.default_rng(73)
-    for tag in ComponentTag:
-        f = random_fiber(tag, rng)
-        u1, u2 = fiber_to_structures(f)
-        blocks = {1: u1, 2: u2}
-        for first in (1, 2):
-            for comm in (1, 2):
-                got = projector_mixed_residual(m, p, f, 0, 3, first=first, comm=comm, gc=gc)
-                ua, uc = blocks[first], blocks[comm]
-                want = 0.5 * (
-                    _constraint_block(gc, ua, u1, uc, 0, 3)
-                    + _constraint_block(gc, ua, u2, uc, 0, 3)
-                )
-                assert np.allclose(got, want, atol=1e-12)
+    rng = np.random.default_rng(83)
+    tags = (ComponentTag.PM, ComponentTag.MP) if kind is StructureKind.SEMI else tuple(ComponentTag)
+    fibers = [random_fiber(tags[n % len(tags)], rng) for n in range(8)]
+    full = fiber_residuals(gc, fibers, kind)
+    for size in (1, 4):
+        for start in range(0, 8, size):
+            part = fiber_residuals(gc, fibers[start:start + size], kind)
+            window = slice(start, start + size)
+            assert np.array_equal(part.norms, full.norms[window])
+            assert np.array_equal(part.pairs, full.pairs[window])
+            assert np.array_equal(part.matrices, full.matrices[window])
+
+
+def test_kernel_validation():
+    m = metric_by_name("flat")
+    gc = generalized_curvature(m, np.zeros(4))
+    with pytest.raises(UsageError):
+        fiber_residuals(gc, [])
+    f = random_fiber(ComponentTag.PP, np.random.default_rng(84))
+    with pytest.raises(UsageError):
+        fiber_residuals(gc, [f], StructureKind.SEMI)
 
 
 def test_semi_equals_second_family_on_mixed():
