@@ -106,10 +106,10 @@ class CurvatureFlags:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _flags_over(metric: MetricSpec, points: np.ndarray, threshold: float) -> CurvatureFlags:
+def _flags_over(operators, threshold: float) -> CurvatureFlags:
     wp = wm = bn = sn = 0.0
-    for p in points:
-        blocks = decompose(curvature_operator(metric, p))
+    for op in operators:
+        blocks = decompose(op)
         wp = max(wp, float(np.linalg.norm(blocks.wplus)))
         wm = max(wm, float(np.linalg.norm(blocks.wminus)))
         bn = max(bn, float(np.linalg.norm(blocks.b)))
@@ -140,7 +140,8 @@ def classify_metric(
         raise UsageError(f"n_points must be at least 1, got {n_points}")
     seed = _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
-    return _flags_over(metric, metric.interior_points(n_points, rng), threshold)
+    points = metric.interior_points(n_points, rng)
+    return _flags_over((curvature_operator(metric, p) for p in points), threshold)
 
 
 # fixed cell order of the prediction table: components as declared, the
@@ -240,12 +241,15 @@ def check(
     rng_fiber = np.random.default_rng([seed, 1])
     fibers = [random_fiber(component, rng_fiber) for _ in range(fiber_samples)]
 
-    flags = _flags_over(metric, points, DEFAULT_FLAG_THRESHOLD)
+    # one geometry per point: the flags read its operator, the residual
+    # kernel its frame curvature
+    geometries = [generalized_curvature(metric, p) for p in points]
+    flags = _flags_over((geo.operator for geo in geometries), DEFAULT_FLAG_THRESHOLD)
     predicted = predict(flags).expected(component, kind)
 
     # one kernel call per point; the first strict maximum in (point, fiber,
     # family) order names the worst point, fiber and constraint
-    results = [fiber_residuals(generalized_curvature(metric, p), fibers, kind) for p in points]
+    results = [fiber_residuals(geo, fibers, kind) for geo in geometries]
     norms = np.array([r.norms for r in results])
     ip, jf, kf = np.unravel_index(np.argmax(norms), norms.shape)
     max_residual = float(norms[ip, jf, kf])

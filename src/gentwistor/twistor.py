@@ -37,7 +37,7 @@ semi-integrability (closure of the projection bracket) needs only C2',
 and is meaningful on the mixed components where it detects exactly the
 Einstein condition.
 
-Every family is linear in the frame curvature.  GeneralizedCurvature.rf
+Every family is linear in the frame curvature.  PointGeometry.rf
 holds it as the antisymmetric array Rf[a, b] = R(t_a, t_b), a 4x4
 endomorphism for each frame pair, so that R(x ^ y) = x^a y^b Rf[a, b].
 With u_a t_i the i-th column of u_a, the curvature terms at (i, j) are
@@ -68,7 +68,7 @@ from .bivector import basis_wedge, unit_combination, wedge
 from .errors import InvalidInputError, UsageError
 from .gca import BasisTag, ComponentTag, GenStructure, structure_from_blocks, type_of
 from .metrics import MetricSpec
-from .riemann import GeneralizedCurvature, generalized_curvature
+from .riemann import PointGeometry, generalized_curvature
 
 _UNIT_TOL = 1e-12
 
@@ -211,7 +211,7 @@ def _omega_pair(u_a: np.ndarray, u_b: np.ndarray, i: int, j: int) -> tuple[np.nd
 
 
 def _constraint_block(
-    gc: GeneralizedCurvature,
+    gc: PointGeometry,
     u_a: np.ndarray,
     u_b: np.ndarray,
     u_c: np.ndarray,
@@ -259,7 +259,7 @@ class FiberResiduals:
 
 
 def fiber_residuals(
-    gc: GeneralizedCurvature,
+    gc: PointGeometry,
     fibers: Sequence[FiberPoint],
     kind: StructureKind = StructureKind.GENJ,
 ) -> FiberResiduals:
@@ -293,7 +293,7 @@ def constraints_genJ(
     metric: MetricSpec,
     p: np.ndarray,
     f: FiberPoint,
-    gc: GeneralizedCurvature | None = None,
+    gc: PointGeometry | None = None,
 ) -> ConstraintResiduals:
     """All six residual families of the generalized structure."""
     if gc is None:
@@ -305,7 +305,7 @@ def constraints_J1(
     metric: MetricSpec,
     p: np.ndarray,
     f: FiberPoint,
-    gc: GeneralizedCurvature | None = None,
+    gc: PointGeometry | None = None,
 ) -> ConstraintResiduals:
     """The two residual families of the ordinary almost complex structure."""
     if gc is None:
@@ -317,7 +317,7 @@ def semi_integrability_residual(
     metric: MetricSpec,
     p: np.ndarray,
     f: FiberPoint,
-    gc: GeneralizedCurvature | None = None,
+    gc: PointGeometry | None = None,
 ) -> float:
     """Residual of the projected (semi-integrability) condition: the C2'
     family alone.  Only meaningful on mixed components."""
@@ -335,7 +335,7 @@ def doubled_obstruction_matrix(
     i: int,
     j: int,
     args: tuple[int, int] = (1, 1),
-    gc: GeneralizedCurvature | None = None,
+    gc: PointGeometry | None = None,
 ) -> np.ndarray:
     """8x8 obstruction matrix computed through the full doubled path.
 
@@ -365,7 +365,7 @@ def blockwise_obstruction_matrix(
     i: int,
     j: int,
     args: tuple[int, int] = (1, 1),
-    gc: GeneralizedCurvature | None = None,
+    gc: PointGeometry | None = None,
 ) -> np.ndarray:
     """Same 8x8 obstruction assembled from the two 4x4 commutator blocks."""
     if gc is None:

@@ -1,19 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gentwistor.calculus import partial
 from gentwistor.errors import DecompositionError, DomainError, InvalidInputError
-from gentwistor.metrics import MetricSpec, metric_by_name
+from gentwistor.gca import ComponentTag
+from gentwistor.harness import check
+from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
+from gentwistor.oracle import nijenhuis_numeric
 from gentwistor.riemann import (
     CurvatureBlocks,
     CurvatureOperator,
     christoffel,
-    connection_form_coordinate,
     curvature_operator,
     decompose,
     generalized_curvature,
     orthonormal_frame,
 )
+from gentwistor.twistor import StructureKind, TwistorPoint, random_fiber
 
 
 def test_orthonormal_frame_properties():
@@ -79,6 +84,65 @@ def test_upsilon_antisymmetric_and_small_defect():
             for a in range(4):
                 np.testing.assert_allclose(conn.upsilon[a], -conn.upsilon[a].T, atol=1e-14)
             assert conn.antisymmetry_defect < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_upsilon_defect_is_roundoff(name):
+    # Gamma and the frame derivative come from the same dg, so the raw
+    # connection is antisymmetric up to roundoff, not up to FD error
+    m = CATALOG[name]
+    for p in m.interior_points(3, np.random.default_rng(21)):
+        assert christoffel(m, p).antisymmetry_defect <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_frame_derivative_matches_fd_of_frame(name):
+    # reference: 4th-order FD of the Cholesky frame itself, at the same step
+    m = CATALOG[name]
+    for p in m.interior_points(3, np.random.default_rng(22)):
+        analytic = generalized_curvature(m, p).frame_derivative
+        fd = np.stack([partial(lambda q: orthonormal_frame(m, q).e, p, i, m.fd_step) for i in range(4)])
+        assert np.abs(fd - analytic).max() <= 1e-8 * np.abs(analytic).max()
+
+
+def test_one_geometry_serves_operator_and_connection():
+    m = metric_by_name("eguchi-hanson")
+    p = np.array([2.3, 2.45, 2.5, 2.2])
+    geo = generalized_curvature(m, p)
+    assert np.array_equal(curvature_operator(m, p).matrix, geo.operator.matrix)
+    assert np.array_equal(christoffel(m, p).upsilon, geo.connection.upsilon)
+    assert np.array_equal(christoffel(m, p).gamma, geo.connection.gamma)
+
+
+def _counted(metric):
+    calls = []
+    inner = metric.g
+
+    def g(p):
+        calls.append(1)
+        return inner(p)
+
+    return dataclasses.replace(metric, g=g), calls
+
+
+def test_metric_evaluation_counts():
+    # the stencil has 1 + 16 + 96 points; a connection needs the first 17
+    s4 = metric_by_name("s4")
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    m, calls = _counted(s4)
+    check(m, ComponentTag.PP, StructureKind.GENJ)
+    assert len(calls) == 4 * 113
+    m, calls = _counted(s4)
+    geo = generalized_curvature(m, p)
+    geo.rf, geo.operator, geo.connection
+    assert len(calls) == 113
+    m, calls = _counted(s4)
+    christoffel(m, p)
+    assert len(calls) == 17
+    m, calls = _counted(s4)
+    tp = TwistorPoint(p, random_fiber(ComponentTag.PP, np.random.default_rng(3)))
+    nijenhuis_numeric(m, tp, (("h+", 0), ("h-", 2)), StructureKind.GENJ)
+    assert len(calls) == 450
 
 
 def test_domain_guard_near_boundary():
@@ -210,7 +274,11 @@ def test_generalized_curvature_blocks_and_connection_identity():
         np.testing.assert_allclose(rg[:4, 4:], 0.0, atol=1e-15)
         np.testing.assert_allclose(gc.eta(a)[:4, :4], gc.connection.upsilon[a], atol=1e-15)
 
-    eta_f = lambda q: connection_form_coordinate(m, q)
+    def eta_f(q):
+        # eta(d_i) = sum_a einv[a, i] Upsilon_a, over coordinate directions
+        upsilon = christoffel(m, q).upsilon
+        return np.einsum("ai,akl->ikl", orthonormal_frame(m, q).einv, upsilon)
+
     h2 = 1e-2  # outer step for nested differentiation
     deta = np.stack([partial(eta_f, p, i, h2) for i in range(4)])
     eta0 = eta_f(p)

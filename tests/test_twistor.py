@@ -4,7 +4,7 @@ import pytest
 from gentwistor.errors import InvalidInputError, UsageError
 from gentwistor.gca import BasisTag, ComponentTag, classify_component
 from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
-from gentwistor.riemann import GeneralizedCurvature, generalized_curvature
+from gentwistor.riemann import generalized_curvature
 from gentwistor.twistor import (
     J1_LABELS,
     FiberPoint,
@@ -339,11 +339,10 @@ def test_obstruction_linear_in_curvature():
     m = metric_by_name("s4")
     p = np.array([0.05, -0.1, 0.2, 0.15])
     gc = generalized_curvature(m, p)
-    doubled = GeneralizedCurvature(
-        frame=gc.frame,
-        connection=gc.connection,
-        fpairs=tuple(2.0 * fp for fp in gc.fpairs),
-    )
+    # a cached geometry attribute is a plain instance attribute, so the
+    # curvature of a fresh geometry can be set to twice the measured one
+    doubled = generalized_curvature(m, p)
+    doubled.fpairs = tuple(2.0 * fp for fp in gc.fpairs)
     f = random_fiber(ComponentTag.PP, np.random.default_rng(72))
     r1 = doubled_obstruction_matrix(m, p, f, 0, 2, gc=gc)
     r2 = doubled_obstruction_matrix(m, p, f, 0, 2, gc=doubled)
