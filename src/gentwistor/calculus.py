@@ -33,7 +33,7 @@ of J.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -223,24 +223,3 @@ def nijenhuis_field(
     t4 = courant_bracket(y, z, p, h, box)
     return t1 - t2 - t3 - t4
 
-
-def polynomial_vector_field(coeffs: Sequence[Sequence[float]] | np.ndarray) -> FieldFn:
-    """Affine-quadratic test field x -> c0 + C1 x + (x . C2 x) per row.
-
-    coeffs rows: [c0 (1), c1 (n), c2 (n*n, row-major)] per component; kept
-    deliberately simple, FD stencils of order 4 are exact on these.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-
-    def f(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        n = p.size
-        out = np.empty(coeffs.shape[0])
-        for k, row in enumerate(coeffs):
-            c0 = row[0]
-            c1 = row[1 : 1 + n]
-            c2 = row[1 + n :].reshape(n, n)
-            out[k] = c0 + c1 @ p + p @ c2 @ p
-        return out
-
-    return f

@@ -14,9 +14,18 @@ Unary minus binds looser than '^', so -2^2 evaluates to -4, while
 2^-3 parses (the exponent position accepts a signed factor).
 
 Evaluation is plain IEEE double arithmetic, but division by zero, log of
-a non-positive value, sqrt of a negative value, and any non-finite
-intermediate raise EvalError carrying the source span of the offending
-subexpression instead of propagating NaN.
+a non-positive value, sqrt of a negative value, exp overflow, a
+non-finite power and a non-finite result raise EvalError carrying the
+source span of the offending subexpression instead of propagating NaN.
+
+Expressions are compiled once into numpy closures over arrays of points,
+with equal subexpressions computed once, so a loaded metric's g is
+batched like every MetricSpec.g: points of shape (..., 4) give metrics of
+shape (..., 4, 4), one numpy pass per node for the whole batch.  Every
+node keeps its own domain check.  A batch raises the error that
+evaluating its points one by one would raise first: the span and value
+of the first failing node at the lowest failing point, whose position
+EvalError.index gives.
 
 Config files are plain text, one [metric] table per file:
 
@@ -29,8 +38,9 @@ Config files are plain text, one [metric] table per file:
     g44 = 4/(1+x1^2+x2^2+x3^2+x4^2)^2
 
 All ten upper-triangular components g11..g44 are required; the symmetric
-completion is probed for positive definiteness at 16 interior points of
-the box before a MetricSpec is returned.  '#' starts a comment.
+completion is evaluated at 16 interior points of the box in one batch and
+probed there for positive definiteness before a MetricSpec is returned.
+'#' starts a comment.
 """
 
 from __future__ import annotations
@@ -243,62 +253,138 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
+# ------------------------------------------------------------ evaluation
+#
+# Expressions are compiled once into a straight-line program of numpy
+# steps over the transposed points xt (4, n).  Each step yields an (n,)
+# array, or a scalar for a constant subtree.  A step whose domain check
+# fails at some points records (mask, span, message template, operands) in
+# `fails` and the run carries on; it then reports the error that
+# evaluating the points one by one would raise first: the lowest failing
+# point, at its first failing node.
+
+_Step = Callable[[list, np.ndarray, list], np.ndarray]
+
+
+def _flag(fails: list, bad, span, template: str, *operands) -> None:
+    if np.count_nonzero(bad):
+        fails.append((bad, span, template, operands))
+
+
+def _at(v, i: int) -> float:
+    return float(v) if np.ndim(v) == 0 else float(v[i])
+
+
+# per checked function: the mask of failing points from (argument, value)
+_DOMAIN = {
+    "exp": (lambda v, out: ~np.isfinite(out), "exp overflow for argument {0!r}"),
+    "sqrt": (lambda v, out: v < 0.0, "sqrt of negative value {0!r}"),
+    "log": (lambda v, out: v <= 0.0, "log of non-positive value {0!r}"),
+}
+
+
+def _call(func: str, a: int, span) -> _Step:
+    f = getattr(np, func)
+    if func not in _DOMAIN:
+        return lambda vals, xt, fails: f(vals[a])
+    failing, template = _DOMAIN[func]
+
+    def checked(vals, xt, fails):
+        v = vals[a]
+        out = f(v)
+        _flag(fails, failing(v, out), span, template, v)
+        return out
+
+    return checked
+
+
+def _binop(op: str, a: int, b: int, span) -> _Step:
+    if op == "+":
+        return lambda vals, xt, fails: vals[a] + vals[b]
+    if op == "-":
+        return lambda vals, xt, fails: vals[a] - vals[b]
+    if op == "*":
+        return lambda vals, xt, fails: vals[a] * vals[b]
+    if op == "/":
+
+        def divide(vals, xt, fails):
+            _flag(fails, vals[b] == 0.0, span, "division by zero")
+            return vals[a] / vals[b]
+
+        return divide
+
+    def power(vals, xt, fails):
+        out = np.power(vals[a], vals[b])
+        _flag(fails, ~np.isfinite(out), span, "power {0!r} ^ {1!r} is not finite", vals[a], vals[b])
+        return out
+
+    return power
+
+
+class _Program:
+    """The compiled form of a list of expressions.
+
+    Steps are in evaluation order.  A subtree equal to an earlier one
+    (spans aside) reuses its step: its values are the same, so it fails
+    wherever that first occurrence fails, and that is where a
+    point-by-point evaluation stops first."""
+
+    def __init__(self, exprs: list[Expr]):
+        self.steps: list[_Step] = []
+        self._slots: dict[tuple, int] = {}
+        self.outputs = [(self._slot(e), e.span) for e in exprs]
+
+    def _slot(self, e: Expr) -> int:
+        if isinstance(e, (Num, Const)):
+            v = np.float64(e.value if isinstance(e, Num) else np.pi)
+            key, step = ("num", float(v).hex()), lambda vals, xt, fails: v
+        elif isinstance(e, Var):
+            i = e.index
+            key, step = ("var", i), lambda vals, xt, fails: xt[i]
+        elif isinstance(e, Neg):
+            a = self._slot(e.arg)
+            key, step = ("neg", a), lambda vals, xt, fails: -vals[a]
+        elif isinstance(e, Call) and e.func in FUNCTIONS:
+            a = self._slot(e.arg)
+            key, step = (e.func, a), _call(e.func, a, e.span)
+        elif isinstance(e, BinOp) and e.op in "+-*/^":
+            a, b = self._slot(e.left), self._slot(e.right)
+            key, step = (e.op, a, b), _binop(e.op, a, b, e.span)
+        else:
+            raise EvalError(f"malformed expression node {e!r}", getattr(e, "span", None))
+        if key not in self._slots:
+            self._slots[key] = len(self.steps)
+            self.steps.append(step)
+        return self._slots[key]
+
+    def run(self, points: np.ndarray) -> tuple[np.ndarray, EvalError | None]:
+        """Values (len(exprs), n) at points (n, 4), and the EvalError of the
+        first failing point (None if every point passed)."""
+        xt = np.ascontiguousarray(points.T)
+        out = np.empty((len(self.outputs), len(points)))
+        vals: list = []
+        fails: list = []
+        with np.errstate(all="ignore"):
+            for k, (slot, span) in enumerate(self.outputs):
+                # the output's new steps, then its final check: the order
+                # in which a point-by-point evaluation meets them
+                for step in self.steps[len(vals) : slot + 1]:
+                    vals.append(step(vals, xt, fails))
+                _flag(fails, ~np.isfinite(vals[slot]), span, "expression evaluated to a non-finite value")
+                out[k] = vals[slot]
+        if not fails:
+            return out, None
+        i = min(0 if np.ndim(bad) == 0 else int(np.argmax(bad)) for bad, *_ in fails)
+        _, span, template, operands = next(f for f in fails if np.ndim(f[0]) == 0 or f[0][i])
+        return out, EvalError(template.format(*(_at(v, i) for v in operands)), span, index=i)
+
+
 def evaluate(expr: Expr, p: np.ndarray) -> float:
     """Evaluate at a coordinate point, raising EvalError on bad domains."""
-    x = np.asarray(p, dtype=float)
-
-    def ev(e: Expr) -> float:
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, Var):
-            return float(x[e.index])
-        if isinstance(e, Const):
-            return float(np.pi)
-        if isinstance(e, Neg):
-            return -ev(e.arg)
-        if isinstance(e, Call):
-            v = ev(e.arg)
-            if e.func == "sin":
-                return float(np.sin(v))
-            if e.func == "cos":
-                return float(np.cos(v))
-            if e.func == "exp":
-                out = float(np.exp(v))
-                if not np.isfinite(out):
-                    raise EvalError(f"exp overflow for argument {v!r}", e.span)
-                return out
-            if e.func == "sqrt":
-                if v < 0.0:
-                    raise EvalError(f"sqrt of negative value {v!r}", e.span)
-                return float(np.sqrt(v))
-            if e.func == "log":
-                if v <= 0.0:
-                    raise EvalError(f"log of non-positive value {v!r}", e.span)
-                return float(np.log(v))
-        if isinstance(e, BinOp):
-            a, b = ev(e.left), ev(e.right)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                if b == 0.0:
-                    raise EvalError("division by zero", e.span)
-                return a / b
-            if e.op == "^":
-                with np.errstate(all="ignore"):
-                    out = float(np.power(a, b))
-                if not np.isfinite(out):
-                    raise EvalError(f"power {a!r} ^ {b!r} is not finite", e.span)
-                return out
-        raise EvalError(f"malformed expression node {e!r}", getattr(e, "span", None))
-
-    out = ev(expr)
-    if not np.isfinite(out):
-        raise EvalError("expression evaluated to a non-finite value", expr.span)
-    return out
+    values, err = _Program([expr]).run(np.asarray(p, dtype=float)[None, :])
+    if err is not None:
+        raise err
+    return float(values[0, 0])
 
 
 def to_source(expr: Expr) -> str:
@@ -401,21 +487,21 @@ def parse_config(text: str) -> MetricConfig:
     return MetricConfig(name=name, lo=lo, hi=hi, exprs=exprs, sources=sources)
 
 
-def _metric_callable(cfg: MetricConfig) -> Callable[[np.ndarray], np.ndarray]:
-    index = {}
-    for key, e in cfg.exprs.items():
-        i, j = int(key[1]) - 1, int(key[2]) - 1
-        index[(i, j)] = e
+def _metric_table(cfg: MetricConfig) -> Callable[[np.ndarray], tuple[np.ndarray, EvalError | None]]:
+    """Points (..., 4) -> (metrics (..., 4, 4), EvalError of the first
+    failing point or None), from the ten expressions compiled once."""
+    program = _Program(list(cfg.exprs.values()))
+    rows = [int(key[1]) - 1 for key in cfg.exprs]
+    cols = [int(key[2]) - 1 for key in cfg.exprs]
 
-    def g(p: np.ndarray) -> np.ndarray:
-        out = np.empty((4, 4))
-        for (i, j), e in index.items():
-            v = evaluate(e, p)
-            out[i, j] = v
-            out[j, i] = v
-        return out
+    def table(p: np.ndarray) -> tuple[np.ndarray, EvalError | None]:
+        p = np.asarray(p, dtype=float)
+        values, err = program.run(p.reshape(-1, 4))
+        out = np.empty((values.shape[1], 4, 4))
+        out[:, rows, cols] = out[:, cols, rows] = values.T
+        return out.reshape(p.shape[:-1] + (4, 4)), err
 
-    return g
+    return table
 
 
 def probe_points(lo: float, hi: float) -> np.ndarray:
@@ -426,20 +512,30 @@ def probe_points(lo: float, hi: float) -> np.ndarray:
 
 def load_metric(text: str) -> MetricSpec:
     """Parse a config and return a MetricSpec, verifying positive
-    definiteness of the symmetric completion at 16 probe points."""
+    definiteness of the symmetric completion at 16 probe points.  A
+    ConfigError names the first probe point that fails to evaluate or is
+    not positive definite."""
     cfg = parse_config(text)
-    g = _metric_callable(cfg)
-    for p in probe_points(cfg.lo, cfg.hi):
-        try:
-            mat = g(p)
-        except EvalError as e:
-            raise ConfigError(f"metric evaluation failed at probe point {p.tolist()}: {e}") from e
+    table = _metric_table(cfg)
+
+    def g(p: np.ndarray) -> np.ndarray:
+        mats, err = table(p)
+        if err is not None:
+            raise err
+        return mats
+
+    probes = probe_points(cfg.lo, cfg.hi)
+    mats, err = table(probes)
+    passed = len(probes) if err is None else err.index
+    for p, mat in zip(probes[:passed], mats):
         try:
             np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             raise ConfigError(
                 f"metric is not positive definite at probe point {p.tolist()}"
             ) from None
+    if err is not None:
+        raise ConfigError(f"metric evaluation failed at probe point {probes[passed].tolist()}: {err}") from err
     return MetricSpec(
         name=cfg.name,
         lo=cfg.lo,

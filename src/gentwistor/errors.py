@@ -56,11 +56,13 @@ class ParseError(GentwistorError):
 class EvalError(GentwistorError):
     """Runtime error while evaluating a metric expression (division by
     zero, log of a non-positive number, ...).  Carries the source span of
-    the offending subexpression."""
+    the offending subexpression and, for a batch of points, the index of
+    the first failing point."""
 
-    def __init__(self, message: str, span: tuple[int, int] | None = None):
+    def __init__(self, message: str, span: tuple[int, int] | None = None, index: int = 0):
         super().__init__(message)
         self.span = span
+        self.index = index
 
 
 class ConfigError(GentwistorError):

@@ -1,9 +1,12 @@
 """Catalog of concrete Riemannian 4-metrics on coordinate boxes.
 
 Every entry is a MetricSpec: a name, a coordinate box [lo, hi]^4, a
-callable returning the 4x4 symmetric matrix g(p), and a provenance string
-for reports.  Domains are chosen so that g stays uniformly positive
-definite with a margin for finite-difference stencils.
+batched callable g, and a provenance string for reports.  g maps points
+of shape (..., 4) to symmetric matrices of shape (..., 4, 4); a single
+point (4,) gives one (4, 4) matrix.  The geometry evaluates a whole
+finite-difference stencil in one call, so g must broadcast over the
+leading axes (see riemann).  Domains are chosen so that g stays uniformly
+positive definite with a margin for finite-difference stencils.
 
 Catalog (standard closed forms, see e.g. Besse, "Einstein Manifolds",
 chapters 3 and 9, and the original sources cited per entry):
@@ -52,7 +55,8 @@ SAMPLE_MARGIN = 0.05
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A named metric on a coordinate box [lo, hi]^4."""
+    """A named metric on a coordinate box [lo, hi]^4; g is batched,
+    points (..., 4) -> metrics (..., 4, 4)."""
 
     name: str
     lo: float
@@ -97,29 +101,33 @@ class MetricSpec:
 
 
 def _flat_g(p: np.ndarray) -> np.ndarray:
-    return np.eye(4)
+    return np.broadcast_to(np.eye(4), np.shape(p)[:-1] + (4, 4)).copy()
 
+
+# np.float_power is C pow, as the scalar x ** k the catalog was first written
+# with; np.power's vectorised loop rounds differently in the last bit
+_pow = np.float_power
 
 _PERT_EPS = 0.05
 
 
 def _perturbed_jacobian(p: np.ndarray) -> np.ndarray:
     # phi_k(x) = x_k + eps sin(x_{k+1 mod 4}); D phi = I + eps C(x)
-    d = np.eye(4)
+    d = _flat_g(p)  # the identity at each point
     for k in range(4):
-        d[k, (k + 1) % 4] += _PERT_EPS * np.cos(p[(k + 1) % 4])
+        d[..., k, (k + 1) % 4] += _PERT_EPS * np.cos(p[..., (k + 1) % 4])
     return d
 
 
 def _flat_perturbed_g(p: np.ndarray) -> np.ndarray:
     d = _perturbed_jacobian(np.asarray(p, float))
-    return d.T @ d
+    return np.swapaxes(d, -1, -2) @ d
 
 
 def _s4_g(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, float)
-    r2 = p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[3] ** 2
-    return (4.0 / (1.0 + r2) ** 2) * np.eye(4)
+    r2 = _pow(p[..., 0], 2) + _pow(p[..., 1], 2) + _pow(p[..., 2], 2) + _pow(p[..., 3], 2)
+    return (4.0 / _pow(1.0 + r2, 2))[..., None, None] * np.eye(4)
 
 
 def _fubini_study_g(p: np.ndarray) -> np.ndarray:
@@ -127,17 +135,14 @@ def _fubini_study_g(p: np.ndarray) -> np.ndarray:
     # realified with coordinate order (Re z1, Im z1, Re z2, Im z2):
     #   g[u_a, u_b] = g[v_a, v_b] = 2 Re h_ab,  g[u_a, v_b] = 2 Im h_ab.
     p = np.asarray(p, float)
-    z = np.array([p[0] + 1j * p[1], p[2] + 1j * p[3]])
-    rho = 1.0 + float(np.real(np.vdot(z, z)))
-    h = np.eye(2, dtype=complex) / rho - np.outer(np.conj(z), z) / rho ** 2
+    z = p[..., 0::2] + 1j * p[..., 1::2]
+    rho = 1.0 + np.real(np.conj(z)[..., None, :] @ z[..., :, None])  # (..., 1, 1)
+    h = np.eye(2, dtype=complex) / rho - np.conj(z)[..., :, None] * z[..., None, :] / _pow(rho, 2)
     s, a = h.real, h.imag
-    g = np.empty((4, 4))
-    for ai in range(2):
-        for bi in range(2):
-            g[2 * ai, 2 * bi] = 2.0 * s[ai, bi]
-            g[2 * ai + 1, 2 * bi + 1] = 2.0 * s[ai, bi]
-            g[2 * ai, 2 * bi + 1] = 2.0 * a[ai, bi]
-            g[2 * ai + 1, 2 * bi] = -2.0 * a[ai, bi]
+    g = np.empty(p.shape[:-1] + (4, 4))
+    g[..., 0::2, 0::2] = g[..., 1::2, 1::2] = 2.0 * s
+    g[..., 0::2, 1::2] = 2.0 * a
+    g[..., 1::2, 0::2] = -2.0 * a
     return g
 
 
@@ -149,15 +154,15 @@ def _eguchi_hanson_g(p: np.ndarray) -> np.ndarray:
     # f = 1 - (a/r)^4, with Euler-angle left-invariant forms
     # sigma3 = d psi + cos(theta) d phi; coordinates (r, theta, phi, psi).
     p = np.asarray(p, float)
-    r, th = p[0], p[1]
-    f = 1.0 - (_EH_SCALE / r) ** 4
+    r, th = p[..., 0], p[..., 1]
+    f = 1.0 - _pow(_EH_SCALE / r, 4)
     q = r * r / 4.0
-    g = np.zeros((4, 4))
-    g[0, 0] = 1.0 / f
-    g[1, 1] = q
-    g[2, 2] = q * (np.sin(th) ** 2 + f * np.cos(th) ** 2)
-    g[3, 3] = q * f
-    g[2, 3] = g[3, 2] = q * f * np.cos(th)
+    g = np.zeros(p.shape[:-1] + (4, 4))
+    g[..., 0, 0] = 1.0 / f
+    g[..., 1, 1] = q
+    g[..., 2, 2] = q * (_pow(np.sin(th), 2) + f * _pow(np.cos(th), 2))
+    g[..., 3, 3] = q * f
+    g[..., 2, 3] = g[..., 3, 2] = q * f * np.cos(th)
     return g
 
 
@@ -167,9 +172,14 @@ _SCHW_MASS = 0.8
 def _schwarzschild_g(p: np.ndarray) -> np.ndarray:
     # Riemannian form, coordinates (tau, r, theta, phi), r > 2m
     p = np.asarray(p, float)
-    r, th = p[1], p[2]
+    r, th = p[..., 1], p[..., 2]
     a = 1.0 - 2.0 * _SCHW_MASS / r
-    return np.diag([a, 1.0 / a, r * r, r * r * np.sin(th) ** 2])
+    g = np.zeros(p.shape[:-1] + (4, 4))
+    g[..., 0, 0] = a
+    g[..., 1, 1] = 1.0 / a
+    g[..., 2, 2] = r * r
+    g[..., 3, 3] = r * r * _pow(np.sin(th), 2)
+    return g
 
 
 def _catalog() -> dict[str, MetricSpec]:

@@ -16,8 +16,12 @@ One geometry pass per point p, PointGeometry:
    pure second derivatives, and 96 mixed points (p + a h e_k + b h e_l,
    a, b in {-2, -1, 1, 2}, k < l).  The 4th-order formulas use integer
    weights and one division each, so a constant metric has exactly zero
-   derivatives.  The mixed points are evaluated only when curvature is
-   asked for; a connection-only caller pays 17 evaluations.
+   derivatives.  MetricSpec.g is batched (points (..., 4) -> metrics
+   (..., 4, 4)), so the 17 near points are one g call and the 96 mixed
+   points another; a g that returns any other shape raises
+   InvalidInputError.  The mixed points are evaluated only when
+   curvature is asked for; a connection-only caller pays one call of 17
+   points.
 2. frame: e = lower Cholesky factor of g(p)^{-1}, so the columns of e
    are an oriented orthonormal frame (e^T g e = Id, det e > 0) varying
    smoothly with p.
@@ -148,15 +152,23 @@ def orthonormal_frame(metric: MetricSpec, p: np.ndarray) -> FrameData:
 
 
 def _evaluate(metric: MetricSpec, points: np.ndarray) -> np.ndarray:
-    return np.array([np.asarray(metric.g(q), dtype=float) for q in points])
+    """The metric at n points, one batched g call: (n, 4) -> (n, 4, 4)."""
+    out = np.asarray(metric.g(points), dtype=float)
+    if out.shape != (len(points), 4, 4):
+        raise InvalidInputError(
+            f"metric {metric.name!r} returned shape {out.shape} for {len(points)} points; "
+            f"MetricSpec.g must map points of shape (..., 4) to metrics of shape (..., 4, 4)"
+        )
+    return out
 
 
 class PointGeometry:
     """Everything the pipeline needs at one base point, from one stencil.
 
-    Built from 17 metric evaluations (g, dg, the pure second derivatives,
-    Gamma and the frame); d2g and everything that needs it are computed
-    on first use.  See the module docstring for the steps."""
+    Built from one g call on 17 points (g, dg, the pure second
+    derivatives, Gamma and the frame); d2g and everything that needs it
+    are computed on first use, from one more call on the 96 mixed points.
+    See the module docstring for the steps."""
 
     def __init__(self, metric: MetricSpec, p: np.ndarray, h: float | None = None):
         p = np.asarray(p, dtype=float)

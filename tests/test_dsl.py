@@ -1,5 +1,6 @@
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from gentwistor.dsl import (
     to_source,
 )
 from gentwistor.errors import ConfigError, EvalError, ParseError
-from gentwistor.metrics import metric_by_name
+from gentwistor.metrics import CATALOG, metric_by_name
+from gentwistor.riemann import _MIXED, _NEAR
 
 ORIGIN = np.zeros(4)
 
@@ -228,3 +230,123 @@ def test_probe_points_are_interior_grid():
     pts = probe_points(-1.0, 1.0)
     assert pts.shape == (16, 4)
     assert pts.min() == -0.5 and pts.max() == 0.5
+
+
+BENCH_DSL = Path(__file__).resolve().parents[1] / "bench" / "dsl"
+
+
+def test_batched_g_matches_single_point_calls():
+    # g on a whole stencil is the stack of its single-point values, bit for bit
+    transcriptions = [load_metric((BENCH_DSL / f"{n}.cfg").read_text()) for n in ("s4", "schwarzschild", "eguchi-hanson")]
+    specs = list(CATALOG.values()) + transcriptions
+    rng = np.random.default_rng(45)
+    for spec in specs:
+        for p in spec.interior_points(3, rng):
+            for offsets in (_NEAR, _MIXED):
+                points = p + offsets * spec.fd_step
+                batch = spec.g(points)
+                single = np.array([spec.g(q) for q in points])
+                assert batch.shape == (len(points), 4, 4) and single.shape[1:] == (4, 4)
+                assert np.array_equal(batch, single), spec.name
+                assert np.array_equal(spec.g(points[:16].reshape(2, 8, 4)), batch[:16].reshape(2, 8, 4, 4))
+
+
+DOMAIN_CONFIG = textwrap.dedent(
+    """
+    [metric]
+    name = domain-traps
+    domain = [-1, 1]
+    g11 = 1
+    g12 = 0.01/(x1-0.3)
+    g13 = 0.1*sqrt(x2+0.6)
+    g14 = 0.01*log(x3+0.6)
+    g22 = 1
+    g23 = 0.01*exp(1000*(x4-0.9))
+    g24 = 0.1*(x1+0.6)^0.5
+    g33 = 1
+    g34 = 0.01*(x3*1e307)*(x3*1e-307)
+    g44 = 1+0.01*sqrt(x4+0.6)
+    """
+)
+
+# one point that fails exactly one domain check: (coordinate, value, message)
+DOMAIN_TRAPS = (
+    (0, 0.3, "division by zero"),
+    (1, -0.7, "sqrt of negative value"),
+    (2, -0.6, "log of non-positive value"),
+    (3, 1.7, "exp overflow"),
+    (0, -0.7, "power"),
+    (2, 100.0, "expression evaluated to a non-finite value"),
+)
+
+
+def test_batch_eval_error_names_first_failing_point():
+    spec = load_metric(DOMAIN_CONFIG)
+    rng = np.random.default_rng(46)
+    good = rng.uniform(-0.2, 0.2, size=(17, 4))
+    spec.g(good)
+    for k, (axis, value, message) in zip((0, 5, 11, 16, 9, 13), DOMAIN_TRAPS):
+        batch = good.copy()
+        batch[k, axis] = value
+        with pytest.raises(EvalError) as single:
+            spec.g(batch[k])
+        with pytest.raises(EvalError) as batched:
+            spec.g(batch)
+        assert str(single.value).startswith(message)
+        assert (batched.value.span, str(batched.value)) == (single.value.span, str(single.value))
+        assert batched.value.index == k and single.value.index == 0
+    # two failing points: the lower one wins, although its node comes later
+    batch = good.copy()
+    batch[3, 3] = 1.7  # exp, in g23
+    batch[8, 0] = 0.3  # division, in g12
+    with pytest.raises(EvalError) as batched:
+        spec.g(batch)
+    assert batched.value.index == 3 and str(batched.value).startswith("exp overflow")
+    # one point failing twice: g34's non-finite result comes before g44's sqrt
+    batch = good.copy()
+    batch[7, 2:] = 100.0, -0.7
+    with pytest.raises(EvalError) as batched:
+        spec.g(batch)
+    assert batched.value.index == 7 and str(batched.value) == "expression evaluated to a non-finite value"
+
+
+def test_shared_subexpressions_keep_their_operators():
+    # the ten components share operands (3, x1) but not operators, so each
+    # must still equal its own single-expression evaluation
+    cfg = textwrap.dedent(
+        """
+        [metric]
+        name = shared
+        domain = [1, 2]
+        g11 = 3+x1
+        g12 = 0.1*sin(x1)
+        g13 = 0.1*cos(x1)
+        g14 = 0.1*(3-x1)
+        g22 = 3*x1
+        g23 = 0.1*(x1-3)
+        g24 = 0.1*-x1
+        g33 = 3/x1
+        g34 = 0.1*log(x1)
+        g44 = 3^x1
+        """
+    )
+    spec = load_metric(cfg)
+    points = np.random.default_rng(47).uniform(1.1, 1.9, size=(9, 4))
+    batch = spec.g(points)
+    exprs = parse_config(cfg).exprs
+    for key, e in exprs.items():
+        i, j = int(key[1]) - 1, int(key[2]) - 1
+        assert [evaluate(e, p) for p in points] == batch[:, i, j].tolist() == batch[:, j, i].tolist()
+
+
+def test_load_metric_names_first_failing_probe_point():
+    # probes run through the 2^4 grid at -0.5 and 0.5, last axis fastest
+    bad = GOOD_CONFIG.replace("g12 = 0", "g12 = 0.01/(x1-0.5)")
+    with pytest.raises(ConfigError) as e:
+        load_metric(bad)
+    assert "evaluation failed at probe point [0.5, -0.5, -0.5, -0.5]: division by zero" in str(e.value)
+    # a probe that is not positive definite comes before a later failing one
+    bad = bad.replace("g13 = 0", "g13 = 2*(x4+0.5)/x4")
+    with pytest.raises(ConfigError) as e:
+        load_metric(bad)
+    assert "not positive definite at probe point [-0.5, -0.5, -0.5, 0.5]" in str(e.value)

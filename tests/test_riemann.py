@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_orthonormal_frame_properties():
             np.testing.assert_allclose(fr.einv @ fr.e, np.eye(4), atol=1e-12)
             # lower-triangular by construction: deterministic gauge
             np.testing.assert_allclose(np.triu(fr.e, 1), 0.0, atol=1e-15)
+
+
+def test_unbatched_metric_is_rejected():
+    # g must map points (n, 4) to (n, 4, 4); a per-point g breaks the contract
+    one_point = MetricSpec("one-point", -1.0, 1.0, lambda p: np.eye(4), "")
+    with pytest.raises(InvalidInputError, match=r"\(\.\.\., 4\) to metrics of shape \(\.\.\., 4, 4\)"):
+        christoffel(one_point, np.zeros(4))
 
 
 def test_orthonormal_frame_rejects_indefinite():
@@ -115,34 +123,36 @@ def test_one_geometry_serves_operator_and_connection():
 
 
 def _counted(metric):
+    """metric whose g records the number of points of each call."""
     calls = []
     inner = metric.g
 
     def g(p):
-        calls.append(1)
+        calls.append(math.prod(np.shape(p)[:-1]))
         return inner(p)
 
     return dataclasses.replace(metric, g=g), calls
 
 
 def test_metric_evaluation_counts():
-    # the stencil has 1 + 16 + 96 points; a connection needs the first 17
+    # the stencil has 1 + 16 + 96 points, one g call for the first 17 (all
+    # a connection needs) and one for the 96 mixed points
     s4 = metric_by_name("s4")
     p = np.array([0.1, -0.2, 0.3, 0.05])
     m, calls = _counted(s4)
     check(m, ComponentTag.PP, StructureKind.GENJ)
-    assert len(calls) == 4 * 113
+    assert sum(calls) == 4 * 113 and len(calls) == 4 * 2
     m, calls = _counted(s4)
     geo = generalized_curvature(m, p)
     geo.rf, geo.operator, geo.connection
-    assert len(calls) == 113
+    assert calls == [17, 96]
     m, calls = _counted(s4)
     christoffel(m, p)
-    assert len(calls) == 17
+    assert calls == [17]
     m, calls = _counted(s4)
     tp = TwistorPoint(p, random_fiber(ComponentTag.PP, np.random.default_rng(3)))
     nijenhuis_numeric(m, tp, (("h+", 0), ("h-", 2)), StructureKind.GENJ)
-    assert len(calls) == 450
+    assert sum(calls) == 450
 
 
 def test_domain_guard_near_boundary():

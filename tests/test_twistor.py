@@ -298,7 +298,7 @@ def test_orientation_swap_exchanges_pure_components():
     perm = np.eye(4)[[0, 1, 3, 2]]
 
     def flipped(x):
-        return perm.T @ base.g(perm @ x) @ perm
+        return perm.T @ base.g(x @ perm.T) @ perm
 
     m = MetricSpec(
         name="eguchi-hanson-flipped",
