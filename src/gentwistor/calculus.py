@@ -10,8 +10,15 @@ All derivatives use the 4th-order central stencil
     f'(x) = ( f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h) ) / (12 h),
 
 so a call touches points up to 2h away in each differentiated coordinate;
-pass a bounding box to get an explicit error instead of silently
-evaluating fields outside their region of validity.
+keeping those points where the fields are valid is the caller's job (the
+oracle checks its metric box with ``oracle.oracle_margin``).
+
+Each operation evaluates every field it is given once at each of the
+1 + 4n points of the stencil at p (p itself, then the four offsets along
+each coordinate) and applies one array formula to those values, so a
+Nijenhuis evaluation calls J, Y and Z 1 + 4n times each however many
+brackets it takes. The callable contract is unchanged: fields are still
+called one point at a time.
 
 Bracket conventions:
 
@@ -37,8 +44,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_STEP = 1e-3
@@ -47,87 +52,90 @@ _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 
 
-def require_interior(p: np.ndarray, box: tuple[float, float] | None, margin: float) -> None:
-    """Raise DomainError unless every coordinate is at least margin inside."""
-    if box is None:
-        return
-    lo, hi = box
-    p = np.asarray(p, float)
-    if np.any(p < lo + margin) or np.any(p > hi - margin):
-        raise DomainError(
-            f"point {p.tolist()} is within {margin:g} of the box [{lo}, {hi}]^n boundary"
-        )
+def _fd(values, h: float) -> np.ndarray:
+    """Stencil sum of the values at the four offsets, in offset order."""
+    acc = _WEIGHTS[0] * values[0]
+    for w, v in zip(_WEIGHTS[1:], values[1:]):
+        acc = acc + w * v
+    return acc / (12.0 * h)
 
 
 def partial(f: FieldFn, p: np.ndarray, i: int, h: float = DEFAULT_STEP) -> np.ndarray:
     """4th-order partial derivative of an array-valued function."""
     p = np.asarray(p, dtype=float)
-    acc = None
-    for off, w in zip(_OFFSETS, _WEIGHTS):
+    values = []
+    for off in _OFFSETS:
         q = p.copy()
         q[i] += off * h
-        term = w * np.asarray(f(q), dtype=float)
-        acc = term if acc is None else acc + term
-    return acc / (12.0 * h)
+        values.append(np.asarray(f(q), dtype=float))
+    return _fd(values, h)
 
 
-def jacobian(f: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    """D[a, i] = d_i f_a for an (m,)-valued f on an (n,)-point."""
+def _stencil(p: np.ndarray, h: float) -> np.ndarray:
+    """(1 + 4n, n) points: p, then p + off h e_i for each i and offset."""
     p = np.asarray(p, dtype=float)
-    cols = [partial(f, p, i, h) for i in range(p.size)]
-    return np.stack(cols, axis=-1)
+    n = p.size
+    pts = np.tile(p, (1 + 4 * n, 1))
+    for i in range(n):
+        pts[1 + 4 * i : 5 + 4 * i, i] += np.array(_OFFSETS) * h
+    return pts
 
 
-def lie_bracket(
-    x: FieldFn,
-    y: FieldFn,
-    p: np.ndarray,
-    h: float = DEFAULT_STEP,
-    box: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """[X, Y](p) = DY(p) X(p) - DX(p) Y(p)."""
-    p = np.asarray(p, dtype=float)
-    require_interior(p, box, 2.0 * h)
-    return jacobian(y, p, h) @ np.asarray(x(p), float) - jacobian(x, p, h) @ np.asarray(y(p), float)
+def _values(f: FieldFn, pts: np.ndarray) -> np.ndarray:
+    """f at each stencil point, stacked along a new first axis."""
+    return np.stack([np.asarray(f(q), dtype=float) for q in pts])
 
 
-def exterior_d(
-    xi: FieldFn,
-    p: np.ndarray,
-    h: float = DEFAULT_STEP,
-    box: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """(d xi)_{ij} = d_i xi_j - d_j xi_i, as an antisymmetric matrix."""
-    p = np.asarray(p, dtype=float)
-    require_interior(p, box, 2.0 * h)
-    d = jacobian(xi, p, h)  # d[j, i] = d_i xi_j
+def _d(values: np.ndarray, h: float) -> np.ndarray:
+    """D[..., i] = d_i f from the values of f on the stencil."""
+    n = (len(values) - 1) // 4
+    by_offset = values[1:].reshape((n, 4) + values.shape[1:]).swapaxes(0, 1)
+    return np.moveaxis(_fd(by_offset, h), 0, -1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise pairing of two stencil arrays of covectors and vectors."""
+    return np.einsum("sa,sa->s", a, b)
+
+
+def _lie(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    return _d(y, h) @ x[0] - _d(x, h) @ y[0]
+
+
+def _exterior_d(xi: np.ndarray, h: float) -> np.ndarray:
+    d = _d(xi, h)  # d[j, i] = d_i xi_j
     return d.T - d
 
 
-def grad_scalar(f: Callable[[np.ndarray], float], p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return np.array([float(partial(lambda q: np.float64(f(q)), p, i, h)) for i in range(p.size)])
+def _lie_derivative(x: np.ndarray, xi: np.ndarray, h: float) -> np.ndarray:
+    # i_X w = W^T X for the X^T W Y convention
+    return _exterior_d(xi, h).T @ x[0] + _d(_dot(xi, x), h)
 
 
-def contract_two_form(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(i_X w)_j = w(X, e_j) = (W^T X)_j for the X^T W Y convention."""
-    return w.T @ x
+def _courant(y: np.ndarray, z: np.ndarray, h: float) -> np.ndarray:
+    """The Courant bracket from stacked (vector, form) stencil values."""
+    n = y.shape[1] // 2
+    yv, yf, zv, zf = y[:, :n], y[:, n:], z[:, :n], z[:, n:]
+    form = _lie_derivative(yv, zf, h) - _lie_derivative(zv, yf, h)
+    form = form - _d(0.5 * (_dot(zf, yv) - _dot(yf, zv)), h)
+    return np.concatenate([_lie(yv, zv, h), form])
 
 
-def lie_derivative_one_form(
-    x: FieldFn,
-    xi: FieldFn,
-    p: np.ndarray,
-    h: float = DEFAULT_STEP,
-    box: tuple[float, float] | None = None,
-) -> np.ndarray:
+def lie_bracket(x: FieldFn, y: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+    """[X, Y](p) = DY(p) X(p) - DX(p) Y(p)."""
+    pts = _stencil(p, h)
+    return _lie(_values(x, pts), _values(y, pts), h)
+
+
+def exterior_d(xi: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+    """(d xi)_{ij} = d_i xi_j - d_j xi_i, as an antisymmetric matrix."""
+    return _exterior_d(_values(xi, _stencil(p, h)), h)
+
+
+def lie_derivative_one_form(x: FieldFn, xi: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """L_X xi = i_X d xi + d( xi(X) )."""
-    p = np.asarray(p, dtype=float)
-    require_interior(p, box, 2.0 * h)
-    dxi = exterior_d(xi, p, h)
-    first = contract_two_form(dxi, np.asarray(x(p), float))
-    pairing = lambda q: float(np.dot(np.asarray(xi(q), float), np.asarray(x(q), float)))
-    return first + grad_scalar(pairing, p, h)
+    pts = _stencil(p, h)
+    return _lie_derivative(_values(x, pts), _values(xi, pts), h)
 
 
 class GenField:
@@ -140,39 +148,15 @@ class GenField:
     def __call__(self, p: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(self.vec(p), float), np.asarray(self.form(p), float)])
 
-    @staticmethod
-    def from_stacked(f: FieldFn, n: int) -> "GenField":
-        return GenField(lambda p: np.asarray(f(p), float)[:n], lambda p: np.asarray(f(p), float)[n:])
 
-    @staticmethod
-    def constant(value: np.ndarray) -> "GenField":
-        value = np.asarray(value, dtype=float)
-        n = value.size // 2
-        return GenField(lambda p: value[:n], lambda p: value[n:])
-
-
-def courant_bracket(
-    y: GenField,
-    z: GenField,
-    p: np.ndarray,
-    h: float = DEFAULT_STEP,
-    box: tuple[float, float] | None = None,
-) -> np.ndarray:
+def courant_bracket(y: GenField, z: GenField, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """Courant bracket value at p, stacked (vector, form) components.
 
     The skew-symmetrized bracket: antisymmetric in (Y, Z) exactly, at the
     price of failing the Jacobi identity by an exact term.
     """
-    p = np.asarray(p, dtype=float)
-    require_interior(p, box, 2.0 * h)
-    vec = lie_bracket(y.vec, z.vec, p, h)
-    form = lie_derivative_one_form(y.vec, z.form, p, h) - lie_derivative_one_form(z.vec, y.form, p, h)
-    half = lambda q: 0.5 * (
-        float(np.dot(np.asarray(z.form(q), float), np.asarray(y.vec(q), float)))
-        - float(np.dot(np.asarray(y.form(q), float), np.asarray(z.vec(q), float)))
-    )
-    form = form - grad_scalar(half, p, h)
-    return np.concatenate([vec, form])
+    pts = _stencil(p, h)
+    return _courant(_values(y, pts), _values(z, pts), h)
 
 
 def pairing(y: GenField, z: GenField, p: np.ndarray) -> float:
@@ -183,43 +167,26 @@ def pairing(y: GenField, z: GenField, p: np.ndarray) -> float:
     )
 
 
-def apply_structure(jfield: Callable[[np.ndarray], np.ndarray], f: GenField) -> GenField:
-    """The field q -> J(q) F(q), as a GenField."""
-
-    def stacked(q: np.ndarray) -> np.ndarray:
-        return np.asarray(jfield(q), float) @ f(q)
-
-    def vec(q):
-        s = stacked(q)
-        return s[: s.size // 2]
-
-    def form(q):
-        s = stacked(q)
-        return s[s.size // 2 :]
-
-    return GenField(vec, form)
-
-
 def nijenhuis_field(
     jfield: Callable[[np.ndarray], np.ndarray],
     y: GenField,
     z: GenField,
     p: np.ndarray,
     h: float = DEFAULT_STEP,
-    box: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Nij(Y, Z)(p) with Courant brackets, stacked components.
 
     Tensorial in Y and Z for an honest almost structure (J^2 = -Id,
     pairing-orthogonal), so test fields may be chosen freely.
     """
-    p = np.asarray(p, dtype=float)
-    jy = apply_structure(jfield, y)
-    jz = apply_structure(jfield, z)
-    j_at_p = np.asarray(jfield(p), float)
-    t1 = courant_bracket(jy, jz, p, h, box)
-    t2 = j_at_p @ courant_bracket(jy, z, p, h, box)
-    t3 = j_at_p @ courant_bracket(y, jz, p, h, box)
-    t4 = courant_bracket(y, z, p, h, box)
+    pts = _stencil(p, h)
+    j = _values(jfield, pts)
+    ys = _values(y, pts)
+    zs = _values(z, pts)
+    jy = np.einsum("sab,sb->sa", j, ys)
+    jz = np.einsum("sab,sb->sa", j, zs)
+    t1 = _courant(jy, jz, h)
+    t2 = j[0] @ _courant(jy, zs, h)
+    t3 = j[0] @ _courant(ys, jz, h)
+    t4 = _courant(ys, zs, h)
     return t1 - t2 - t3 - t4
-

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import SIX_BASIS, sd_asd_coords
+from .bivector import SIX_BASIS
 from .calculus import GenField, nijenhuis_field
 from .errors import DomainError, UsageError
 from .gca import BasisTag, change_basis
@@ -131,15 +131,22 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
     )
 
 
-def _half_coords(m: np.ndarray, sign: int) -> np.ndarray:
-    cp, cm = sd_asd_coords(m)
-    return cp if sign > 0 else cm
+_GENERATORS = np.stack(SIX_BASIS)
+
+
+def _sd_asd(m: np.ndarray) -> dict[int, np.ndarray]:
+    """SD (+1) and ASD (-1) coordinates of the bivectors m (..., 4, 4), over
+    the unnormalized generators as in ``sd_asd_coords``."""
+    c = np.tensordot(m, _GENERATORS, axes=([-2, -1], [1, 2])) / 4.0
+    return {+1: c[..., :3], -1: c[..., 3:]}
 
 
 def _validate_selector(sel) -> tuple[str, int]:
     if not (isinstance(sel, tuple) and len(sel) == 2):
         raise UsageError(f"selector must be a (family, index) tuple, got {sel!r}")
     family, idx = sel
+    if isinstance(idx, (bool, np.bool_)) or not isinstance(idx, (int, np.integer)):
+        raise UsageError(f"selector index must be an integer, got {sel!r}")
     if family in _HORIZONTAL_KINDS:
         if not 0 <= idx < 4:
             raise UsageError(f"horizontal selector index out of range: {sel!r}")
@@ -177,12 +184,30 @@ class OracleResult:
         return self.value[0:4]
 
 
+def _cached(cache: dict, key, build):
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = build()
+    return hit
+
+
 class TwistorChart:
     """Chart data for one metric, component tag and pole choice.
 
-    Caches the orthonormal frame and frame connection per base point, and
-    the assembled frame and structure matrices per chart point; a chart
-    instance is meant to live for one oracle evaluation."""
+    Each cache is keyed on what its quantity depends on, so an oracle
+    evaluation computes it once per point that it needs:
+
+    * per base point z[:4]: the orthonormal frame and the frame
+      connection's Upsilon_i in SD/ASD coordinates, one projection for
+      all four (``_base_data``);
+    * per fiber point z[4:8]: the sphere points, their velocity maps and
+      the vertical block (``_fiber_data``), and per structure kind the
+      horizontal block, assembled with the vertical one into the
+      adapted 16x16 matrix (``_adapted``);
+    * per chart point z: the adapted frame (``frame8``) and per kind the
+      structure matrix in chart components.
+
+    A chart instance is meant to live for one oracle evaluation."""
 
     def __init__(self, metric: MetricSpec, tag, poles: tuple[int, int]):
         self.metric = metric
@@ -191,6 +216,8 @@ class TwistorChart:
         if self.poles[0] not in (-1, 1) or self.poles[1] not in (-1, 1):
             raise UsageError(f"poles must be +-1, got {poles!r}")
         self._base_cache: dict[bytes, tuple] = {}
+        self._fiber_cache: dict[bytes, tuple] = {}
+        self._adapted_cache: dict[tuple, np.ndarray] = {}
         self._frame_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._structure_cache: dict[tuple, np.ndarray] = {}
 
@@ -217,14 +244,36 @@ class TwistorChart:
     # -- cached per-point data -----------------------------------------
 
     def _base_data(self, p: np.ndarray):
-        key = p.tobytes()
-        hit = self._base_cache.get(key)
-        if hit is None:
+        """(frame, Upsilon SD/ASD coordinates on sphere a, on sphere b)."""
+
+        def build():
             frame = orthonormal_frame(self.metric, p)
-            conn = christoffel(self.metric, p)
-            hit = (frame, conn)
-            self._base_cache[key] = hit
-        return hit
+            ups = _sd_asd(christoffel(self.metric, p).upsilon)
+            s1, s2 = self.tag.signs
+            return frame, ups[s1], ups[s2]
+
+        return _cached(self._base_cache, p.tobytes(), build)
+
+    def _fiber_data(self, w: np.ndarray):
+        return _cached(self._fiber_cache, w.tobytes(), lambda: self._fiber_block(w))
+
+    def _fiber_block(self, w: np.ndarray):
+        """(a, b, va, vb, vertical block) at fiber point w.
+
+        va maps the SD/ASD coordinates c of a bivector to the chart
+        velocity 2 s1 a x c of sphere a rotated by it (vb likewise); the
+        vertical block is the 4x4 chart matrix of the fiber rotation on
+        both spheres."""
+        a = stereo_to_sphere(w[0:2], self.poles[0])
+        b = stereo_to_sphere(w[2:4], self.poles[1])
+        dwa = stereo_jac_from_sphere(a, self.poles[0])
+        dwb = stereo_jac_from_sphere(b, self.poles[1])
+        xa, xb = _cross_matrix(a), _cross_matrix(b)
+        s1, s2 = self.tag.signs
+        jv = np.zeros((4, 4))
+        jv[:2, :2] = _VERTICAL_ORIENTATION * s1 * (dwa @ xa @ stereo_jac_to_sphere(w[0:2], self.poles[0]))
+        jv[2:, 2:] = _VERTICAL_ORIENTATION * s2 * (dwb @ xb @ stereo_jac_to_sphere(w[2:4], self.poles[1]))
+        return a, b, dwa @ (2.0 * s1 * xa), dwb @ (2.0 * s2 * xb), jv
 
     def frame8(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Adapted frame over the chart and its inverse.
@@ -233,52 +282,46 @@ class TwistorChart:
         velocity of parallel transport), columns 4..7 the coordinate
         fiber directions."""
         z = np.asarray(z, dtype=float)
-        key = z.tobytes()
-        hit = self._frame_cache.get(key)
-        if hit is not None:
-            return hit
-        frame, conn = self._base_data(z[:4])
-        a = stereo_to_sphere(z[4:6], self.poles[0])
-        b = stereo_to_sphere(z[6:8], self.poles[1])
-        s1, s2 = self.tag.signs
-        dwa = stereo_jac_from_sphere(a, self.poles[0])
-        dwb = stereo_jac_from_sphere(b, self.poles[1])
-        lift = np.empty((4, 4))
-        for i in range(4):
-            ups = conn.upsilon[i]
-            lift[0:2, i] = dwa @ (2.0 * s1 * np.cross(a, _half_coords(ups, s1)))
-            lift[2:4, i] = dwb @ (2.0 * s2 * np.cross(b, _half_coords(ups, s2)))
-        e8 = np.zeros((8, 8))
-        e8[:4, :4] = frame.e
-        e8[4:, :4] = lift
-        e8[4:, 4:] = np.eye(4)
-        e8inv = np.zeros((8, 8))
-        e8inv[:4, :4] = frame.einv
-        e8inv[4:, :4] = -lift @ frame.einv
-        e8inv[4:, 4:] = np.eye(4)
-        hit = (e8, e8inv)
-        self._frame_cache[key] = hit
-        return hit
 
-    def _vertical_block(self, z: np.ndarray) -> np.ndarray:
-        """4x4 chart matrix of the fiber rotation on both spheres."""
-        a = stereo_to_sphere(z[4:6], self.poles[0])
-        b = stereo_to_sphere(z[6:8], self.poles[1])
-        s1, s2 = self.tag.signs
-        ja = _VERTICAL_ORIENTATION * s1 * (
-            stereo_jac_from_sphere(a, self.poles[0])
-            @ _cross_matrix(a)
-            @ stereo_jac_to_sphere(z[4:6], self.poles[0])
-        )
-        jb = _VERTICAL_ORIENTATION * s2 * (
-            stereo_jac_from_sphere(b, self.poles[1])
-            @ _cross_matrix(b)
-            @ stereo_jac_to_sphere(z[6:8], self.poles[1])
-        )
-        out = np.zeros((4, 4))
-        out[:2, :2] = ja
-        out[2:, 2:] = jb
-        return out
+        def build():
+            frame, ups_a, ups_b = self._base_data(z[:4])
+            _, _, va, vb, _ = self._fiber_data(z[4:])
+            lift = np.concatenate([va @ ups_a.T, vb @ ups_b.T])
+            e8 = np.zeros((8, 8))
+            e8[:4, :4] = frame.e
+            e8[4:, :4] = lift
+            e8[4:, 4:] = np.eye(4)
+            e8inv = np.zeros((8, 8))
+            e8inv[:4, :4] = frame.einv
+            e8inv[4:, :4] = -lift @ frame.einv
+            e8inv[4:, 4:] = np.eye(4)
+            return e8, e8inv
+
+        return _cached(self._frame_cache, z.tobytes(), build)
+
+    def _adapted(self, kind: StructureKind, w: np.ndarray) -> np.ndarray:
+        """16x16 structure matrix in the adapted frame at fiber point w."""
+
+        def build():
+            a, b, _, _, jv = self._fiber_data(w)
+            f = FiberPoint(a, b, self.tag)
+            if kind is StructureKind.GENJ:
+                horiz = change_basis(structure_from_fiber(f), BasisTag.TT).m
+            else:
+                u1, _ = fiber_to_structures(f)
+                horiz = np.zeros((8, 8))
+                horiz[:4, :4] = u1
+                horiz[4:, 4:] = -u1.T
+            adapted = np.zeros((16, 16))
+            adapted[0:4, 0:4] = horiz[:4, :4]
+            adapted[0:4, 8:12] = horiz[:4, 4:]
+            adapted[8:12, 0:4] = horiz[4:, :4]
+            adapted[8:12, 8:12] = horiz[4:, 4:]
+            adapted[4:8, 4:8] = jv
+            adapted[12:16, 12:16] = -jv.T
+            return adapted
+
+        return _cached(self._adapted_cache, (kind, w.tobytes()), build)
 
     def structure_field(self, kind: StructureKind):
         """Chart matrix field of the requested structure, z -> 16x16."""
@@ -287,36 +330,18 @@ class TwistorChart:
 
         def jf(z: np.ndarray) -> np.ndarray:
             z = np.asarray(z, dtype=float)
-            key = (kind, z.tobytes())
-            hit = self._structure_cache.get(key)
-            if hit is not None:
-                return hit
-            f = self.point(z).f
-            if kind is StructureKind.GENJ:
-                horiz = change_basis(structure_from_fiber(f), BasisTag.TT).m
-            else:
-                u1, _ = fiber_to_structures(f)
-                horiz = np.zeros((8, 8))
-                horiz[:4, :4] = u1
-                horiz[4:, 4:] = -u1.T
-            jv = self._vertical_block(z)
-            adapted = np.zeros((16, 16))
-            adapted[0:4, 0:4] = horiz[:4, :4]
-            adapted[0:4, 8:12] = horiz[:4, 4:]
-            adapted[8:12, 0:4] = horiz[4:, :4]
-            adapted[8:12, 8:12] = horiz[4:, 4:]
-            adapted[4:8, 4:8] = jv
-            adapted[12:16, 12:16] = -jv.T
-            e8, e8inv = self.frame8(z)
-            e16 = np.zeros((16, 16))
-            e16[:8, :8] = e8
-            e16[8:, 8:] = e8inv.T
-            e16inv = np.zeros((16, 16))
-            e16inv[:8, :8] = e8inv
-            e16inv[8:, 8:] = e8.T
-            hit = e16 @ adapted @ e16inv
-            self._structure_cache[key] = hit
-            return hit
+
+            def build():
+                e8, e8inv = self.frame8(z)
+                e16 = np.zeros((16, 16))
+                e16[:8, :8] = e8
+                e16[8:, 8:] = e8inv.T
+                e16inv = np.zeros((16, 16))
+                e16inv[:8, :8] = e8inv
+                e16inv[8:, 8:] = e8.T
+                return e16 @ self._adapted(kind, z[4:]) @ e16inv
+
+            return _cached(self._structure_cache, (kind, z.tobytes()), build)
 
         return jf
 
@@ -337,18 +362,14 @@ class TwistorChart:
 
             return GenField(vec, form)
 
-        gen = SIX_BASIS[idx]
+        coords = _sd_asd(SIX_BASIS[idx])
         s1, s2 = self.tag.signs
-        ca = _half_coords(gen, s1)
-        cb = _half_coords(gen, s2)
 
         def fiber_motion(z):
-            z = np.asarray(z, dtype=float)
-            a = stereo_to_sphere(z[4:6], self.poles[0])
-            b = stereo_to_sphere(z[6:8], self.poles[1])
+            _, _, va, vb, _ = self._fiber_data(np.asarray(z, dtype=float)[4:])
             out = np.zeros(8)
-            out[4:6] = stereo_jac_from_sphere(a, self.poles[0]) @ (2.0 * s1 * np.cross(a, ca))
-            out[6:8] = stereo_jac_from_sphere(b, self.poles[1]) @ (2.0 * s2 * np.cross(b, cb))
+            out[4:6] = va @ coords[s1]
+            out[6:8] = vb @ coords[s2]
             return out
 
         zero = lambda z: np.zeros(8)
@@ -377,8 +398,8 @@ def nijenhuis_numeric(
     the half-step one, the noise their sup-norm difference."""
     if len(selectors) != 2:
         raise UsageError("selectors must be a pair of (family, index) tuples")
-    if step <= 0.0:
-        raise UsageError(f"step must be positive, got {step}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise UsageError(f"step must be positive and finite, got {step}")
     if poles == "auto":
         chart = TwistorChart.for_point(metric, tp)
     else:
@@ -430,6 +451,6 @@ def predicted_horizontal_value(
     block_a = _constraint_block(gc, ua, ub, u1, i, j)
     block_b = _constraint_block(gc, ua, ub, u2, i, j)
     out = np.zeros(16)
-    out[4:6] = stereo_jac_from_sphere(tp.f.a, chart.poles[0]) @ _half_coords(block_a, s1)
-    out[6:8] = stereo_jac_from_sphere(tp.f.b, chart.poles[1]) @ _half_coords(block_b, s2)
+    out[4:6] = stereo_jac_from_sphere(tp.f.a, chart.poles[0]) @ _sd_asd(block_a)[s1]
+    out[6:8] = stereo_jac_from_sphere(tp.f.b, chart.poles[1]) @ _sd_asd(block_b)[s2]
     return out

@@ -10,10 +10,12 @@ from gentwistor.calculus import (
     nijenhuis_field,
     pairing,
     partial,
-    require_interior,
 )
 from gentwistor.errors import DomainError
-from gentwistor.gca import from_complex, from_symplectic
+from gentwistor.gca import ComponentTag, from_complex, from_symplectic
+from gentwistor.metrics import metric_by_name
+from gentwistor.oracle import nijenhuis_numeric, oracle_margin
+from gentwistor.twistor import StructureKind, TwistorPoint, random_fiber
 
 I0 = np.array([[0.0, -1.0, 0, 0], [1.0, 0, 0, 0], [0, 0, 0, -1.0], [0, 0, 1.0, 0]])
 
@@ -275,10 +277,57 @@ def test_nijenhuis_closed_two_form_vanishes():
     assert np.abs(res).max() < 1e-6
 
 
+def _reference_courant(y, z, p, h):
+    """The Courant bracket term by term from partial, each derivative
+    making its own field calls: the per-call arithmetic of the formula."""
+    jac = lambda f: np.stack([partial(f, p, i, h) for i in range(p.size)], axis=-1)
+    grad = lambda f: np.array([partial(f, p, i, h) for i in range(p.size)])
+
+    def lie_d(x, xi):
+        d = jac(xi)
+        return (d - d.T) @ x(p) + grad(lambda q: xi(q) @ x(q))
+
+    vec = jac(z.vec) @ y.vec(p) - jac(y.vec) @ z.vec(p)
+    half = lambda q: 0.5 * (z.form(q) @ y.vec(q) - y.form(q) @ z.vec(q))
+    form = lie_d(y.vec, z.form) - lie_d(z.vec, y.form) - grad(half)
+    return np.concatenate([vec, form])
+
+
+def test_stencil_values_match_per_call_reference():
+    rng = np.random.default_rng(9)
+
+    def jfield(q):
+        w = _w_nonclosed(q)
+        m = np.zeros((8, 8))
+        m[:4, 4:] = -np.linalg.inv(w)
+        m[4:, :4] = w
+        return m
+
+    def applied(f):
+        return GenField(lambda q: (jfield(q) @ f(q))[:4], lambda q: (jfield(q) @ f(q))[4:])
+
+    for h in (1e-3, 1e-2):
+        y = _random_genfield(rng)
+        z = _random_genfield(rng)
+        p = rng.normal(size=4) * 0.3
+        bracket = lambda a, b: _reference_courant(a, b, p, h)
+        jy, jz, j0 = applied(y), applied(z), jfield(p)
+        expect = bracket(jy, jz) - j0 @ bracket(jy, z) - j0 @ bracket(y, jz) - bracket(y, z)
+        assert np.abs(expect).max() > 1e-3
+        np.testing.assert_allclose(nijenhuis_field(jfield, y, z, p, h), expect, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(courant_bracket(y, z, p, h), bracket(y, z), rtol=0, atol=1e-9)
+
+
 def test_domain_guard():
-    with pytest.raises(DomainError):
-        require_interior(np.array([0.9999, 0, 0, 0]), (-1.0, 1.0), 2e-3)
-    with pytest.raises(DomainError):
-        lie_bracket(const([1, 0, 0, 0]), const([0, 1, 0, 0]), np.array([0.0, -0.9999, 0, 0]), box=(-1.0, 1.0))
-    # interior point passes
-    require_interior(np.array([0.5, 0, 0, 0]), (-1.0, 1.0), 2e-3)
+    # the calculus evaluates fields wherever its stencil reaches; the guard
+    # is the metric box, checked by the oracle with its own margin
+    m = metric_by_name("flat")
+    f = random_fiber(ComponentTag.PP, np.random.default_rng(8))
+    sel = (("h+", 0), ("h-", 1))
+    margin = oracle_margin(m)
+    for x in (m.hi - 0.5 * margin, m.lo + 0.5 * margin):
+        with pytest.raises(DomainError):
+            nijenhuis_numeric(m, TwistorPoint(np.array([0.0, x, 0.0, 0.0]), f), sel, StructureKind.GENJ)
+    # a point just inside the margin passes
+    inside = TwistorPoint(np.array([0.0, m.hi - 1.01 * margin, 0.0, 0.0]), f)
+    assert nijenhuis_numeric(m, inside, sel, StructureKind.GENJ).norm < 1e-5

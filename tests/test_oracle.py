@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gentwistor import oracle
+from gentwistor.calculus import GenField, nijenhuis_field
 from gentwistor.errors import DomainError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.metrics import metric_by_name
@@ -93,11 +95,69 @@ def test_selector_and_argument_validation():
         nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.SEMI)
     with pytest.raises(UsageError):
         nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=0.0)
+    for bad_step in (float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="positive and finite"):
+            nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=bad_step)
     edge = TwistorPoint(np.array([0.99, 0.0, 0.0, 0.0]), tp.f)
     with pytest.raises(DomainError):
         nijenhuis_numeric(m, edge, (("h+", 0), ("h+", 1)), StructureKind.GENJ)
     with pytest.raises(UsageError):
         predicted_horizontal_value(m, tp, ("v", 0), ("h+", 1), StructureKind.GENJ)
+
+
+def test_selector_index_must_be_an_integer():
+    m = metric_by_name("s4")
+    tp = _tp(P_UNIT, ComponentTag.PP)
+    for idx in (1.5, 1.0, True, np.bool_(True), "1"):
+        with pytest.raises(UsageError):
+            nijenhuis_numeric(m, tp, (("h+", idx), ("h+", 0)), StructureKind.GENJ)
+        with pytest.raises(UsageError):
+            nijenhuis_numeric(m, tp, (("h+", 0), ("v", idx)), StructureKind.GENJ)
+    # numpy integers are integers
+    ref = nijenhuis_numeric(m, tp, (("h+", 1), ("v", 2)), StructureKind.GENJ)
+    got = nijenhuis_numeric(m, tp, (("h+", np.int64(1)), ("v", np.int32(2))), StructureKind.GENJ)
+    assert np.array_equal(got.value, ref.value)
+
+
+def _counted(fn, points):
+    """fn that records the point of each call."""
+
+    def counted(*args):
+        points.append(np.array(args[-1]).tobytes())
+        return fn(*args)
+
+    return counted
+
+
+def test_each_quantity_evaluated_once_per_point(monkeypatch):
+    m = metric_by_name("s4")
+    tp = _tp(P_UNIT, ComponentTag.PM)
+    chart = TwistorChart.for_point(m, tp)
+    z0 = chart.embed(tp)
+    # one nijenhuis_field call: J and both test fields once at each of the
+    # 1 + 4 * 8 stencil points, however many brackets it takes
+    seen = {name: [] for name in ("J", "Y.vec", "Y.form", "Z.vec", "Z.form")}
+    y = chart.basic_field(("h+", 1))
+    z = chart.basic_field(("v", 2))
+    nijenhuis_field(
+        _counted(chart.structure_field(StructureKind.GENJ), seen["J"]),
+        GenField(_counted(y.vec, seen["Y.vec"]), _counted(y.form, seen["Y.form"])),
+        GenField(_counted(z.vec, seen["Z.vec"]), _counted(z.form, seen["Z.form"])),
+        z0,
+        h=0.01,
+    )
+    for name, points in seen.items():
+        assert len(points) == 33 and len(set(points)) == 33, name
+    # one selector pair (two stencils, h and h / 2) needs 25 distinct base
+    # points and 25 distinct fiber points: one connection and one fiber
+    # block at each
+    conns, frames, fibers = [], [], []
+    monkeypatch.setattr(oracle, "christoffel", _counted(oracle.christoffel, conns))
+    monkeypatch.setattr(oracle, "orthonormal_frame", _counted(oracle.orthonormal_frame, frames))
+    monkeypatch.setattr(TwistorChart, "_fiber_block", _counted(TwistorChart._fiber_block, fibers))
+    nijenhuis_numeric(m, tp, (("h+", 0), ("v*", 3)), StructureKind.GENJ)
+    for points in (conns, frames, fibers):
+        assert len(points) == 25 and len(set(points)) == 25
 
 
 def test_structure_field_is_an_almost_structure():
