@@ -71,17 +71,10 @@ TRIPLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
     -1: (IM, JM, KM),
 }
 
-#: Handedness of each triple: E_i E_j = -delta_ij Id + sigma eps_ijk E_k.
-HANDEDNESS: dict[int, int] = {+1: +1, -1: -1}
-
 # Column order of the 6-dimensional curvature-operator basis:
 # (I+, J+, K+, I-, J-, K-) / sqrt(2).
 SIX_BASIS: tuple[np.ndarray, ...] = (IP, JP, KP, IM, JM, KM)
-
-
-def biv_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Half-trace pairing <A, B> = tr(A^T B) / 2 on 4x4 matrices."""
-    return 0.5 * float(np.tensordot(a, b, axes=2))
+_GENERATORS = np.stack(SIX_BASIS)
 
 
 def pair_coords(a: np.ndarray) -> np.ndarray:
@@ -92,49 +85,15 @@ def pair_coords(a: np.ndarray) -> np.ndarray:
     return np.array([a[j, i] for (i, j) in WEDGE_PAIRS])
 
 
-def from_pair_coords(c: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4))
-    for k, (i, j) in enumerate(WEDGE_PAIRS):
-        m[j, i] += c[k]
-        m[i, j] -= c[k]
-    return m
-
-
-def six_coords(a: np.ndarray) -> np.ndarray:
-    """Coordinates over the orthonormal basis (I+,J+,K+,I-,J-,K-)/sqrt(2)."""
-    return np.array([biv_inner(a, e) for e in SIX_BASIS]) / np.sqrt(2.0)
-
-
-def from_six(c: np.ndarray) -> np.ndarray:
-    """Inverse of six_coords."""
-    m = np.zeros((4, 4))
-    for k in range(6):
-        m = m + (c[k] / np.sqrt(2.0)) * SIX_BASIS[k]
-    return m
-
-
-def sd_asd_coords(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c+, c-) with a = c+ . (I+,J+,K+) + c- . (I-,J-,K-).
+def sd_asd_coords(a: np.ndarray) -> dict[int, np.ndarray]:
+    """SD (+1) and ASD (-1) coordinates of the bivectors a (..., 4, 4):
+    a = c[+1] . (I+,J+,K+) + c[-1] . (I-,J-,K-).
 
     Uses the unnormalized generators, whose norm^2 is 2 under the
-    half-trace pairing, hence the /2.
+    half-trace pairing, hence tr(a^T e) / 4.
     """
-    cp = np.array([biv_inner(a, e) for e in TRIPLES[+1]]) / 2.0
-    cm = np.array([biv_inner(a, e) for e in TRIPLES[-1]]) / 2.0
-    return cp, cm
-
-
-def from_sd_asd(cp: np.ndarray, cm: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4))
-    for k in range(3):
-        m = m + cp[k] * TRIPLES[+1][k] + cm[k] * TRIPLES[-1][k]
-    return m
-
-
-def hodge_star(a: np.ndarray) -> np.ndarray:
-    """Hodge star on bivectors: +1 on the plus triple, -1 on the minus."""
-    cp, cm = sd_asd_coords(a)
-    return from_sd_asd(cp, -cm)
+    c = np.tensordot(a, _GENERATORS, axes=([-2, -1], [1, 2])) / 4.0
+    return {+1: c[..., :3], -1: c[..., 3:]}
 
 
 def unit_combination(c: np.ndarray, sign: int) -> np.ndarray:
@@ -143,13 +102,9 @@ def unit_combination(c: np.ndarray, sign: int) -> np.ndarray:
     return c[0] * i + c[1] * j + c[2] * k
 
 
-def _pair_to_six_matrix() -> np.ndarray:
-    """Orthogonal 6x6 change of basis, wedge-pair coords -> six_coords."""
-    u = np.zeros((6, 6))
-    for col, (i, j) in enumerate(WEDGE_PAIRS):
-        u[:, col] = six_coords(basis_wedge(i, j))
-    return u
-
-
-#: U6 @ pair_coords(A) == six_coords(A); U6 is orthogonal.
-U6: np.ndarray = _pair_to_six_matrix()
+#: U6 @ pair_coords(A) are A's coordinates over the orthonormal basis
+#: SIX_BASIS / sqrt(2); U6 is orthogonal.  Entry (k, col) is the half-trace
+#: pairing of SIX_BASIS[k] / sqrt(2) with the col-th basis wedge.
+U6: np.ndarray = np.array(
+    [[0.5 * float(np.tensordot(basis_wedge(i, j), e, axes=2)) for (i, j) in WEDGE_PAIRS] for e in SIX_BASIS]
+) / np.sqrt(2.0)

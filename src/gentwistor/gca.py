@@ -32,11 +32,10 @@ odd values occur on the twistor fibers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import sd_asd_coords
 from .errors import ConsistencyError, InvalidInputError, UsageError
 
 _ID4 = np.eye(4)
@@ -46,7 +45,6 @@ _ID8 = np.eye(8)
 S_MATRIX: np.ndarray = np.block([[_ID4, _ID4], [_ID4, -_ID4]])
 
 _ALGEBRA_TOL = 1e-10
-_COMPAT_TOL = 1e-9
 _RANK_RTOL = 1e-8
 
 
@@ -86,76 +84,26 @@ def pseudo_metric_matrix(basis: BasisTag) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GenVector:
-    """Element of V + V*, stored as 8 components in a tagged basis."""
-
-    v: np.ndarray
-    basis: BasisTag
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (8,):
-            raise UsageError(f"generalized vector needs 8 components, got shape {v.shape}")
-        object.__setattr__(self, "v", v)
-
-    @staticmethod
-    def from_parts(x: np.ndarray, xi: np.ndarray) -> "GenVector":
-        return GenVector(np.concatenate([np.asarray(x, float), np.asarray(xi, float)]), BasisTag.TT)
-
-    @property
-    def tangent(self) -> np.ndarray:
-        """Tangent part; only meaningful in the TT basis."""
-        if self.basis is not BasisTag.TT:
-            raise UsageError("tangent projection is defined on TT coordinates")
-        return self.v[:4]
-
-    @property
-    def cotangent(self) -> np.ndarray:
-        if self.basis is not BasisTag.TT:
-            raise UsageError("cotangent projection is defined on TT coordinates")
-        return self.v[4:]
-
-
-def change_basis_vector(y: GenVector, to: BasisTag) -> GenVector:
-    if y.basis is to:
-        return y
-    if to is BasisTag.TT:  # v_TT = S v_PM
-        return GenVector(S_MATRIX @ y.v, BasisTag.TT)
-    return GenVector(0.5 * (S_MATRIX @ y.v), BasisTag.PM)
-
-
-def pseudo_inner(y: GenVector, z: GenVector) -> float:
-    """Split-signature pairing; accepts mixed bases by converting."""
-    if y.basis is not z.basis:
-        z = change_basis_vector(z, y.basis)
-    q = pseudo_metric_matrix(y.basis)
-    return float(y.v @ q @ z.v)
-
-
-@dataclass(frozen=True)
 class GenStructure:
     """Generalized almost complex structure as an 8x8 matrix in a tagged basis.
 
     Construction validates the two defining identities, m @ m = -Id and
-    m^T Q m = Q, to 1e-10.  Pass validate=False only for intentionally
-    broken inputs in tests.
+    m^T Q m = Q, to 1e-10.
     """
 
     m: np.ndarray
     basis: BasisTag
-    validate: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         if m.shape != (8, 8):
             raise UsageError(f"generalized structure needs an 8x8 matrix, got {m.shape}")
         object.__setattr__(self, "m", m)
-        if self.validate:
-            if not np.allclose(m @ m, -_ID8, atol=_ALGEBRA_TOL):
-                raise InvalidInputError("matrix does not square to -Id")
-            q = pseudo_metric_matrix(self.basis)
-            if not np.allclose(m.T @ q @ m, q, atol=_ALGEBRA_TOL):
-                raise InvalidInputError("matrix does not preserve the split pairing")
+        if not np.allclose(m @ m, -_ID8, atol=_ALGEBRA_TOL):
+            raise InvalidInputError("matrix does not square to -Id")
+        q = pseudo_metric_matrix(self.basis)
+        if not np.allclose(m.T @ q @ m, q, atol=_ALGEBRA_TOL):
+            raise InvalidInputError("matrix does not preserve the split pairing")
 
 
 def change_basis(u: GenStructure, to: BasisTag) -> GenStructure:
@@ -253,125 +201,6 @@ def type_of(u: GenStructure) -> int:
             f"type mismatch: bivector-block path gives {t_block}, eigenspace path gives {t_eig}"
         )
     return t_block
-
-
-def metric_compatible_blocks(u: GenStructure, tol: float = _COMPAT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2) diagonal blocks in the PM basis, for metric-compatible u.
-
-    Compatibility with the (orthonormal-frame) metric means exactly that
-    the PM matrix is block-diagonal; equivalently the TT matrix is
-    antisymmetric.  Off-diagonal PM mass above tol raises.
-    """
-    u_pm = change_basis(u, BasisTag.PM).m
-    off = max(np.abs(u_pm[:4, 4:]).max(), np.abs(u_pm[4:, :4]).max())
-    if off > tol:
-        raise InvalidInputError(
-            f"structure is not metric-compatible: PM off-diagonal mass {off:.3e}"
-        )
-    return u_pm[:4, :4].copy(), u_pm[4:, 4:].copy()
-
-
-def classify_component(u: GenStructure, tol: float = 1e-6) -> ComponentTag:
-    """Which of the four connected components a compatible structure lies on.
-
-    Each PM diagonal block is an orthogonal complex structure, i.e. a unit
-    combination of one generator triple; the component records whether
-    each block is self-dual or anti-self-dual.  A block with mass on both
-    triples (or on neither) is rejected.
-    """
-    u1, u2 = metric_compatible_blocks(u)
-    signs = []
-    for k, blk in enumerate((u1, u2)):
-        cp, cm = sd_asd_coords(blk)
-        np_, nm = float(np.linalg.norm(cp)), float(np.linalg.norm(cm))
-        if abs(np_ - 1.0) <= tol and nm <= tol:
-            signs.append("+")
-        elif abs(nm - 1.0) <= tol and np_ <= tol:
-            signs.append("-")
-        else:
-            raise InvalidInputError(
-                f"block u{k + 1} is not a unit bivector combination on a single "
-                f"duality side (|c+|={np_:.3e}, |c-|={nm:.3e})"
-            )
-    return ComponentTag("".join(signs))
-
-
-@dataclass(frozen=True)
-class KahlerPair:
-    """A commuting pair (j1, j2) of compatible structures with j1 j2 = -G.
-
-    G is the generalized metric endomorphism, [[0, I], [I, 0]] in TT
-    coordinates over an orthonormal frame.
-    """
-
-    j1: GenStructure
-    j2: GenStructure
-
-    @property
-    def product(self) -> np.ndarray:
-        a = change_basis(self.j1, BasisTag.TT).m
-        b = change_basis(self.j2, BasisTag.TT).m
-        return a @ b
-
-
-def kahler_partner(j1: GenStructure) -> KahlerPair:
-    """Second structure of the commuting pair generated by a compatible j1.
-
-    In TT coordinates a compatible structure is [[P, Q], [Q, P]]; its
-    partner swaps the blocks, [[Q, P], [P, Q]].  The pair multiplies to
-    minus the generalized metric, which is verified before returning.
-    """
-    u_tt = change_basis(j1, BasisTag.TT)
-    m = u_tt.m
-    p, q = m[:4, :4], m[:4, 4:]
-    if not (np.allclose(m[4:, 4:], p, atol=_COMPAT_TOL) and np.allclose(m[4:, :4], q, atol=_COMPAT_TOL)):
-        raise InvalidInputError("structure is not metric-compatible ([[P,Q],[Q,P]] form)")
-    j2 = GenStructure(np.block([[q, p], [p, q]]), BasisTag.TT)
-    g = np.block([[np.zeros((4, 4)), _ID4], [_ID4, np.zeros((4, 4))]])
-    pair = KahlerPair(u_tt, j2)
-    prod = pair.product
-    if not (np.allclose(prod, -g, atol=_ALGEBRA_TOL) and np.allclose(j2.m @ m, -g, atol=_ALGEBRA_TOL)):
-        raise ConsistencyError("partner construction failed: j1 j2 != -G")
-    return pair
-
-
-def _is_quaternion_triple(triple: tuple[np.ndarray, np.ndarray, np.ndarray], tol: float) -> bool:
-    """Accepts either handedness: I J = sigma K with sigma = +-1, cyclically."""
-    i, j, k = (np.asarray(t, float) for t in triple)
-    n = i.shape[0]
-    idn = np.eye(n)
-    for t in (i, j, k):
-        if not np.allclose(t @ t, -idn, atol=tol):
-            return False
-    for sigma in (+1.0, -1.0):
-        if (
-            np.allclose(i @ j, sigma * k, atol=tol)
-            and np.allclose(j @ k, sigma * i, atol=tol)
-            and np.allclose(k @ i, sigma * j, atol=tol)
-        ):
-            return True
-    return False
-
-
-def distributions_commute(
-    t1: tuple[np.ndarray, np.ndarray, np.ndarray],
-    t2: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tol: float = _ALGEBRA_TOL,
-) -> bool:
-    """Whether two quaternionic triples commute elementwise.
-
-    Both arguments must span quaternionic structures (squares -Id, and
-    I J = K up to an overall handedness sign).  Returns True when all
-    nine cross commutators vanish below tol.
-    """
-    for name, t in (("first", t1), ("second", t2)):
-        if not _is_quaternion_triple(t, tol):
-            raise InvalidInputError(f"{name} triple is not quaternionic")
-    for a in t1:
-        for b in t2:
-            if np.abs(a @ b - b @ a).max() > tol:
-                return False
-    return True
 
 
 def structure_from_blocks(u1: np.ndarray, u2: np.ndarray, basis: BasisTag = BasisTag.PM) -> GenStructure:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import SIX_BASIS
+from .bivector import SIX_BASIS, sd_asd_coords
 from .calculus import GenField, nijenhuis_field
 from .errors import DomainError, UsageError
 from .gca import BasisTag, change_basis
@@ -131,16 +131,6 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
     )
 
 
-_GENERATORS = np.stack(SIX_BASIS)
-
-
-def _sd_asd(m: np.ndarray) -> dict[int, np.ndarray]:
-    """SD (+1) and ASD (-1) coordinates of the bivectors m (..., 4, 4), over
-    the unnormalized generators as in ``sd_asd_coords``."""
-    c = np.tensordot(m, _GENERATORS, axes=([-2, -1], [1, 2])) / 4.0
-    return {+1: c[..., :3], -1: c[..., 3:]}
-
-
 def _validate_selector(sel) -> tuple[str, int]:
     if not (isinstance(sel, tuple) and len(sel) == 2):
         raise UsageError(f"selector must be a (family, index) tuple, got {sel!r}")
@@ -174,14 +164,6 @@ class OracleResult:
     @property
     def norm(self) -> float:
         return float(np.abs(self.value).max())
-
-    @property
-    def vertical_tangent(self) -> np.ndarray:
-        return self.value[4:8]
-
-    @property
-    def horizontal_tangent(self) -> np.ndarray:
-        return self.value[0:4]
 
 
 def _cached(cache: dict, key, build):
@@ -248,7 +230,7 @@ class TwistorChart:
 
         def build():
             frame = orthonormal_frame(self.metric, p)
-            ups = _sd_asd(christoffel(self.metric, p).upsilon)
+            ups = sd_asd_coords(christoffel(self.metric, p).upsilon)
             s1, s2 = self.tag.signs
             return frame, ups[s1], ups[s2]
 
@@ -362,7 +344,7 @@ class TwistorChart:
 
             return GenField(vec, form)
 
-        coords = _sd_asd(SIX_BASIS[idx])
+        coords = sd_asd_coords(SIX_BASIS[idx])
         s1, s2 = self.tag.signs
 
         def fiber_motion(z):
@@ -451,6 +433,6 @@ def predicted_horizontal_value(
     block_a = _constraint_block(gc, ua, ub, u1, i, j)
     block_b = _constraint_block(gc, ua, ub, u2, i, j)
     out = np.zeros(16)
-    out[4:6] = stereo_jac_from_sphere(tp.f.a, chart.poles[0]) @ _sd_asd(block_a)[s1]
-    out[6:8] = stereo_jac_from_sphere(tp.f.b, chart.poles[1]) @ _sd_asd(block_b)[s2]
+    out[4:6] = stereo_jac_from_sphere(tp.f.a, chart.poles[0]) @ sd_asd_coords(block_a)[s1]
+    out[6:8] = stereo_jac_from_sphere(tp.f.b, chart.poles[1]) @ sd_asd_coords(block_b)[s2]
     return out

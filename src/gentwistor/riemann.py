@@ -43,10 +43,9 @@ One geometry pass per point p, PointGeometry:
 
    with both Weyl blocks traceless; the scalar curvature consistency
    |4 tr(+) - 4 tr(-)| is checked, not assumed.
-6. the doubled connection eta(theta_i) = diag(Upsilon_i, Upsilon_i) and
-   doubled curvature diag(R(.), R(.)) on the 8-dimensional generalized
-   tangent space, and rf, the frame curvature the twistor residual
-   kernel consumes.
+6. the doubled curvature diag(R(.), R(.)) on the 8-dimensional
+   generalized tangent space, and rf, the frame curvature the twistor
+   residual kernel consumes.
 
 christoffel, curvature_operator and generalized_curvature are entry
 points into the same object, so flags and residuals read one geometry.
@@ -263,19 +262,6 @@ class PointGeometry:
         cols = f[:, _PAIR_J, _PAIR_I].T  # pair coords of R(pair), one column per pair
         return CurvatureOperator(point=self.point, matrix=U6 @ cols @ U6.T)
 
-    def eta(self, i: int) -> np.ndarray:
-        return _doubled(self.connection.upsilon[i])
-
-    def rg_pair(self, a: int, b: int) -> np.ndarray:
-        """R_g(theta_a, theta_b) for a frame index pair, 8x8."""
-        if a == b:
-            return np.zeros((8, 8))
-        sign = 1.0
-        if a > b:
-            a, b, sign = b, a, -1.0
-        idx = WEDGE_PAIRS.index((a, b))
-        return sign * _doubled(self.fpairs[idx])
-
     def rg(self, omega: np.ndarray) -> np.ndarray:
         """R_g on an arbitrary antisymmetric frame bivector omega."""
         return _doubled(self.rc(omega))
@@ -305,8 +291,8 @@ def _doubled(m: np.ndarray) -> np.ndarray:
 
 
 def generalized_curvature(metric: MetricSpec, p: np.ndarray, h: float | None = None) -> PointGeometry:
-    """The per-point geometry: doubled connection and curvature on the
-    generalized tangent space, the frame curvature and the 6x6 operator."""
+    """The per-point geometry: doubled curvature on the generalized
+    tangent space, the frame curvature and the 6x6 operator."""
     return PointGeometry(metric, p, h)
 
 

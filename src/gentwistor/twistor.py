@@ -72,8 +72,6 @@ from .riemann import PointGeometry, generalized_curvature
 
 _UNIT_TOL = 1e-12
 
-WEDGE_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
 # All ordered index pairs.  For families whose two wedge slots carry the
 # same block the (j, i) value is minus the (i, j) one, but for the mixed
 # slot assignments the two orders are genuinely different constraints
@@ -192,10 +190,6 @@ class ConstraintResiduals:
     @property
     def worst_label(self) -> str:
         return max(self.norms, key=self.norms.get)
-
-    @property
-    def worst_pair(self) -> tuple[int, int]:
-        return self.pairs[self.worst_label]
 
 
 def _omega_pair(u_a: np.ndarray, u_b: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,23 +2,26 @@ import numpy as np
 import pytest
 
 from gentwistor.bivector import (
-    HANDEDNESS,
     SIX_BASIS,
     TRIPLES,
     U6,
     WEDGE_PAIRS,
     basis_wedge,
-    biv_inner,
-    from_pair_coords,
-    from_sd_asd,
-    from_six,
-    hodge_star,
     pair_coords,
     sd_asd_coords,
-    six_coords,
     unit_combination,
     wedge,
 )
+
+
+def _half_trace(a: np.ndarray, b: np.ndarray) -> float:
+    """The bivector pairing <A, B> = tr(A^T B) / 2."""
+    return 0.5 * float(np.tensordot(a, b, axes=2))
+
+
+def _random_bivector(rng) -> np.ndarray:
+    a = rng.normal(size=(4, 4))
+    return a - a.T
 
 
 def test_wedge_on_basis_vectors():
@@ -46,7 +49,6 @@ def test_minus_triple_is_left_handed():
         assert np.array_equal(t @ t, -np.eye(4))
     # the wedge convention makes the anti-self-dual triple left-handed
     assert np.array_equal(im @ jm, -km)
-    assert HANDEDNESS[-1] == -1
 
 
 def test_triples_commute():
@@ -57,38 +59,37 @@ def test_triples_commute():
 
 def test_half_trace_norms():
     for e in SIX_BASIS:
-        assert biv_inner(e, e) == pytest.approx(2.0)
+        assert _half_trace(e, e) == pytest.approx(2.0)
     for i, e in enumerate(SIX_BASIS):
         for f in SIX_BASIS[i + 1 :]:
-            assert biv_inner(e, f) == pytest.approx(0.0)
+            assert _half_trace(e, f) == pytest.approx(0.0)
 
 
 def test_pair_coords_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = rng.normal(size=(4, 4))
-        a = a - a.T
+        a = _random_bivector(rng)
         c = pair_coords(a)
-        np.testing.assert_allclose(from_pair_coords(c), a, atol=1e-14)
+        back = sum(ck * basis_wedge(i, j) for ck, (i, j) in zip(c, WEDGE_PAIRS))
+        np.testing.assert_allclose(back, a, atol=1e-14)
 
 
 def test_six_coords_round_trip_and_isometry():
+    # U6 @ pair_coords gives the coordinates over SIX_BASIS / sqrt(2)
     rng = np.random.default_rng(8)
     for _ in range(20):
-        a = rng.normal(size=(4, 4))
-        a = a - a.T
-        c = six_coords(a)
-        np.testing.assert_allclose(from_six(c), a, atol=1e-13)
+        a = _random_bivector(rng)
+        c = U6 @ pair_coords(a)
+        back = sum(ck * e for ck, e in zip(c, SIX_BASIS)) / np.sqrt(2.0)
+        np.testing.assert_allclose(back, a, atol=1e-13)
         # the normalized basis is orthonormal for the half-trace pairing
-        assert np.dot(c, c) == pytest.approx(biv_inner(a, a), rel=1e-12)
+        assert np.dot(c, c) == pytest.approx(_half_trace(a, a), rel=1e-12)
 
 
 def test_u6_is_orthogonal_and_consistent():
     np.testing.assert_allclose(U6 @ U6.T, np.eye(6), atol=1e-14)
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(4, 4))
-    a = a - a.T
-    np.testing.assert_allclose(U6 @ pair_coords(a), six_coords(a), atol=1e-13)
+    for k, e in enumerate(SIX_BASIS):
+        np.testing.assert_allclose(U6.T[:, k], pair_coords(e) / np.sqrt(2.0), atol=1e-15)
 
 
 def _star_levi_civita(a: np.ndarray) -> np.ndarray:
@@ -112,16 +113,19 @@ def _star_levi_civita(a: np.ndarray) -> np.ndarray:
 
 
 def test_hodge_star_matches_levi_civita_formula():
+    # the plus triple spans the +1 eigenspace of the Levi-Civita star and
+    # the minus triple the -1 eigenspace, so the star keeps the SD
+    # coordinates and flips the sign of the ASD ones
+    for e in TRIPLES[+1]:
+        np.testing.assert_allclose(_star_levi_civita(e), e, atol=1e-14)
+    for e in TRIPLES[-1]:
+        np.testing.assert_allclose(_star_levi_civita(e), -e, atol=1e-14)
     rng = np.random.default_rng(10)
     for _ in range(10):
-        a = rng.normal(size=(4, 4))
-        a = a - a.T
-        np.testing.assert_allclose(hodge_star(a), _star_levi_civita(a), atol=1e-13)
-    # eigenspaces
-    for e in TRIPLES[+1]:
-        np.testing.assert_allclose(hodge_star(e), e, atol=1e-14)
-    for e in TRIPLES[-1]:
-        np.testing.assert_allclose(hodge_star(e), -e, atol=1e-14)
+        a = _random_bivector(rng)
+        c = sd_asd_coords(a)
+        star = unit_combination(c[+1], +1) - unit_combination(c[-1], -1)
+        np.testing.assert_allclose(star, _star_levi_civita(a), atol=1e-13)
 
 
 def test_unit_combinations_square_to_minus_id():
@@ -132,17 +136,18 @@ def test_unit_combinations_square_to_minus_id():
             c /= np.linalg.norm(c)
             u = unit_combination(c, sign)
             np.testing.assert_allclose(u @ u, -np.eye(4), atol=1e-13)
-            cp, cm = sd_asd_coords(u)
-            got = cp if sign > 0 else cm
-            other = cm if sign > 0 else cp
-            np.testing.assert_allclose(got, c, atol=1e-13)
-            np.testing.assert_allclose(other, 0.0, atol=1e-14)
+            coords = sd_asd_coords(u)
+            np.testing.assert_allclose(coords[sign], c, atol=1e-13)
+            np.testing.assert_allclose(coords[-sign], 0.0, atol=1e-14)
 
 
-def test_from_sd_asd_round_trip():
+def test_sd_asd_coords_invert_the_generator_sum():
     rng = np.random.default_rng(12)
-    cp, cm = rng.normal(size=3), rng.normal(size=3)
-    a = from_sd_asd(cp, cm)
-    gp, gm = sd_asd_coords(a)
-    np.testing.assert_allclose(gp, cp, atol=1e-14)
-    np.testing.assert_allclose(gm, cm, atol=1e-14)
+    cp, cm = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    a = np.einsum("nk,kab->nab", cp, np.stack(TRIPLES[+1])) + np.einsum("nk,kab->nab", cm, np.stack(TRIPLES[-1]))
+    coords = sd_asd_coords(a)  # batched over the leading axis
+    np.testing.assert_allclose(coords[+1], cp, atol=1e-14)
+    np.testing.assert_allclose(coords[-1], cm, atol=1e-14)
+    one = sd_asd_coords(a[3])
+    np.testing.assert_allclose(one[+1], cp[3], atol=1e-14)
+    np.testing.assert_allclose(one[-1], cm[3], atol=1e-14)

@@ -9,9 +9,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gentwistor.bivector import (
-    from_six,
-    hodge_star,
-    six_coords,
+    SIX_BASIS,
+    U6,
+    pair_coords,
+    sd_asd_coords,
     unit_combination,
 )
 from gentwistor.gca import (
@@ -67,9 +68,11 @@ def test_stereo_chart_inverts(w, pole):
 
 
 @given(antisym4())
-def test_hodge_star_involution_and_coords(a):
-    np.testing.assert_allclose(hodge_star(hodge_star(a)), a, atol=1e-12)
-    np.testing.assert_allclose(from_six(six_coords(a)), a, atol=1e-12)
+def test_sd_asd_and_six_coords_reconstruct(a):
+    c = sd_asd_coords(a)
+    np.testing.assert_allclose(unit_combination(c[+1], +1) + unit_combination(c[-1], -1), a, atol=1e-12)
+    six = U6 @ pair_coords(a)
+    np.testing.assert_allclose(sum(ck * e for ck, e in zip(six, SIX_BASIS)) / np.sqrt(2.0), a, atol=1e-12)
 
 
 @given(vec3(), st.sampled_from([1, -1]))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gentwistor.bivector import basis_wedge
 from gentwistor.calculus import partial
 from gentwistor.errors import DecompositionError, DomainError, InvalidInputError
 from gentwistor.gca import ComponentTag
@@ -274,15 +275,16 @@ def test_schwarzschild_profile():
 
 
 def test_generalized_curvature_blocks_and_connection_identity():
-    # R_g acts diagonally on the PM halves, and equals -(d eta + eta ^ eta)
+    # R_g acts diagonally on the PM halves, and the frame curvature equals
+    # -(d eta + eta ^ eta) for the frame connection eta
     m = metric_by_name("s4")
     p = np.array([0.15, -0.1, 0.2, 0.05])
     gc = generalized_curvature(m, p)
     for a, b in ((0, 1), (1, 3)):
-        rg = gc.rg_pair(a, b)
-        np.testing.assert_allclose(rg[:4, :4], rg[4:, 4:], atol=1e-15)
+        rg = gc.rg(basis_wedge(a, b))
+        np.testing.assert_allclose(rg[:4, :4], gc.rf[a, b], atol=1e-15)
+        np.testing.assert_allclose(rg[4:, 4:], gc.rf[a, b], atol=1e-15)
         np.testing.assert_allclose(rg[:4, 4:], 0.0, atol=1e-15)
-        np.testing.assert_allclose(gc.eta(a)[:4, :4], gc.connection.upsilon[a], atol=1e-15)
 
     def eta_f(q):
         # eta(d_i) = sum_a einv[a, i] Upsilon_a, over coordinate directions
@@ -299,12 +301,14 @@ def test_generalized_curvature_blocks_and_connection_identity():
         ex = np.einsum("i,ikl->kl", x, eta0)
         ey = np.einsum("j,jkl->kl", y, eta0)
         lhs = -(d_part + ex @ ey - ey @ ex)
-        rhs = gc.rg_pair(a, b)[:4, :4]
+        rhs = gc.rf[a, b]
         assert np.abs(lhs - rhs).max() < 1e-4
 
 
 def test_rg_antisymmetric_pair_indexing():
     m = metric_by_name("s4")
     gc = generalized_curvature(m, np.array([0.1, 0.2, -0.1, 0.0]))
-    np.testing.assert_allclose(gc.rg_pair(1, 0), -gc.rg_pair(0, 1), atol=1e-15)
-    np.testing.assert_allclose(gc.rg_pair(2, 2), 0.0, atol=1e-15)
+    for a in range(4):
+        assert not gc.rf[a, a].any()
+        for b in range(4):
+            assert np.array_equal(gc.rf[b, a], -gc.rf[a, b])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gentwistor.errors import InvalidInputError, UsageError
-from gentwistor.gca import BasisTag, ComponentTag, classify_component
+from gentwistor.bivector import sd_asd_coords
+from gentwistor.gca import BasisTag, ComponentTag
 from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
 from gentwistor.riemann import generalized_curvature
 from gentwistor.twistor import (
@@ -133,8 +134,14 @@ def test_structure_round_trip_classification():
         for _ in range(5):
             f = random_fiber(tag, rng)
             s = structure_from_fiber(f)
-            assert classify_component(s) is tag
             assert s.basis is BasisTag.PM
+            # block-diagonal in PM, each block a unit combination of the
+            # triple its sign names and orthogonal to the other triple
+            assert not s.m[:4, 4:].any() and not s.m[4:, :4].any()
+            for block, sign, unit in ((s.m[:4, :4], tag.signs[0], f.a), (s.m[4:, 4:], tag.signs[1], f.b)):
+                c = sd_asd_coords(block)
+                np.testing.assert_allclose(c[sign], unit, atol=1e-14)
+                np.testing.assert_allclose(c[-sign], 0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
