@@ -46,9 +46,9 @@ def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.outer(y, x) - np.outer(x, y)
 
 
-def basis_wedge(i: int, j: int, n: int = 4) -> np.ndarray:
-    """e_i ^ e_j as an n x n matrix (sends e_i to e_j)."""
-    m = np.zeros((n, n))
+def basis_wedge(i: int, j: int) -> np.ndarray:
+    """e_i ^ e_j as a 4x4 matrix (sends e_i to e_j)."""
+    m = np.zeros((4, 4))
     m[j, i] = 1.0
     m[i, j] = -1.0
     return m

@@ -127,15 +127,15 @@ def lie_bracket(x: FieldFn, y: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) 
     return _lie(_values(x, pts), _values(y, pts), h)
 
 
-def exterior_d(xi: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+def exterior_d(xi: FieldFn, p: np.ndarray) -> np.ndarray:
     """(d xi)_{ij} = d_i xi_j - d_j xi_i, as an antisymmetric matrix."""
-    return _exterior_d(_values(xi, _stencil(p, h)), h)
+    return _exterior_d(_values(xi, _stencil(p, DEFAULT_STEP)), DEFAULT_STEP)
 
 
-def lie_derivative_one_form(x: FieldFn, xi: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+def lie_derivative_one_form(x: FieldFn, xi: FieldFn, p: np.ndarray) -> np.ndarray:
     """L_X xi = i_X d xi + d( xi(X) )."""
-    pts = _stencil(p, h)
-    return _lie_derivative(_values(x, pts), _values(xi, pts), h)
+    pts = _stencil(p, DEFAULT_STEP)
+    return _lie_derivative(_values(x, pts), _values(xi, pts), DEFAULT_STEP)
 
 
 class GenField:

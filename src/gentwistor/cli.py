@@ -87,9 +87,12 @@ def _floats(text: str, n: int, what: str) -> np.ndarray:
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"{what} needs {n} comma-separated numbers")
     try:
-        return np.array([float(x) for x in parts])
+        values = np.array([float(x) for x in parts])
     except ValueError:
         raise argparse.ArgumentTypeError(f"{what} needs {n} comma-separated numbers") from None
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"{what} needs {n} finite numbers, got {text!r}")
+    return values
 
 
 def _point(text: str) -> np.ndarray:

@@ -417,7 +417,6 @@ class MetricConfig:
     lo: float
     hi: float
     exprs: dict[str, Expr] = field(repr=False)
-    sources: dict[str, str] = field(repr=False)
 
 
 def _line_col(text: str, line_no: int, col: int) -> str:
@@ -429,7 +428,6 @@ def parse_config(text: str) -> MetricConfig:
     name = None
     lo = hi = None
     exprs: dict[str, Expr] = {}
-    sources: dict[str, str] = {}
     in_table = False
     seen_table = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -470,7 +468,6 @@ def parse_config(text: str) -> MetricConfig:
             except ParseError as e:
                 col = value_col + e.offset
                 raise ConfigError(f"{line_no}:{col}: {e}") from e
-            sources[key] = value
         else:
             raise ConfigError(
                 f"{line_no}:1: unknown key {key!r}; expected name, domain, or g11..g44"
@@ -484,7 +481,7 @@ def parse_config(text: str) -> MetricConfig:
     missing = [k for k in _UPPER_KEYS if k not in exprs]
     if missing:
         raise ConfigError(f"missing metric components: {', '.join(missing)}")
-    return MetricConfig(name=name, lo=lo, hi=hi, exprs=exprs, sources=sources)
+    return MetricConfig(name=name, lo=lo, hi=hi, exprs=exprs)
 
 
 def _metric_table(cfg: MetricConfig) -> Callable[[np.ndarray], tuple[np.ndarray, EvalError | None]]:

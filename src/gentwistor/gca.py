@@ -203,8 +203,7 @@ def type_of(u: GenStructure) -> int:
     return t_block
 
 
-def structure_from_blocks(u1: np.ndarray, u2: np.ndarray, basis: BasisTag = BasisTag.PM) -> GenStructure:
-    """diag(u1, u2) in PM coordinates, optionally converted afterwards."""
+def structure_from_blocks(u1: np.ndarray, u2: np.ndarray) -> GenStructure:
+    """diag(u1, u2) in PM coordinates."""
     z = np.zeros((4, 4))
-    u = GenStructure(np.block([[u1, z], [z, u2]]), BasisTag.PM)
-    return u if basis is BasisTag.PM else change_basis(u, basis)
+    return GenStructure(np.block([[u1, z], [z, u2]]), BasisTag.PM)

@@ -106,7 +106,7 @@ class CurvatureFlags:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _flags_over(operators, threshold: float) -> CurvatureFlags:
+def _flags_over(operators) -> CurvatureFlags:
     wp = wm = bn = sn = 0.0
     for op in operators:
         blocks = decompose(op)
@@ -114,6 +114,7 @@ def _flags_over(operators, threshold: float) -> CurvatureFlags:
         wm = max(wm, float(np.linalg.norm(blocks.wminus)))
         bn = max(bn, float(np.linalg.norm(blocks.b)))
         sn = max(sn, abs(float(blocks.scalar)))
+    threshold = DEFAULT_FLAG_THRESHOLD
     zeros = (wp < threshold, wm < threshold, bn < threshold, sn < threshold)
     return CurvatureFlags(
         wplus_zero=zeros[0],
@@ -129,28 +130,14 @@ def _flags_over(operators, threshold: float) -> CurvatureFlags:
     )
 
 
-def classify_metric(
-    metric: MetricSpec,
-    n_points: int = 8,
-    seed: int = 0,
-    threshold: float = DEFAULT_FLAG_THRESHOLD,
-) -> CurvatureFlags:
+def classify_metric(metric: MetricSpec, n_points: int = 8, seed: int = 0) -> CurvatureFlags:
     """Curvature flags from the sup over n_points interior samples."""
     if n_points < 1:
         raise UsageError(f"n_points must be at least 1, got {n_points}")
     seed = _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     points = metric.interior_points(n_points, rng)
-    return _flags_over((curvature_operator(metric, p) for p in points), threshold)
-
-
-# fixed cell order of the prediction table: components as declared, the
-# generalized kind, then the almost complex kind, then semi on mixed
-_TABLE_CELLS: tuple[tuple[ComponentTag, StructureKind], ...] = tuple(
-    [(tag, StructureKind.GENJ) for tag in ComponentTag]
-    + [(tag, StructureKind.ALMOST_J1) for tag in ComponentTag]
-    + [(tag, StructureKind.SEMI) for tag in ComponentTag if tag.mixed]
-)
+    return _flags_over(curvature_operator(metric, p) for p in points)
 
 
 @dataclass(frozen=True)
@@ -164,9 +151,6 @@ class PredictionTable:
             return self.cells[(tag, kind)]
         except KeyError:
             raise UsageError(f"no prediction for component {tag.value} and kind {kind.value}") from None
-
-    def as_dict(self) -> dict:
-        return {f"{tag.value}:{kind.value}": self.cells[(tag, kind)] for tag, kind in _TABLE_CELLS}
 
 
 def predict(flags: CurvatureFlags) -> PredictionTable:
@@ -230,8 +214,8 @@ def check(
     points the residuals are measured at."""
     if base_samples < 1 or fiber_samples < 1:
         raise UsageError("sample counts must be at least 1")
-    if tol <= 0.0:
-        raise UsageError(f"tolerance must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tolerance must be positive and finite, got {tol}")
     seed = _check_seed(seed)
     if kind is StructureKind.SEMI and not component.mixed:
         raise UsageError("semi-integrability is defined on the mixed components only")
@@ -244,7 +228,7 @@ def check(
     # one geometry per point: the flags read its operator, the residual
     # kernel its frame curvature
     geometries = [generalized_curvature(metric, p) for p in points]
-    flags = _flags_over((geo.operator for geo in geometries), DEFAULT_FLAG_THRESHOLD)
+    flags = _flags_over(geo.operator for geo in geometries)
     predicted = predict(flags).expected(component, kind)
 
     # one kernel call per point; the first strict maximum in (point, fiber,

@@ -76,17 +76,12 @@ class MetricSpec:
         p = np.asarray(p, float)
         return bool(np.all(p >= self.lo + margin) and np.all(p <= self.hi - margin))
 
-    def require_interior(self, p: np.ndarray, margin: float | None = None) -> None:
-        if margin is None:
-            margin = 4.0 * self.fd_step
+    def require_interior(self, p: np.ndarray, margin: float) -> None:
         if not self.contains(p, margin):
             raise DomainError(
                 f"point {np.asarray(p).tolist()} too close to the boundary of "
                 f"[{self.lo}, {self.hi}]^4 (margin {margin:g})"
             )
-
-    def center(self) -> np.ndarray:
-        return np.full(4, 0.5 * (self.lo + self.hi))
 
     def interior_points(self, n: int, rng: np.random.Generator, margin_frac: float = SAMPLE_MARGIN) -> np.ndarray:
         """n uniform samples from the box shrunk by margin_frac per side.

@@ -88,9 +88,9 @@ def stereo_to_sphere(w: np.ndarray, pole: int) -> np.ndarray:
     return np.array([2.0 * w[0] / d, 2.0 * w[1] / d, pole * (2.0 - d) / d])
 
 
-def stereo_from_sphere(a: np.ndarray, pole: int, margin: float = POLE_MARGIN) -> np.ndarray:
+def stereo_from_sphere(a: np.ndarray, pole: int) -> np.ndarray:
     den = 1.0 + pole * a[2]
-    if den < margin:
+    if den < POLE_MARGIN:
         raise DomainError(
             f"fiber point with a3 = {a[2]:.4f} is too close to the pole {-pole}; "
             "re-chart with the opposite pole"
@@ -158,7 +158,6 @@ class OracleResult:
 
     value: np.ndarray
     noise: float
-    step: float
     poles: tuple[int, int]
 
     @property
@@ -216,12 +215,6 @@ class TwistorChart:
         wa = stereo_from_sphere(tp.f.a, self.poles[0])
         wb = stereo_from_sphere(tp.f.b, self.poles[1])
         return np.concatenate([tp.p, wa, wb])
-
-    def point(self, z: np.ndarray) -> TwistorPoint:
-        z = np.asarray(z, dtype=float)
-        a = stereo_to_sphere(z[4:6], self.poles[0])
-        b = stereo_to_sphere(z[6:8], self.poles[1])
-        return TwistorPoint(z[:4], FiberPoint(a, b, self.tag))
 
     # -- cached per-point data -----------------------------------------
 
@@ -394,7 +387,7 @@ def nijenhuis_numeric(
     full = nijenhuis_field(jf, y, zf, z0, h=step)
     half = nijenhuis_field(jf, y, zf, z0, h=0.5 * step)
     noise = float(np.abs(full - half).max())
-    return OracleResult(value=half, noise=noise, step=step, poles=chart.poles)
+    return OracleResult(value=half, noise=noise, poles=chart.poles)
 
 
 def predicted_horizontal_value(
@@ -403,7 +396,6 @@ def predicted_horizontal_value(
     sel_y,
     sel_z,
     kind: StructureKind,
-    poles: tuple[int, int] | str = "auto",
 ) -> np.ndarray:
     """Closed-form Nijenhuis value for a pair of horizontal test fields.
 
@@ -418,10 +410,7 @@ def predicted_horizontal_value(
         raise UsageError("closed form applies to horizontal selector pairs only")
     if kind is StructureKind.SEMI:
         raise UsageError("semi-integrability has no pointwise structure matrix")
-    if poles == "auto":
-        chart = TwistorChart.for_point(metric, tp)
-    else:
-        chart = TwistorChart(metric, tp.f.tag, poles)
+    chart = TwistorChart.for_point(metric, tp)
     u1, u2 = fiber_to_structures(tp.f)
     if kind is StructureKind.ALMOST_J1:
         ua, ub = u1, u1

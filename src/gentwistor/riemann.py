@@ -32,10 +32,11 @@ One geometry pass per point p, PointGeometry:
    the lower triangle with halved diagonal (I. Murray, "Differentiation
    of the Cholesky decomposition", arXiv:1602.07527).  Gamma and dL come
    from the same dg, so Upsilon is antisymmetric up to roundoff.
-4. riemann, fpairs, operator: the coordinate curvature tensor from dg
-   and d2g (no nested differencing), pushed into the frame as one so(4)
-   element per wedge pair, and assembled as a 6x6 matrix over the
-   orthonormal bivector basis (I+, J+, K+, I-, J-, K-) / sqrt(2).
+4. riemann, rf, operator: the coordinate curvature tensor from dg and
+   d2g (no nested differencing), pushed into the frame as one so(4)
+   element per wedge pair and stored once, as the antisymmetric array
+   rf[a, b] = R(theta_a, theta_b); the 6x6 matrix over the orthonormal
+   bivector basis (I+, J+, K+, I-, J-, K-) / sqrt(2) is read from it.
 5. decompose: block splitting
 
        R = [[ W+ + s/12 Id,  B        ],
@@ -43,9 +44,9 @@ One geometry pass per point p, PointGeometry:
 
    with both Weyl blocks traceless; the scalar curvature consistency
    |4 tr(+) - 4 tr(-)| is checked, not assumed.
-6. the doubled curvature diag(R(.), R(.)) on the 8-dimensional
-   generalized tangent space, and rf, the frame curvature the twistor
-   residual kernel consumes.
+6. rc, the curvature image of a frame bivector, and rg, its doubled
+   form diag(rc, rc) on the 8-dimensional generalized tangent space,
+   both contracted from rf; the twistor residual kernel reads rf itself.
 
 christoffel, curvature_operator and generalized_curvature are entry
 points into the same object, so flags and residuals read one geometry.
@@ -86,7 +87,6 @@ _DIAG = np.arange(4)
 class FrameData:
     """Oriented orthonormal frame at a point: columns of e are the frame."""
 
-    point: np.ndarray
     e: np.ndarray
     einv: np.ndarray
 
@@ -100,7 +100,6 @@ class ConnectionData:
     defect is kept for diagnostics).
     """
 
-    point: np.ndarray
     gamma: np.ndarray
     upsilon: np.ndarray
     antisymmetry_defect: float = field(default=0.0, compare=False)
@@ -110,7 +109,6 @@ class ConnectionData:
 class CurvatureOperator:
     """6x6 matrix of the bivector curvature operator at a point."""
 
-    point: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -127,12 +125,6 @@ class CurvatureBlocks:
     b: np.ndarray
     scalar: float
 
-    def reassemble(self) -> np.ndarray:
-        s12 = self.scalar / 12.0
-        top = np.hstack([self.wplus + s12 * np.eye(3), self.b])
-        bot = np.hstack([self.b.T, self.wminus + s12 * np.eye(3)])
-        return np.vstack([top, bot])
-
 
 def _frame(p: np.ndarray, g: np.ndarray) -> FrameData:
     if not np.allclose(g, g.T, atol=1e-12):
@@ -141,7 +133,7 @@ def _frame(p: np.ndarray, g: np.ndarray) -> FrameData:
         e = np.linalg.cholesky(np.linalg.inv(g))
     except np.linalg.LinAlgError as exc:
         raise InvalidInputError(f"metric at {p.tolist()} is not positive definite") from exc
-    return FrameData(point=p, e=e, einv=np.linalg.inv(e))
+    return FrameData(e=e, einv=np.linalg.inv(e))
 
 
 def orthonormal_frame(metric: MetricSpec, p: np.ndarray) -> FrameData:
@@ -205,7 +197,6 @@ class PointGeometry:
         ups = einv @ cov
         skew = np.swapaxes(ups, 1, 2)
         return ConnectionData(
-            point=self.point,
             gamma=self.gamma,
             upsilon=0.5 * (ups - skew),
             antisymmetry_defect=float(np.abs(ups + skew).max()),
@@ -244,66 +235,52 @@ class PointGeometry:
         )
 
     @cached_property
-    def fpairs(self) -> tuple[np.ndarray, ...]:
-        """R(theta_a, theta_b) as frame-basis endomorphisms, one per wedge pair.
+    def rf(self) -> np.ndarray:
+        """Antisymmetric frame curvature, rf[a, b] = R(theta_a, theta_b) as a
+        4x4 endomorphism, so that rc(x ^ y) = x^a y^b rf[a, b].
 
-        Each is antisymmetric (an so(4) element) up to finite-difference
-        error; the exact antisymmetrization is applied so that downstream
-        bivector algebra sees honest Lie algebra elements."""
+        Each R(theta_a, theta_b) is antisymmetric (an so(4) element) up to
+        finite-difference error; the exact antisymmetrization is applied so
+        that downstream bivector algebra sees honest Lie algebra elements."""
         e, einv = self.frame.e, self.frame.einv
         mats = np.einsum("lkij,ip,jp->plk", self.riemann, e[:, _PAIR_I], e[:, _PAIR_J])
         f = einv @ mats @ e
-        return tuple(0.5 * (f - np.swapaxes(f, 1, 2)))
+        f = 0.5 * (f - np.swapaxes(f, 1, 2))
+        rf = np.zeros((4, 4, 4, 4))
+        rf[_PAIR_I, _PAIR_J] = f
+        rf[_PAIR_J, _PAIR_I] = -f
+        return rf
 
     @cached_property
     def operator(self) -> CurvatureOperator:
         """6x6 bivector curvature operator over the orthonormal frame."""
-        f = np.stack(self.fpairs)
-        cols = f[:, _PAIR_J, _PAIR_I].T  # pair coords of R(pair), one column per pair
-        return CurvatureOperator(point=self.point, matrix=U6 @ cols @ U6.T)
-
-    def rg(self, omega: np.ndarray) -> np.ndarray:
-        """R_g on an arbitrary antisymmetric frame bivector omega."""
-        return _doubled(self.rc(omega))
+        # pair coords of R(pair), one column per pair
+        cols = self.rf[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_J, _PAIR_I].T
+        return CurvatureOperator(matrix=U6 @ cols @ U6.T)
 
     def rc(self, omega: np.ndarray) -> np.ndarray:
         """Underlying 4x4 curvature image of a frame bivector."""
-        c = pair_coords(omega)
-        acc = np.zeros((4, 4))
-        for k in range(6):
-            acc = acc + c[k] * self.fpairs[k]
-        return acc
+        return np.tensordot(pair_coords(omega), self.rf[_PAIR_I, _PAIR_J], axes=1)
 
-    @cached_property
-    def rf(self) -> np.ndarray:
-        """Full antisymmetric frame curvature, rf[a, b] = R(theta_a, theta_b)
-        as a 4x4 endomorphism, so that rc(x ^ y) = x^a y^b rf[a, b]."""
-        rf = np.zeros((4, 4, 4, 4))
-        for (a, b), f in zip(WEDGE_PAIRS, self.fpairs):
-            rf[a, b] = f
-            rf[b, a] = -f
-        return rf
+    def rg(self, omega: np.ndarray) -> np.ndarray:
+        """R_g on a frame bivector omega: diag(rc(omega), rc(omega))."""
+        return np.kron(np.eye(2), self.rc(omega))
 
 
-def _doubled(m: np.ndarray) -> np.ndarray:
-    z = np.zeros((4, 4))
-    return np.block([[m, z], [z, m]])
-
-
-def generalized_curvature(metric: MetricSpec, p: np.ndarray, h: float | None = None) -> PointGeometry:
+def generalized_curvature(metric: MetricSpec, p: np.ndarray) -> PointGeometry:
     """The per-point geometry: doubled curvature on the generalized
     tangent space, the frame curvature and the 6x6 operator."""
-    return PointGeometry(metric, p, h)
+    return PointGeometry(metric, p)
 
 
-def christoffel(metric: MetricSpec, p: np.ndarray, h: float | None = None) -> ConnectionData:
+def christoffel(metric: MetricSpec, p: np.ndarray) -> ConnectionData:
     """Christoffel symbols and frame connection at an interior point."""
-    return PointGeometry(metric, p, h).connection
+    return PointGeometry(metric, p).connection
 
 
-def curvature_operator(metric: MetricSpec, p: np.ndarray, h: float | None = None) -> CurvatureOperator:
+def curvature_operator(metric: MetricSpec, p: np.ndarray) -> CurvatureOperator:
     """6x6 bivector curvature operator over the orthonormal frame."""
-    return PointGeometry(metric, p, h).operator
+    return PointGeometry(metric, p).operator
 
 
 def decompose(op: CurvatureOperator) -> CurvatureBlocks:

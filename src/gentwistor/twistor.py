@@ -37,9 +37,9 @@ semi-integrability (closure of the projection bracket) needs only C2',
 and is meaningful on the mixed components where it detects exactly the
 Einstein condition.
 
-Every family is linear in the frame curvature.  PointGeometry.rf
-holds it as the antisymmetric array Rf[a, b] = R(t_a, t_b), a 4x4
-endomorphism for each frame pair, so that R(x ^ y) = x^a y^b Rf[a, b].
+Every family is linear in the frame curvature.  PointGeometry.rf is
+its one stored form, the antisymmetric array Rf[a, b] = R(t_a, t_b), a
+4x4 endomorphism for each frame pair, so that R(x ^ y) = x^a y^b Rf[a, b].
 With u_a t_i the i-th column of u_a, the curvature terms at (i, j) are
 
     R(t_i ^ t_j)                        = Rf[i, j]
@@ -51,9 +51,10 @@ six families x the 12 ordered pairs in one call, takes the Frobenius
 norms and keeps the first maximising pair of each family.  J1 is its
 (C1, C2) columns and semi its C2 column alone; constraints_genJ,
 constraints_J1 and semi_integrability_residual are one-fiber calls into
-it.  _constraint_block evaluates one family at one pair through rc and
-is the reference the kernel is tested against; the 8x8 obstruction
-matrices and the oracle's closed form are built from it.
+it.  _constraint_block evaluates one family at one pair through
+PointGeometry.rc, the contraction of Rf with one bivector, and is the
+reference the kernel is tested against; the 8x8 obstruction matrices
+and the oracle's closed form are built from it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 
 from .bivector import basis_wedge, unit_combination, wedge
 from .errors import InvalidInputError, UsageError
-from .gca import BasisTag, ComponentTag, GenStructure, structure_from_blocks, type_of
+from .gca import ComponentTag, GenStructure, structure_from_blocks, type_of
 from .metrics import MetricSpec
 from .riemann import PointGeometry, generalized_curvature
 
@@ -103,7 +104,7 @@ class FiberPoint:
         if a.shape != (3,) or b.shape != (3,):
             raise UsageError("fiber point needs two 3-vectors")
         for name, v in (("a", a), ("b", b)):
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
                 raise InvalidInputError(f"fiber vector {name} is not unit length")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -158,7 +159,7 @@ def fiber_to_structures(f: FiberPoint) -> tuple[np.ndarray, np.ndarray]:
 
 def structure_from_fiber(f: FiberPoint) -> GenStructure:
     u1, u2 = fiber_to_structures(f)
-    return structure_from_blocks(u1, u2, BasisTag.PM)
+    return structure_from_blocks(u1, u2)
 
 
 def type_of_genJ(f: FiberPoint) -> int:
@@ -175,21 +176,9 @@ class ConstraintResiduals:
     """Curvature commutator residuals for one (point, fiber) evaluation.
 
     norms[label] is the Frobenius norm maximised over the 12 ordered
-    frame index pairs; matrices[label] is the worst 4x4; pairs[label]
-    the ordered pair attaining it."""
+    frame index pairs."""
 
-    labels: tuple[str, ...]
     norms: dict[str, float]
-    matrices: dict[str, np.ndarray] = field(repr=False)
-    pairs: dict[str, tuple[int, int]] = field(repr=False)
-
-    @property
-    def max_norm(self) -> float:
-        return max(self.norms.values())
-
-    @property
-    def worst_label(self) -> str:
-        return max(self.norms, key=self.norms.get)
 
 
 def _omega_pair(u_a: np.ndarray, u_b: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,12 +233,7 @@ class FiberResiduals:
 
     def fiber(self, n: int) -> ConstraintResiduals:
         """The residuals of fibers[n] in the one-fiber form."""
-        return ConstraintResiduals(
-            labels=self.labels,
-            norms={label: float(v) for label, v in zip(self.labels, self.norms[n])},
-            matrices=dict(zip(self.labels, self.matrices[n])),
-            pairs={label: _ORDERED_PAIRS[k] for label, k in zip(self.labels, self.pairs[n])},
-        )
+        return ConstraintResiduals({label: float(v) for label, v in zip(self.labels, self.norms[n])})
 
 
 def fiber_residuals(

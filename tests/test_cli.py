@@ -106,6 +106,22 @@ def test_unknown_metric_and_bad_seed_exit_one():
     assert "4 comma-separated" in proc.stderr
 
 
+def test_non_finite_tolerance_exits_one():
+    for tol in ("nan", "inf"):
+        proc = run("check", "--metric", "s4", "--component=+-", "--structure", "J",
+                   "--tol", tol, "--json", expect=1)
+        assert proc.stdout == ""
+        assert "positive and finite" in proc.stderr
+
+
+def test_non_finite_numbers_are_usage_errors():
+    proc = run("type", "--fiber", "nan,0,0,1,0,0", "--component=++", expect=1)
+    assert "fiber needs 6 finite numbers" in proc.stderr
+    proc = run("curvature", "--metric", "s4", "--point", "nan,0,0,0", expect=1)
+    assert "point needs 4 finite numbers" in proc.stderr
+    run("curvature", "--metric", "s4", "--point", "0,inf,0,0", expect=1)
+
+
 def test_type_verb():
     assert run("type", "--fiber", "1,0,0,1,0,0", "--component=++").stdout.strip() == "type: 4"
     assert run("type", "--fiber", "1,0,0,0,1,0", "--component=++").stdout.strip() == "type: 2"

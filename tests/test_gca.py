@@ -103,7 +103,7 @@ def test_b_transform_is_structure_and_preserves_type():
     for tag in ComponentTag:
         for _ in range(10):
             u1, u2 = random_fiber(rng, tag)
-            u = structure_from_blocks(u1, u2, BasisTag.TT)
+            u = change_basis(structure_from_blocks(u1, u2), BasisTag.TT)
             b = rng.normal(size=(4, 4))
             b = b - b.T
             ub = b_transform(u, b)  # constructor revalidates the algebra
@@ -118,11 +118,11 @@ def test_type_parity_matches_component():
     for tag in ComponentTag:
         for _ in range(25):
             u1, u2 = random_fiber(rng, tag)
-            j1 = structure_from_blocks(u1, u2, BasisTag.TT)
+            j1 = change_basis(structure_from_blocks(u1, u2), BasisTag.TT)
             # The generalized Kahler partner of [[P, Q], [Q, P]] swaps the TT
             # blocks to [[Q, P], [P, Q]], which sends (u1, u2) = (P + Q, P - Q)
             # to (u1, -u2): the fiber (a, -b) on the same component.
-            j2 = structure_from_blocks(u1, -u2, BasisTag.TT)
+            j2 = change_basis(structure_from_blocks(u1, -u2), BasisTag.TT)
             p, q = j1.m[:4, :4], j1.m[:4, 4:]
             np.testing.assert_allclose(j2.m, np.block([[q, p], [p, q]]), atol=1e-15)
             np.testing.assert_allclose(j1.m @ j2.m, -g, atol=1e-12)

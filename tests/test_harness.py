@@ -100,9 +100,9 @@ def test_predict_half_flat_sides():
 
 def test_prediction_table_dict_shape():
     table = predict(classify_metric(metric_by_name("fubini-study"), n_points=2, seed=SEED))
-    d = table.as_dict()
-    assert len(d) == 10
-    assert set(d) == {
+    d = {f"{tag.value}:{kind.value}" for tag, kind in table.cells}
+    assert len(table.cells) == 10
+    assert d == {
         "++:J", "--:J", "+-:J", "-+:J",
         "++:J1", "--:J1", "+-:J1", "-+:J1",
         "+-:semi", "-+:semi",
@@ -135,7 +135,7 @@ def test_residuals_are_dichotomous():
         for tag in ComponentTag:
             for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
                 fn = constraints_genJ if kind is StructureKind.GENJ else constraints_J1
-                vals = sorted(fn(metric, p, random_fiber(tag, rng), gc=gc).max_norm for _ in range(12))
+                vals = sorted(max(fn(metric, p, random_fiber(tag, rng), gc=gc).norms.values()) for _ in range(12))
                 if vals[-1] < DEFAULT_TOL:
                     continue  # integrable cell, checked by agreement test
                 assert vals[len(vals) // 2] > 10.0 * DEFAULT_TOL, (name, tag.value, kind.value, vals)
@@ -155,6 +155,15 @@ def test_check_validation():
         check(m, ComponentTag.PM, StructureKind.GENJ, tol=-1.0)
     with pytest.raises(UsageError):
         check(m, ComponentTag.PM, StructureKind.GENJ, seed=2**64)
+
+
+def test_check_rejects_non_finite_tolerance():
+    # a NaN tolerance would print invalid JSON and an inf one would read
+    # every cell integrable
+    m = metric_by_name("s4")
+    for tol in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(UsageError, match="positive and finite"):
+            check(m, ComponentTag.PM, StructureKind.GENJ, tol=tol)
 
 
 def test_report_fields_and_verdict():

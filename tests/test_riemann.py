@@ -12,8 +12,8 @@ from gentwistor.harness import check
 from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
 from gentwistor.oracle import nijenhuis_numeric
 from gentwistor.riemann import (
-    CurvatureBlocks,
     CurvatureOperator,
+    PointGeometry,
     christoffel,
     curvature_operator,
     decompose,
@@ -192,9 +192,15 @@ def test_curvature_s4_is_plus_identity():
 def test_curvature_step_halving_stability():
     m = metric_by_name("eguchi-hanson")
     p = np.array([2.3, 2.4, 2.5, 2.2])
-    a = curvature_operator(m, p, h=m.fd_step).matrix
-    b = curvature_operator(m, p, h=m.fd_step / 2).matrix
+    a = PointGeometry(m, p, m.fd_step).operator.matrix
+    b = PointGeometry(m, p, m.fd_step / 2).operator.matrix
     assert np.abs(a - b).max() < 1e-6
+
+
+def _assemble(wplus, wminus, b, scalar):
+    """The operator [[W+ + s/12 Id, B], [B^T, W- + s/12 Id]]."""
+    s12 = (scalar / 12.0) * np.eye(3)
+    return np.block([[wplus + s12, b], [b.T, wminus + s12]])
 
 
 def test_decompose_synthetic_exact_round_trip():
@@ -208,14 +214,13 @@ def test_decompose_synthetic_exact_round_trip():
         wm -= (np.trace(wm) / 3.0) * np.eye(3)
         b = rng.normal(size=(3, 3))
         s = float(rng.normal()) * 10.0
-        blocks = CurvatureBlocks(wplus=wp, wminus=wm, b=b, scalar=s)
-        op = CurvatureOperator(point=np.zeros(4), matrix=blocks.reassemble())
+        op = CurvatureOperator(matrix=_assemble(wp, wm, b, s))
         back = decompose(op)
         np.testing.assert_allclose(back.wplus, wp, atol=1e-10)
         np.testing.assert_allclose(back.wminus, wm, atol=1e-10)
         np.testing.assert_allclose(back.b, b, atol=1e-10)
         assert back.scalar == pytest.approx(s, abs=1e-10)
-        np.testing.assert_allclose(back.reassemble(), op.matrix, atol=1e-10)
+        np.testing.assert_allclose(_assemble(back.wplus, back.wminus, back.b, back.scalar), op.matrix, atol=1e-10)
         assert abs(np.trace(back.wplus)) < 1e-12 and abs(np.trace(back.wminus)) < 1e-12
 
 
@@ -223,13 +228,13 @@ def test_decompose_rejects_asymmetric():
     bad = np.zeros((6, 6))
     bad[0, 1] = 1.0
     with pytest.raises(DecompositionError):
-        decompose(CurvatureOperator(point=np.zeros(4), matrix=bad))
+        decompose(CurvatureOperator(matrix=bad))
 
 
 def test_decompose_rejects_trace_mismatch():
     bad = np.diag([1.0, 1, 1, 0, 0, 0])
     with pytest.raises(DecompositionError):
-        decompose(CurvatureOperator(point=np.zeros(4), matrix=bad))
+        decompose(CurvatureOperator(matrix=bad))
 
 
 # measured duality profiles of the curved catalog entries (frozen):

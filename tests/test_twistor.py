@@ -93,6 +93,16 @@ def test_fiber_point_rejects_non_unit():
         FiberPoint(np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), ComponentTag.PP)
 
 
+def test_fiber_point_rejects_nan():
+    nan = np.array([np.nan, 0.0, 0.0])
+    unit = np.array([0.0, 0.0, 1.0])
+    for a, b in ((nan, unit), (unit, nan)):
+        with pytest.raises(InvalidInputError, match="not unit length"):
+            FiberPoint(a, b, ComponentTag.PP)
+    with pytest.raises(InvalidInputError):
+        FiberPoint.normalized([np.nan, 0.0, 1.0], [1.0, 0.0, 0.0], ComponentTag.PM)
+
+
 def test_fiber_point_normalized():
     f = FiberPoint.normalized([3.0, 0.0, 0.0], [0.0, 0.0, -5.0], ComponentTag.PM)
     assert np.allclose(f.a, [1.0, 0.0, 0.0])
@@ -169,6 +179,10 @@ def test_type_grid_mixed_components():
 # ---------------------------------------------------------------------------
 # residuals on the catalog
 
+def _worst(residuals):
+    return max(residuals.norms.values())
+
+
 def _fibers(tag, n, seed):
     rng = np.random.default_rng(seed)
     return [random_fiber(tag, rng) for _ in range(n)]
@@ -180,8 +194,8 @@ def test_flat_residuals_vanish():
     gc = generalized_curvature(m, p)
     for tag in ComponentTag:
         for f in _fibers(tag, 4, 11):
-            assert constraints_genJ(m, p, f, gc=gc).max_norm < 1e-9
-            assert constraints_J1(m, p, f, gc=gc).max_norm < 1e-9
+            assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-9
+            assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-9
             if tag.mixed:
                 assert semi_integrability_residual(m, p, f, gc=gc) < 1e-9
 
@@ -192,8 +206,8 @@ def test_flat_perturbed_residuals_small():
     gc = generalized_curvature(m, p)
     for tag in ComponentTag:
         for f in _fibers(tag, 3, 12):
-            assert constraints_genJ(m, p, f, gc=gc).max_norm < 1e-6
-            assert constraints_J1(m, p, f, gc=gc).max_norm < 1e-6
+            assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
+            assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
 
 
 def test_s4_matches_space_form_model():
@@ -208,7 +222,7 @@ def test_s4_matches_space_form_model():
             f = random_fiber(tag, rng)
             got = constraints_genJ(m, p, f, gc=gc)
             want = _model_norms(f)
-            for label in got.labels:
+            for label in got.norms:
                 assert got.norms[label] == pytest.approx(want[label], abs=1e-3), (
                     tag,
                     label,
@@ -238,13 +252,13 @@ def test_s4_component_profile():
     for tag in (ComponentTag.PP, ComponentTag.MM):
         for f in _fibers(tag, 3, 21):
             r = constraints_genJ(m, p, f, gc=gc)
-            assert r.max_norm > 0.1
+            assert _worst(r) > 0.1
             assert r.norms["C2"] > 0.1
-            assert constraints_J1(m, p, f, gc=gc).max_norm > 0.1
+            assert _worst(constraints_J1(m, p, f, gc=gc)) > 0.1
     for tag in (ComponentTag.PM, ComponentTag.MP):
         for f in _fibers(tag, 3, 22):
-            assert constraints_genJ(m, p, f, gc=gc).max_norm < 1e-6
-            assert constraints_J1(m, p, f, gc=gc).max_norm < 1e-6
+            assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
+            assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
             assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
 
 
@@ -253,17 +267,17 @@ def test_eguchi_hanson_component_profile():
     p = np.array([2.3, 2.2, 2.5, 2.4])
     gc = generalized_curvature(m, p)
     for f in _fibers(ComponentTag.MM, 4, 31):
-        assert constraints_genJ(m, p, f, gc=gc).max_norm < 1e-6
+        assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
     for f in _fibers(ComponentTag.PP, 4, 32):
-        assert constraints_genJ(m, p, f, gc=gc).max_norm > 1e-3
+        assert _worst(constraints_genJ(m, p, f, gc=gc)) > 1e-3
     for tag in (ComponentTag.PM, ComponentTag.MP):
         for f in _fibers(tag, 4, 33):
-            assert constraints_genJ(m, p, f, gc=gc).max_norm > 1e-3
+            assert _worst(constraints_genJ(m, p, f, gc=gc)) > 1e-3
             assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
     for f in _fibers(ComponentTag.MP, 4, 34):
-        assert constraints_J1(m, p, f, gc=gc).max_norm < 1e-6
+        assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
     for f in _fibers(ComponentTag.PM, 4, 35):
-        assert constraints_J1(m, p, f, gc=gc).max_norm > 1e-3
+        assert _worst(constraints_J1(m, p, f, gc=gc)) > 1e-3
 
 
 def test_schwarzschild_component_profile():
@@ -272,8 +286,8 @@ def test_schwarzschild_component_profile():
     gc = generalized_curvature(m, p)
     for tag in ComponentTag:
         for f in _fibers(tag, 3, 41):
-            assert constraints_genJ(m, p, f, gc=gc).max_norm > 0.01
-            assert constraints_J1(m, p, f, gc=gc).max_norm > 0.01
+            assert _worst(constraints_genJ(m, p, f, gc=gc)) > 0.01
+            assert _worst(constraints_J1(m, p, f, gc=gc)) > 0.01
             if tag.mixed:
                 assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
 
@@ -283,19 +297,19 @@ def test_fubini_study_component_profile():
     p = np.array([0.1, -0.2, 0.15, 0.05])
     gc = generalized_curvature(m, p)
     for f in _fibers(ComponentTag.MP, 4, 51):
-        assert constraints_J1(m, p, f, gc=gc).max_norm < 1e-6
+        assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
         assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
     for f in _fibers(ComponentTag.PM, 4, 52):
-        assert constraints_J1(m, p, f, gc=gc).max_norm > 1e-3
+        assert _worst(constraints_J1(m, p, f, gc=gc)) > 1e-3
     # the self-dual Weyl part is clean, so the obstruction on the minus
     # pure component is pure scalar curvature
     for f in _fibers(ComponentTag.MM, 4, 53):
         r = constraints_genJ(m, p, f, gc=gc)
-        assert r.max_norm > 0.1
+        assert _worst(r) > 0.1
         assert r.norms["C1"] < 1e-4  # wminus-family clean
     for tag in ComponentTag:
         for f in _fibers(tag, 2, 54):
-            assert constraints_genJ(m, p, f, gc=gc).max_norm > 0.1
+            assert _worst(constraints_genJ(m, p, f, gc=gc)) > 0.1
 
 
 def test_orientation_swap_exchanges_pure_components():
@@ -317,9 +331,9 @@ def test_orientation_swap_exchanges_pure_components():
     p = np.array([2.3, 2.2, 2.5, 2.4])
     gc = generalized_curvature(m, p)
     for f in _fibers(ComponentTag.PP, 3, 61):
-        assert constraints_genJ(m, p, f, gc=gc).max_norm < 1e-6
+        assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
     for f in _fibers(ComponentTag.MM, 3, 62):
-        assert constraints_genJ(m, p, f, gc=gc).max_norm > 1e-3
+        assert _worst(constraints_genJ(m, p, f, gc=gc)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +363,7 @@ def test_obstruction_linear_in_curvature():
     # a cached geometry attribute is a plain instance attribute, so the
     # curvature of a fresh geometry can be set to twice the measured one
     doubled = generalized_curvature(m, p)
-    doubled.fpairs = tuple(2.0 * fp for fp in gc.fpairs)
+    doubled.rf = 2.0 * gc.rf
     f = random_fiber(ComponentTag.PP, np.random.default_rng(72))
     r1 = doubled_obstruction_matrix(m, p, f, 0, 2, gc=gc)
     r2 = doubled_obstruction_matrix(m, p, f, 0, 2, gc=doubled)
