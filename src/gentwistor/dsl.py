@@ -461,6 +461,8 @@ def parse_config(text: str) -> MetricConfig:
                 raise ConfigError(f"{line_no}:{value_col}: domain bounds must be numbers") from None
             if len(parts) != 2 or not parts[0] < parts[1]:
                 raise ConfigError(f"{line_no}:{value_col}: domain needs two increasing bounds")
+            if not np.isfinite([*parts, parts[1] - parts[0]]).all():
+                raise ConfigError(f"{line_no}:{value_col}: domain bounds and width must be finite")
             lo, hi = parts
         elif key in _UPPER_KEYS:
             try:

@@ -19,11 +19,12 @@ Chart conventions:
   connection), vertical directions are fiber rotations; stacking the
   lift matrix over the coordinate frame gives a block triangular 8x8
   frame whose inverse transpose carries the dual covectors.
-* the structure matrix is assembled in the adapted frame, where its
-  horizontal part is the tangent/cotangent matrix of the generalized
-  structure (or u1 twice for the almost complex kind) and its vertical
-  part is the fiber rotation j(x) = sigma (a x x) on each sphere, then
-  conjugated into chart components.
+* a chart serves one structure kind.  Its matrix is assembled in the
+  adapted frame, where the horizontal part is S diag(u1, v) S / 2, the
+  tangent/cotangent form of the PM matrix diag(u1, v) with v = u2 for
+  the generalized structure J and v = u1 for the almost complex J1, and
+  the vertical part is the fiber rotation j(x) = sigma (a x x) on each
+  sphere; it is then conjugated into chart components.
 
 Test fields come in four families, named by selector tuples:
 
@@ -45,20 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import SIX_BASIS, sd_asd_coords
+from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
 from .calculus import GenField, nijenhuis_field
 from .errors import DomainError, UsageError
-from .gca import BasisTag, change_basis
+from .gca import S_MATRIX
 from .metrics import MetricSpec
 from .riemann import christoffel, generalized_curvature, orthonormal_frame
-from .twistor import (
-    FiberPoint,
-    StructureKind,
-    TwistorPoint,
-    _constraint_block,
-    fiber_to_structures,
-    structure_from_fiber,
-)
+from .twistor import StructureKind, TwistorPoint, _constraint_block, fiber_to_structures
 
 #: Minimum allowed value of 1 + pole * a3 before embedding refuses and
 #: asks for the opposite pole.
@@ -131,11 +125,15 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
 def _validate_selector(sel) -> tuple[str, int]:
     if not (isinstance(sel, tuple) and len(sel) == 2):
         raise UsageError(f"selector must be a (family, index) tuple, got {sel!r}")
     family, idx = sel
-    if isinstance(idx, (bool, np.bool_)) or not isinstance(idx, (int, np.integer)):
+    if not _is_int(idx):
         raise UsageError(f"selector index must be an integer, got {sel!r}")
     if family in _HORIZONTAL_KINDS:
         if not 0 <= idx < 4:
@@ -158,54 +156,57 @@ class OracleResult:
 
     value: np.ndarray
     noise: float
-    poles: tuple[int, int]
 
     @property
     def norm(self) -> float:
         return float(np.abs(self.value).max())
 
 
-def _cached(cache: dict, key, build):
+def _cached(cache: dict, key: bytes, build):
     hit = cache.get(key)
     if hit is None:
         hit = cache[key] = build()
     return hit
 
 
-class TwistorChart:
-    """Chart data for one metric, component tag and pole choice.
+# rows and columns of the horizontal (tangent, cotangent) block in the
+# adapted 16x16 matrix
+_HORIZONTAL = np.ix_(np.r_[0:4, 8:12], np.r_[0:4, 8:12])
 
-    Each cache is keyed on what its quantity depends on, so an oracle
-    evaluation computes it once per point that it needs:
+
+class TwistorChart:
+    """Chart data for one metric, component tag, structure kind and pole
+    choice.
+
+    Three caches, each keyed on what its entry depends on, so an oracle
+    evaluation computes each quantity once per point that it needs:
 
     * per base point z[:4]: the orthonormal frame and the frame
-      connection's Upsilon_i in SD/ASD coordinates, one projection for
-      all four (``_base_data``);
-    * per fiber point z[4:8]: the sphere points, their velocity maps and
-      the vertical block (``_fiber_data``), and per structure kind the
-      horizontal block, assembled with the vertical one into the
-      adapted 16x16 matrix (``_adapted``);
-    * per chart point z: the adapted frame (``frame8``) and per kind the
-      structure matrix in chart components.
+      connection's Upsilon_i in SD/ASD coordinates (``_base_data``);
+    * per fiber point z[4:8]: the velocity maps of the two spheres and
+      the structure matrix in the adapted frame (``_fiber_block``);
+    * per chart point z: the adapted frame, its inverse and the structure
+      matrix in chart components (``frame8``, ``structure_field``).
 
     A chart instance is meant to live for one oracle evaluation."""
 
-    def __init__(self, metric: MetricSpec, tag, poles: tuple[int, int]):
+    def __init__(self, metric: MetricSpec, tag, kind: StructureKind, poles: tuple[int, int]):
+        if kind is StructureKind.SEMI:
+            raise UsageError("semi-integrability has no pointwise structure matrix")
+        if not (isinstance(poles, (tuple, list)) and len(poles) == 2 and all(_is_int(s) and s in (-1, 1) for s in poles)):
+            raise UsageError(f"poles must be a pair of integers +-1, got {poles!r}")
         self.metric = metric
         self.tag = tag
+        self.kind = kind
         self.poles = (int(poles[0]), int(poles[1]))
-        if self.poles[0] not in (-1, 1) or self.poles[1] not in (-1, 1):
-            raise UsageError(f"poles must be +-1, got {poles!r}")
         self._base_cache: dict[bytes, tuple] = {}
         self._fiber_cache: dict[bytes, tuple] = {}
-        self._adapted_cache: dict[tuple, np.ndarray] = {}
-        self._frame_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._structure_cache: dict[tuple, np.ndarray] = {}
+        self._chart_cache: dict[bytes, tuple] = {}
 
     @classmethod
-    def for_point(cls, metric: MetricSpec, tp: TwistorPoint) -> "TwistorChart":
+    def for_point(cls, metric: MetricSpec, tp: TwistorPoint, kind: StructureKind) -> "TwistorChart":
         """Chart with poles chosen away from the fiber point."""
-        return cls(metric, tp.f.tag, (_sign0(tp.f.a[2]), _sign0(tp.f.b[2])))
+        return cls(metric, tp.f.tag, kind, (_sign0(tp.f.a[2]), _sign0(tp.f.b[2])))
 
     # -- chart maps ----------------------------------------------------
 
@@ -233,10 +234,13 @@ class TwistorChart:
         return _cached(self._fiber_cache, w.tobytes(), lambda: self._fiber_block(w))
 
     def _fiber_block(self, w: np.ndarray):
-        """(a, b, va, vb, vertical block) at fiber point w.
+        """(va, vb, adapted) at fiber point w.
 
         va maps the SD/ASD coordinates c of a bivector to the chart
-        velocity 2 s1 a x c of sphere a rotated by it (vb likewise); the
+        velocity 2 s1 a x c of sphere a rotated by it (vb likewise).
+        adapted is the 16x16 structure matrix in the adapted frame: its
+        horizontal block is S diag(u1, v) S / 2, the TT form of the PM
+        matrix diag(u1, v) with v = u2 for J and v = u1 for J1, and its
         vertical block is the 4x4 chart matrix of the fiber rotation on
         both spheres."""
         a = stereo_to_sphere(w[0:2], self.poles[0])
@@ -248,19 +252,25 @@ class TwistorChart:
         jv = np.zeros((4, 4))
         jv[:2, :2] = _VERTICAL_ORIENTATION * s1 * (dwa @ xa @ stereo_jac_to_sphere(w[0:2], self.poles[0]))
         jv[2:, 2:] = _VERTICAL_ORIENTATION * s2 * (dwb @ xb @ stereo_jac_to_sphere(w[2:4], self.poles[1]))
-        return a, b, dwa @ (2.0 * s1 * xa), dwb @ (2.0 * s2 * xb), jv
+        u1 = unit_combination(a, s1)
+        v = unit_combination(b, s2) if self.kind is StructureKind.GENJ else u1
+        zero = np.zeros((4, 4))
+        adapted = np.zeros((16, 16))
+        adapted[_HORIZONTAL] = S_MATRIX @ np.block([[u1, zero], [zero, v]]) @ (0.5 * S_MATRIX)
+        adapted[4:8, 4:8] = jv
+        adapted[12:16, 12:16] = -jv.T
+        return dwa @ (2.0 * s1 * xa), dwb @ (2.0 * s2 * xb), adapted
 
-    def frame8(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Adapted frame over the chart and its inverse.
+    def _chart_data(self, z: np.ndarray):
+        """(e8, e8inv, structure matrix) at chart point z.
 
-        Columns 0..3 are horizontal lifts (base frame over the fiber
-        velocity of parallel transport), columns 4..7 the coordinate
-        fiber directions."""
-        z = np.asarray(z, dtype=float)
+        Columns 0..3 of e8 are horizontal lifts (base frame over the
+        fiber velocity of parallel transport), columns 4..7 the
+        coordinate fiber directions."""
 
         def build():
             frame, ups_a, ups_b = self._base_data(z[:4])
-            _, _, va, vb, _ = self._fiber_data(z[4:])
+            va, vb, adapted = self._fiber_data(z[4:])
             lift = np.concatenate([va @ ups_a.T, vb @ ups_b.T])
             e8 = np.zeros((8, 8))
             e8[:4, :4] = frame.e
@@ -270,55 +280,24 @@ class TwistorChart:
             e8inv[:4, :4] = frame.einv
             e8inv[4:, :4] = -lift @ frame.einv
             e8inv[4:, 4:] = np.eye(4)
-            return e8, e8inv
+            e16 = np.zeros((16, 16))
+            e16[:8, :8] = e8
+            e16[8:, 8:] = e8inv.T
+            e16inv = np.zeros((16, 16))
+            e16inv[:8, :8] = e8inv
+            e16inv[8:, 8:] = e8.T
+            return e8, e8inv, e16 @ adapted @ e16inv
 
-        return _cached(self._frame_cache, z.tobytes(), build)
+        return _cached(self._chart_cache, z.tobytes(), build)
 
-    def _adapted(self, kind: StructureKind, w: np.ndarray) -> np.ndarray:
-        """16x16 structure matrix in the adapted frame at fiber point w."""
+    def frame8(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Adapted frame over the chart and its inverse."""
+        e8, e8inv, _ = self._chart_data(np.asarray(z, dtype=float))
+        return e8, e8inv
 
-        def build():
-            a, b, _, _, jv = self._fiber_data(w)
-            f = FiberPoint(a, b, self.tag)
-            if kind is StructureKind.GENJ:
-                horiz = change_basis(structure_from_fiber(f), BasisTag.TT).m
-            else:
-                u1, _ = fiber_to_structures(f)
-                horiz = np.zeros((8, 8))
-                horiz[:4, :4] = u1
-                horiz[4:, 4:] = -u1.T
-            adapted = np.zeros((16, 16))
-            adapted[0:4, 0:4] = horiz[:4, :4]
-            adapted[0:4, 8:12] = horiz[:4, 4:]
-            adapted[8:12, 0:4] = horiz[4:, :4]
-            adapted[8:12, 8:12] = horiz[4:, 4:]
-            adapted[4:8, 4:8] = jv
-            adapted[12:16, 12:16] = -jv.T
-            return adapted
-
-        return _cached(self._adapted_cache, (kind, w.tobytes()), build)
-
-    def structure_field(self, kind: StructureKind):
-        """Chart matrix field of the requested structure, z -> 16x16."""
-        if kind is StructureKind.SEMI:
-            raise UsageError("semi-integrability has no pointwise structure matrix")
-
-        def jf(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
-
-            def build():
-                e8, e8inv = self.frame8(z)
-                e16 = np.zeros((16, 16))
-                e16[:8, :8] = e8
-                e16[8:, 8:] = e8inv.T
-                e16inv = np.zeros((16, 16))
-                e16inv[:8, :8] = e8inv
-                e16inv[8:, 8:] = e8.T
-                return e16 @ self._adapted(kind, z[4:]) @ e16inv
-
-            return _cached(self._structure_cache, (kind, z.tobytes()), build)
-
-        return jf
+    def structure_field(self, z: np.ndarray) -> np.ndarray:
+        """16x16 chart matrix of the chart's structure at z."""
+        return self._chart_data(np.asarray(z, dtype=float))[2]
 
     # -- test fields ---------------------------------------------------
 
@@ -341,7 +320,7 @@ class TwistorChart:
         s1, s2 = self.tag.signs
 
         def fiber_motion(z):
-            _, _, va, vb, _ = self._fiber_data(np.asarray(z, dtype=float)[4:])
+            va, vb, _ = self._fiber_data(np.asarray(z, dtype=float)[4:])
             out = np.zeros(8)
             out[4:6] = va @ coords[s1]
             out[6:8] = vb @ coords[s2]
@@ -375,19 +354,17 @@ def nijenhuis_numeric(
         raise UsageError("selectors must be a pair of (family, index) tuples")
     if not (np.isfinite(step) and step > 0.0):
         raise UsageError(f"step must be positive and finite, got {step}")
-    if poles == "auto":
-        chart = TwistorChart.for_point(metric, tp)
+    if isinstance(poles, str) and poles == "auto":
+        chart = TwistorChart.for_point(metric, tp, kind)
     else:
-        chart = TwistorChart(metric, tp.f.tag, poles)
+        chart = TwistorChart(metric, tp.f.tag, kind, poles)
     metric.require_interior(tp.p, oracle_margin(metric, step))
     z0 = chart.embed(tp)
-    jf = chart.structure_field(kind)
     y = chart.basic_field(selectors[0])
     zf = chart.basic_field(selectors[1])
-    full = nijenhuis_field(jf, y, zf, z0, h=step)
-    half = nijenhuis_field(jf, y, zf, z0, h=0.5 * step)
-    noise = float(np.abs(full - half).max())
-    return OracleResult(value=half, noise=noise, poles=chart.poles)
+    full = nijenhuis_field(chart.structure_field, y, zf, z0, h=step)
+    half = nijenhuis_field(chart.structure_field, y, zf, z0, h=0.5 * step)
+    return OracleResult(value=half, noise=float(np.abs(full - half).max()))
 
 
 def predicted_horizontal_value(
@@ -408,9 +385,7 @@ def predicted_horizontal_value(
     fam_z, j = _validate_selector(sel_z)
     if fam_y not in _HORIZONTAL_KINDS or fam_z not in _HORIZONTAL_KINDS:
         raise UsageError("closed form applies to horizontal selector pairs only")
-    if kind is StructureKind.SEMI:
-        raise UsageError("semi-integrability has no pointwise structure matrix")
-    chart = TwistorChart.for_point(metric, tp)
+    chart = TwistorChart.for_point(metric, tp, kind)
     u1, u2 = fiber_to_structures(tp.f)
     if kind is StructureKind.ALMOST_J1:
         ua, ub = u1, u1

@@ -93,14 +93,13 @@ class FrameData:
 
 @dataclass(frozen=True)
 class ConnectionData:
-    """Christoffel symbols and frame connection at a point.
+    """Frame connection at a point.
 
-    gamma[k, i, j] is Gamma^k_{ij}; upsilon[a] is the so(4) matrix of
-    nabla_{theta_a} over the frame (antisymmetrized; the raw antisymmetry
-    defect is kept for diagnostics).
+    upsilon[a] is the so(4) matrix of nabla_{theta_a} over the frame
+    (antisymmetrized; the raw antisymmetry defect is kept for
+    diagnostics).  The Christoffel symbols are PointGeometry.gamma.
     """
 
-    gamma: np.ndarray
     upsilon: np.ndarray
     antisymmetry_defect: float = field(default=0.0, compare=False)
 
@@ -190,14 +189,13 @@ class PointGeometry:
 
     @cached_property
     def connection(self) -> ConnectionData:
-        """Gamma and the frame connection Upsilon_a[c, b] =
+        """The frame connection Upsilon_a[c, b] =
         theta*_c( nabla_{theta_a} theta_b )."""
         e, einv = self.frame.e, self.frame.einv
         cov = np.einsum("ia,ikb->akb", e, self.frame_derivative) + np.einsum("kij,ia,jb->akb", self.gamma, e, e)
         ups = einv @ cov
         skew = np.swapaxes(ups, 1, 2)
         return ConnectionData(
-            gamma=self.gamma,
             upsilon=0.5 * (ups - skew),
             antisymmetry_defect=float(np.abs(ups + skew).max()),
         )
@@ -274,7 +272,7 @@ def generalized_curvature(metric: MetricSpec, p: np.ndarray) -> PointGeometry:
 
 
 def christoffel(metric: MetricSpec, p: np.ndarray) -> ConnectionData:
-    """Christoffel symbols and frame connection at an interior point."""
+    """Frame connection at an interior point."""
     return PointGeometry(metric, p).connection
 
 

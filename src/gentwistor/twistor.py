@@ -48,7 +48,7 @@ With u_a t_i the i-th column of u_a, the curvature terms at (i, j) are
 
 fiber_residuals evaluates them as einsums for a batch of fibers x the
 six families x the 12 ordered pairs in one call, takes the Frobenius
-norms and keeps the first maximising pair of each family.  J1 is its
+norms and keeps the maximum over the pairs of each family.  J1 is its
 (C1, C2) columns and semi its C2 column alone; constraints_genJ,
 constraints_J1 and semi_integrability_residual are one-fiber calls into
 it.  _constraint_block evaluates one family at one pair through
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,13 +223,10 @@ class FiberResiduals:
     """Kernel output for a batch of fibers over one base point.
 
     norms[n, k] is the Frobenius norm of family labels[k] at fibers[n],
-    maximised over the 12 ordered index pairs; pairs[n, k] indexes the
-    first ordered pair attaining it and matrices[n, k] is its 4x4."""
+    maximised over the 12 ordered index pairs."""
 
     labels: tuple[str, ...]
     norms: np.ndarray
-    pairs: np.ndarray = field(repr=False)
-    matrices: np.ndarray = field(repr=False)
 
     def fiber(self, n: int) -> ConstraintResiduals:
         """The residuals of fibers[n] in the one-fiber form."""
@@ -261,10 +258,7 @@ def fiber_residuals(
     rc2 = np.einsum("fkan,anpq->fknpq", ua, rf[:, _PAIR_J]) + np.einsum("fkbn,nbpq->fknpq", ub, rf[_PAIR_I])
     inner = rc1 + uc @ rc2
     e = uc @ inner - inner @ uc  # (fiber, family, pair, 4, 4)
-    norms = np.linalg.norm(e, axis=(-2, -1))
-    pairs = norms.argmax(axis=2)  # first maximum, as a strict > scan keeps it
-    fib, fam = np.indices(pairs.shape)
-    return FiberResiduals(labels, norms.max(axis=2), pairs, e[fib, fam, pairs])
+    return FiberResiduals(labels, np.linalg.norm(e, axis=(-2, -1)).max(axis=2))
 
 
 def constraints_genJ(

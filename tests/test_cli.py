@@ -145,6 +145,15 @@ def test_metric_file_diagnostics_line_col(tmp_path):
     assert ":10:" in proc.stderr or ":9:" in proc.stderr
 
 
+def test_non_finite_domain_exits_one(tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    for domain in ("[0, inf]", "[-1e308, 1e308]"):
+        cfg.write_text(FLAT_CONFIG.replace("domain = [-1, 1]", f"domain = {domain}"))
+        for verb in (["check", "--component=++", "--structure", "J"], ["classify"], ["oracle"]):
+            proc = run(*verb, "--metric-file", str(cfg), expect=1)
+            assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_oracle_verb_flat():
     proc = run("oracle", "--metric", "flat", "--points", "1", "--seed", "2")
     assert "max over 1 points" in proc.stdout

@@ -226,6 +226,16 @@ def test_config_structural_errors():
         parse_config(GOOD_CONFIG + "\nextra = 2\n")
 
 
+def test_config_rejects_non_finite_domain():
+    # an infinite bound, or a width that overflows, would load with an
+    # infinite fd_step and fail later inside the samplers
+    for domain in ("[0, inf]", "[-inf, 0]", "[-1e308, 1e308]"):
+        with pytest.raises(ConfigError, match="finite") as e:
+            parse_config(GOOD_CONFIG.replace("domain = [-1, 1]", f"domain = {domain}"))
+        assert str(e.value).startswith("5:10:")  # line of domain, column of its value
+    assert parse_config(GOOD_CONFIG.replace("domain = [-1, 1]", "domain = [-1e307, 1e307]")).hi == 1e307
+
+
 def test_probe_points_are_interior_grid():
     pts = probe_points(-1.0, 1.0)
     assert pts.shape == (16, 4)

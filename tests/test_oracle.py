@@ -59,7 +59,7 @@ def test_stereo_roundtrip_and_jacobian_chain():
 
 def test_chart_embed_roundtrip():
     tp = _tp(P_UNIT, ComponentTag.PM)
-    chart = TwistorChart.for_point(metric_by_name("s4"), tp)
+    chart = TwistorChart.for_point(metric_by_name("s4"), tp, StructureKind.GENJ)
     z = chart.embed(tp)
     np.testing.assert_allclose(z[:4], tp.p, atol=1e-15)
     np.testing.assert_allclose(stereo_to_sphere(z[4:6], chart.poles[0]), tp.f.a, atol=1e-14)
@@ -71,11 +71,11 @@ def test_pole_guard_and_rechart():
     f = FiberPoint.normalized([0.03, 0.0, -1.0], [0.0, 1.0, 0.0], ComponentTag.PP)
     tp = TwistorPoint(P_UNIT, f)
     m = metric_by_name("s4")
-    bad = TwistorChart(m, ComponentTag.PP, (1, 1))
+    bad = TwistorChart(m, ComponentTag.PP, StructureKind.GENJ, (1, 1))
     with pytest.raises(DomainError):
         bad.embed(tp)
     # automatic pole selection flips the chart and succeeds
-    good = TwistorChart.for_point(m, tp)
+    good = TwistorChart.for_point(m, tp, StructureKind.GENJ)
     assert good.poles[0] == -1
     good.embed(tp)
 
@@ -103,6 +103,12 @@ def test_selector_and_argument_validation():
         nijenhuis_numeric(m, edge, (("h+", 0), ("h+", 1)), StructureKind.GENJ)
     with pytest.raises(UsageError):
         predicted_horizontal_value(m, tp, ("v", 0), ("h+", 1), StructureKind.GENJ)
+    with pytest.raises(UsageError, match="semi-integrability"):
+        predicted_horizontal_value(m, tp, ("h+", 0), ("h+", 1), StructureKind.SEMI)
+    # poles must be a pair of integers +-1; bools are not integers here
+    for bad_poles in ("north", (1,), (float("nan"), 1), None, (True, 1), (1, 0), (1.0, 1), (1, -1, 1)):
+        with pytest.raises(UsageError, match="poles"):
+            nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, poles=bad_poles)
 
 
 def test_selector_index_must_be_an_integer():
@@ -132,7 +138,7 @@ def _counted(fn, points):
 def test_each_quantity_evaluated_once_per_point(monkeypatch):
     m = metric_by_name("s4")
     tp = _tp(P_UNIT, ComponentTag.PM)
-    chart = TwistorChart.for_point(m, tp)
+    chart = TwistorChart.for_point(m, tp, StructureKind.GENJ)
     z0 = chart.embed(tp)
     # one nijenhuis_field call: J and both test fields once at each of the
     # 1 + 4 * 8 stencil points, however many brackets it takes
@@ -140,7 +146,7 @@ def test_each_quantity_evaluated_once_per_point(monkeypatch):
     y = chart.basic_field(("h+", 1))
     z = chart.basic_field(("v", 2))
     nijenhuis_field(
-        _counted(chart.structure_field(StructureKind.GENJ), seen["J"]),
+        _counted(chart.structure_field, seen["J"]),
         GenField(_counted(y.vec, seen["Y.vec"]), _counted(y.form, seen["Y.form"])),
         GenField(_counted(z.vec, seen["Z.vec"]), _counted(z.form, seen["Z.form"])),
         z0,
@@ -169,12 +175,11 @@ def test_structure_field_is_an_almost_structure():
     for name, p in (("s4", P_UNIT), ("eguchi-hanson", P_EH)):
         m = metric_by_name(name)
         tp = _tp(p, ComponentTag.PM)
-        chart = TwistorChart.for_point(m, tp)
-        z0 = chart.embed(tp)
         for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
-            jf = chart.structure_field(kind)
+            chart = TwistorChart.for_point(m, tp, kind)
+            z0 = chart.embed(tp)
             for _ in range(3):
-                j = jf(z0 + 0.02 * RNG.normal(size=8))
+                j = chart.structure_field(z0 + 0.02 * RNG.normal(size=8))
                 np.testing.assert_allclose(j @ j, -np.eye(16), atol=1e-9)
                 np.testing.assert_allclose(j.T @ q16 @ j, q16, atol=1e-9)
 
@@ -198,7 +203,7 @@ def test_flat_perturbed_vanishes_with_nontrivial_lift():
     # the horizontal lift are nonzero, the tensor still vanishes
     m = metric_by_name("flat-perturbed")
     tp = _tp(np.array([0.1, -0.15, 0.2, 0.05]), ComponentTag.PM)
-    chart = TwistorChart.for_point(m, tp)
+    chart = TwistorChart.for_point(m, tp, StructureKind.GENJ)
     e8, _ = chart.frame8(chart.embed(tp))
     assert np.abs(e8[4:, :4]).max() > 1e-4
     for sel in [(("h+", 0), ("h+", 1)), (("h+", 2), ("h-", 3)), (("h-", 1), ("v", 3))]:
@@ -317,7 +322,6 @@ def test_pole_choice_does_not_change_verdicts():
     sel = (("h+", 0), ("h-", 1))
     for poles in ((1, 1), (-1, -1), (1, -1)):
         r = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ, poles=poles)
-        assert r.poles == poles
         assert r.norm < 1e-4
     f2 = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PP)
     tp2 = TwistorPoint(P_UNIT, f2)

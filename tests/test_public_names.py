@@ -2,13 +2,14 @@
 import in it is used.
 
 A public function, class or constant of ``src/gentwistor``, and a public
-method or property of one of its public classes, must be used somewhere
-that is not its own unit test: elsewhere in ``src/`` (outside its own
-definition), in ``bench/``, or in ``tests/test_acceptance.py``. A member
-is read through an attribute of its name; ``self.name`` inside another
-class reads that class's member, not this one. Names kept for another
-reason sit in ALLOWED with that reason; a member is spelled
-module.Class.member there.
+method, property or dataclass field of one of its public classes, must
+be used somewhere that is not its own unit test: elsewhere in ``src/``
+(outside its own definition), in ``bench/``, or in
+``tests/test_acceptance.py``. A member is read through an attribute of
+its name; ``self.name`` inside another class reads that class's member,
+not this one. A dataclass that ``dataclasses.fields`` iterates in
+``src/`` has all its fields read. Names kept for another reason sit in
+ALLOWED with that reason; a member is spelled module.Class.member there.
 
 An imported name must be read in the module of ``src/gentwistor`` or
 ``tests`` that imports it, unless the import statement carries
@@ -27,6 +28,7 @@ ALLOWED = {
     "calculus.exterior_d": "its symbolic test pins the terms of the Courant formula",
     "calculus.lie_derivative_one_form": "its symbolic test pins the terms of the Courant formula",
     "riemann.CurvatureOperator.symmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
+    "riemann.ConnectionData.antisymmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
 }
 
 
@@ -90,14 +92,47 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _public_members(tree: ast.Module):
-    """(Class.member, node) for each public method and property of a
-    public top-level class."""
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _fields_iterated(tree: ast.AST) -> set[str]:
+    """Classes whose fields tree iterates: fields(Class), or fields(self)
+    inside the class."""
+    out: set[str] = set()
+    stack: list[tuple[ast.AST, str | None]] = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "fields":
+            arg = node.args[0]
+            if isinstance(arg, ast.Name):
+                out.add(cls if arg.id == "self" else arg.id)
+        stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def _public_members(tree: ast.Module, iterated: set[str]):
+    """(Class.member, node) for each public method, property and
+    dataclass field of a public top-level class; the fields of a class in
+    iterated count as read and are left out."""
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            fields_read = cls.name in iterated or not _is_dataclass(cls)
             for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
-                    yield f"{cls.name}.{node.name}", node
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and not fields_read:
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{cls.name}.{name}", node
 
 
 def unreferenced_public_names() -> list[str]:
@@ -112,6 +147,7 @@ def unreferenced_public_names() -> list[str]:
     outside_attrs |= {name for tree in [acceptance, *benches] for cls, name in _attribute_reads(tree) if cls is None}
     refs = {stem: _references(tree) for stem, tree in modules.items()}
     attrs = {stem: {name for cls, name in _attribute_reads(tree) if cls is None} for stem, tree in modules.items()}
+    iterated = set().union(*(_fields_iterated(tree) for tree in modules.values()))
     missing = []
     for stem, tree in modules.items():
         elsewhere = outside.union(*(r for other, r in refs.items() if other != stem))
@@ -119,7 +155,7 @@ def unreferenced_public_names() -> list[str]:
             if name not in elsewhere and name not in _references(tree, skip=node):
                 missing.append(f"{stem}.{name}")
         elsewhere = outside_attrs.union(*(a for other, a in attrs.items() if other != stem))
-        for name, node in _public_members(tree):
+        for name, node in _public_members(tree, iterated):
             cls, attr = name.split(".")
             reads = _attribute_reads(tree, skip=node)
             if attr not in elsewhere and (None, attr) not in reads and (cls, attr) not in reads:

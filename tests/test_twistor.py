@@ -389,15 +389,12 @@ _ORDERED = [(i, j) for i in range(4) for j in range(4) if i != j]
 def test_kernel_matches_per_block_reference(name):
     """Every family norm of the kernel equals the maximum of a loop of
     _constraint_block over the 12 ordered pairs, within 1e-12 relative or
-    1e-12 of the curvature scale; its worst pair is the loop's first
-    maximum, or a pair tied with it to roundoff, and its worst matrix is
-    that pair's block."""
+    1e-12 of the curvature scale."""
     m = metric_by_name(name)
     rng = np.random.default_rng(81)
     p = m.interior_points(1, rng)[0]
     gc = generalized_curvature(m, p)
     tol = 1e-12 * np.abs(gc.rf).max()
-    untied = 0
     for tag in ComponentTag:
         fibers = [random_fiber(tag, rng) for _ in range(3)]
         res = fiber_residuals(gc, fibers)
@@ -405,17 +402,11 @@ def test_kernel_matches_per_block_reference(name):
         for n, f in enumerate(fibers):
             blocks = fiber_to_structures(f)
             for k, (a, b, c) in enumerate(_FAMILY_BLOCKS.values()):
-                mats = [_constraint_block(gc, blocks[a], blocks[b], blocks[c], i, j) for i, j in _ORDERED]
-                norms = [float(np.linalg.norm(x)) for x in mats]
-                first = int(np.argmax(norms))
-                got = int(res.pairs[n, k])
-                assert res.norms[n, k] == pytest.approx(norms[first], rel=1e-12, abs=tol)
-                if got == first:
-                    untied += 1
-                else:
-                    assert norms[got] == pytest.approx(norms[first], rel=1e-12, abs=tol)
-                assert np.allclose(res.matrices[n, k], mats[got], rtol=1e-12, atol=tol)
-    assert untied > 0
+                worst = max(
+                    float(np.linalg.norm(_constraint_block(gc, blocks[a], blocks[b], blocks[c], i, j)))
+                    for i, j in _ORDERED
+                )
+                assert res.norms[n, k] == pytest.approx(worst, rel=1e-12, abs=tol)
 
 
 def test_j1_and_semi_are_kernel_columns():
@@ -430,8 +421,6 @@ def test_j1_and_semi_are_kernel_columns():
         j1 = fiber_residuals(gc, fibers, StructureKind.ALMOST_J1)
         assert j1.labels == J1_LABELS
         assert np.array_equal(j1.norms, full.norms[:, :2])
-        assert np.array_equal(j1.pairs, full.pairs[:, :2])
-        assert np.array_equal(j1.matrices, full.matrices[:, :2])
         for n, f in enumerate(fibers):
             one = constraints_J1(m, p, f, gc=gc)
             assert [one.norms[label] for label in J1_LABELS] == full.norms[n, :2].tolist()
@@ -459,8 +448,6 @@ def test_kernel_fibers_bit_identical_across_batch_sizes(kind):
             part = fiber_residuals(gc, fibers[start:start + size], kind)
             window = slice(start, start + size)
             assert np.array_equal(part.norms, full.norms[window])
-            assert np.array_equal(part.pairs, full.pairs[window])
-            assert np.array_equal(part.matrices, full.matrices[window])
 
 
 def test_kernel_validation():
