@@ -46,10 +46,10 @@ import numpy as np
 from .errors import UsageError
 from .gca import ComponentTag
 from .metrics import MetricSpec
-from .riemann import curvature_operator, decompose, generalized_curvature
-# constraints_genJ, constraints_J1 and semi_integrability_residual are not
-# called here; they stay importable from harness because bench/run.py's
-# traced run rebinds them on this module.
+# curvature_operator, constraints_genJ, constraints_J1 and
+# semi_integrability_residual are not called here; they stay importable from
+# harness because bench/run.py's traced run rebinds them on this module.
+from .riemann import CurvatureOperator, curvature_operator, decompose, generalized_curvature  # noqa: F401
 from .twistor import (  # noqa: F401
     StructureKind,
     constraints_J1,
@@ -106,10 +106,11 @@ class CurvatureFlags:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _flags_over(operators) -> CurvatureFlags:
+def _flags_over(matrices: np.ndarray) -> CurvatureFlags:
+    """Flags from the sup over a stack of operator matrices (n, 6, 6)."""
     wp = wm = bn = sn = 0.0
-    for op in operators:
-        blocks = decompose(op)
+    for m in matrices:
+        blocks = decompose(CurvatureOperator(m))
         wp = max(wp, float(np.linalg.norm(blocks.wplus)))
         wm = max(wm, float(np.linalg.norm(blocks.wminus)))
         bn = max(bn, float(np.linalg.norm(blocks.b)))
@@ -137,7 +138,7 @@ def classify_metric(metric: MetricSpec, n_points: int = 8, seed: int = 0) -> Cur
     seed = _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     points = metric.interior_points(n_points, rng)
-    return _flags_over(curvature_operator(metric, p) for p in points)
+    return _flags_over(generalized_curvature(metric, points).operator.matrix)
 
 
 @dataclass(frozen=True)
@@ -225,19 +226,19 @@ def check(
     rng_fiber = np.random.default_rng([seed, 1])
     fibers = [random_fiber(component, rng_fiber) for _ in range(fiber_samples)]
 
-    # one geometry per point: the flags read its operator, the residual
-    # kernel its frame curvature
-    geometries = [generalized_curvature(metric, p) for p in points]
-    flags = _flags_over(geo.operator for geo in geometries)
+    # one geometry over all points: the flags read its operators, the
+    # residual kernel its frame curvature
+    geometry = generalized_curvature(metric, points)
+    flags = _flags_over(geometry.operator.matrix)
     predicted = predict(flags).expected(component, kind)
 
-    # one kernel call per point; the first strict maximum in (point, fiber,
-    # family) order names the worst point, fiber and constraint
-    results = [fiber_residuals(geo, fibers, kind) for geo in geometries]
-    norms = np.array([r.norms for r in results])
+    # one kernel call; the first strict maximum in (point, fiber, family)
+    # order names the worst point, fiber and constraint
+    result = fiber_residuals(geometry, fibers, kind)
+    norms = result.norms  # (point, fiber, family)
     ip, jf, kf = np.unravel_index(np.argmax(norms), norms.shape)
     max_residual = float(norms[ip, jf, kf])
-    worst_point, worst_fiber, worst_label = points[ip], fibers[jf], results[0].labels[kf]
+    worst_point, worst_fiber, worst_label = points[ip], fibers[jf], result.labels[kf]
 
     if max_residual < tol:
         verdict = VERDICT_INTEGRABLE

@@ -77,9 +77,11 @@ class MetricSpec:
         return bool(np.all(p >= self.lo + margin) and np.all(p <= self.hi - margin))
 
     def require_interior(self, p: np.ndarray, margin: float) -> None:
+        """Raise DomainError naming the first of the points p (..., 4) within margin of the box edge."""
         if not self.contains(p, margin):
+            bad = next(q for q in np.reshape(p, (-1, 4)) if not self.contains(q, margin))
             raise DomainError(
-                f"point {np.asarray(p).tolist()} too close to the boundary of "
+                f"point {bad.tolist()} too close to the boundary of "
                 f"[{self.lo}, {self.hi}]^4 (margin {margin:g})"
             )
 

@@ -9,7 +9,9 @@ unit 4-sphere has R = +Id on bivectors and scalar curvature +12, where
 the scalar curvature is recovered as four times the trace of either
 diagonal block of the 6x6 operator.
 
-One geometry pass per point p, PointGeometry:
+One geometry pass over base points p of shape (..., 4), PointGeometry;
+every array it holds leads with p's axes, so a point (4,) gives the
+single-point shapes and harness.check's 4 points are one pass:
 
 1. the metric is evaluated once on a 113-point stencil: the centre, 16
    axis points (p +- h e_k, p +- 2h e_k) shared by the first and the
@@ -17,14 +19,13 @@ One geometry pass per point p, PointGeometry:
    a, b in {-2, -1, 1, 2}, k < l).  The 4th-order formulas use integer
    weights and one division each, so a constant metric has exactly zero
    derivatives.  MetricSpec.g is batched (points (..., 4) -> metrics
-   (..., 4, 4)), so the 17 near points are one g call and the 96 mixed
-   points another; a g that returns any other shape raises
+   (..., 4, 4)), so the near points of every base point are one g call
+   and the mixed points another; a g that returns any other shape raises
    InvalidInputError.  The mixed points are evaluated only when
-   curvature is asked for; a connection-only caller pays one call of 17
-   points.
+   curvature is asked for; a connection-only caller pays one call.
 2. frame: e = lower Cholesky factor of g(p)^{-1}, so the columns of e
    are an oriented orthonormal frame (e^T g e = Id, det e > 0) varying
-   smoothly with p.
+   smoothly with p; an error names the first point where g is not SPD.
 3. connection: Gamma^k_{ij} from dg, and the frame connection matrices
    Upsilon_a (so(4)-valued), expressing nabla_{theta_a} theta_b over the
    frame.  The frame is differentiated in closed form: for A = g^{-1} =
@@ -48,8 +49,9 @@ One geometry pass per point p, PointGeometry:
    form diag(rc, rc) on the 8-dimensional generalized tangent space,
    both contracted from rf; the twistor residual kernel reads rf itself.
 
-christoffel, curvature_operator and generalized_curvature are entry
-points into the same object, so flags and residuals read one geometry.
+christoffel and curvature_operator (one point) and generalized_curvature
+(any batch) are entry points into the same object, so flags and
+residuals read one geometry.
 """
 
 from __future__ import annotations
@@ -125,40 +127,45 @@ class CurvatureBlocks:
     scalar: float
 
 
-def _frame(p: np.ndarray, g: np.ndarray) -> FrameData:
-    if not np.allclose(g, g.T, atol=1e-12):
-        raise InvalidInputError(f"metric at {p.tolist()} is not symmetric")
+def _frame(p: np.ndarray, g: np.ndarray) -> tuple[FrameData, np.ndarray]:
+    """Frame at points p (..., 4), and the g^{-1} it factors; errors name the first bad point."""
+    sym = np.isclose(g, np.swapaxes(g, -1, -2), atol=1e-12).all(axis=(-2, -1))
+    if not sym.all():
+        raise InvalidInputError(f"metric at {np.reshape(p, (-1, 4))[np.argmin(sym)].tolist()} is not symmetric")
     try:
-        e = np.linalg.cholesky(np.linalg.inv(g))
+        ginv = np.linalg.inv(g)
+        e = np.linalg.cholesky(ginv)
     except np.linalg.LinAlgError as exc:
-        raise InvalidInputError(f"metric at {p.tolist()} is not positive definite") from exc
-    return FrameData(e=e, einv=np.linalg.inv(e))
+        bad = np.reshape(p, (-1, 4))[np.argmin(np.linalg.eigvalsh(g)[..., 0] > 0.0)]
+        raise InvalidInputError(f"metric at {bad.tolist()} is not positive definite") from exc
+    return FrameData(e=e, einv=np.linalg.inv(e)), ginv
 
 
 def orthonormal_frame(metric: MetricSpec, p: np.ndarray) -> FrameData:
     """Deterministic smooth orthonormal frame from the Cholesky factor."""
     p = np.asarray(p, dtype=float)
-    return _frame(p, np.asarray(metric.g(p), dtype=float))
+    return _frame(p, np.asarray(metric.g(p), dtype=float))[0]
 
 
 def _evaluate(metric: MetricSpec, points: np.ndarray) -> np.ndarray:
-    """The metric at n points, one batched g call: (n, 4) -> (n, 4, 4)."""
+    """The metric at points (..., 4), one batched g call: -> (..., 4, 4)."""
     out = np.asarray(metric.g(points), dtype=float)
-    if out.shape != (len(points), 4, 4):
+    if out.shape != points.shape[:-1] + (4, 4):
         raise InvalidInputError(
-            f"metric {metric.name!r} returned shape {out.shape} for {len(points)} points; "
+            f"metric {metric.name!r} returned shape {out.shape} for points of shape {points.shape}; "
             f"MetricSpec.g must map points of shape (..., 4) to metrics of shape (..., 4, 4)"
         )
     return out
 
 
 class PointGeometry:
-    """Everything the pipeline needs at one base point, from one stencil.
+    """Everything the pipeline needs at base points p (..., 4), from one
+    stencil each; every array leads with p's leading axes.
 
-    Built from one g call on 17 points (g, dg, the pure second
-    derivatives, Gamma and the frame); d2g and everything that needs it
-    are computed on first use, from one more call on the 96 mixed points.
-    See the module docstring for the steps."""
+    Built from one g call on 17 points per base point (g, dg, the pure
+    second derivatives, Gamma and the frame); d2g and everything that
+    needs it are computed on first use, from one more call on 96 points
+    per base point.  See the module docstring for the steps."""
 
     def __init__(self, metric: MetricSpec, p: np.ndarray, h: float | None = None):
         p = np.asarray(p, dtype=float)
@@ -166,25 +173,26 @@ class PointGeometry:
             h = metric.fd_step
         metric.require_interior(p, 2.0 * h)
         self._metric, self.point, self.h = metric, p, h
-        near = _evaluate(metric, p + _NEAR * h)
-        self.g = g = near[0]
-        ax = near[1:].reshape(4, 4, 4, 4)  # ax[k, step] = g(p + step h e_k)
-        self.frame = _frame(p, g)
-        self.ginv = ginv = np.linalg.inv(g)
-        self.dg = dg = (ax[:, 0] - 8 * ax[:, 1] + 8 * ax[:, 2] - ax[:, 3]) / (12.0 * h)
-        self._pure = (-ax[:, 3] + 16 * ax[:, 2] - 30 * g + 16 * ax[:, 1] - ax[:, 0]) / (12 * h * h)
+        near = _evaluate(metric, p[..., None, :] + _NEAR * h)
+        self.g = g = near[..., 0, :, :]
+        # ax[..., k, step, :, :] = g(p + step h e_k)
+        ax = near[..., 1:, :, :].reshape(p.shape[:-1] + (4, 4, 4, 4))
+        self.frame, self.ginv = _frame(p, g)
+        a0, a1, a2, a3 = (ax[..., s, :, :] for s in range(4))
+        self.dg = dg = (a0 - 8 * a1 + 8 * a2 - a3) / (12.0 * h)
+        self._pure = (-a3 + 16 * a2 - 30 * g[..., None, :, :] + 16 * a1 - a0) / (12 * h * h)
         # d_m g^{kl} = -g^{ka} dg[m,a,b] g^{bl}
-        self.dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+        self.dginv = -np.einsum("...ka,...mab,...bl->...mkl", self.ginv, dg, self.ginv)
         # Gamma^k_{ij} = g^{kl} ( d_i g_{jl} + d_j g_{il} - d_l g_{ij} ) / 2
-        self._y = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-        self.gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, self._y)
+        self._y = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+        self.gamma = 0.5 * np.einsum("...kl,...ijl->...kij", self.ginv, self._y)
 
     @cached_property
     def frame_derivative(self) -> np.ndarray:
-        """de[i] = d_i e in closed form: e Phi(e^{-1} d_i(g^{-1}) e^{-T})."""
-        e, einv = self.frame.e, self.frame.einv
-        phi = np.tril(einv @ self.dginv @ einv.T)
-        phi[:, _DIAG, _DIAG] *= 0.5
+        """de[..., i, :, :] = d_i e in closed form: e Phi(e^{-1} d_i(g^{-1}) e^{-T})."""
+        e, einv = self.frame.e[..., None, :, :], self.frame.einv[..., None, :, :]
+        phi = np.tril(einv @ self.dginv @ np.swapaxes(einv, -1, -2))
+        phi[..., _DIAG, _DIAG] *= 0.5
         return e @ phi
 
     @cached_property
@@ -192,9 +200,10 @@ class PointGeometry:
         """The frame connection Upsilon_a[c, b] =
         theta*_c( nabla_{theta_a} theta_b )."""
         e, einv = self.frame.e, self.frame.einv
-        cov = np.einsum("ia,ikb->akb", e, self.frame_derivative) + np.einsum("kij,ia,jb->akb", self.gamma, e, e)
-        ups = einv @ cov
-        skew = np.swapaxes(ups, 1, 2)
+        cov = np.einsum("...ia,...ikb->...akb", e, self.frame_derivative)
+        cov += np.einsum("...kij,...ia,...jb->...akb", self.gamma, e, e)
+        ups = einv[..., None, :, :] @ cov
+        skew = np.swapaxes(ups, -1, -2)
         return ConnectionData(
             upsilon=0.5 * (ups - skew),
             antisymmetry_defect=float(np.abs(ups + skew).max()),
@@ -202,62 +211,64 @@ class PointGeometry:
 
     @cached_property
     def d2g(self) -> np.ndarray:
-        """d2g[l, k, i, j] = d_l d_k g_ij; the 96 mixed stencil points."""
-        h = self.h
-        mx = _evaluate(self._metric, self.point + _MIXED * h).reshape(6, 4, 4, 4, 4)
-        mixed = np.einsum("b,a,pbaij->pij", _W1, _W1, mx) / (144 * h * h)
-        d2g = np.empty((4, 4, 4, 4))
-        d2g[_DIAG, _DIAG] = self._pure
-        d2g[_PAIR_I, _PAIR_J] = mixed
-        d2g[_PAIR_J, _PAIR_I] = mixed
+        """d2g[..., l, k, i, j] = d_l d_k g_ij; the 96 mixed stencil points."""
+        h, lead = self.h, self.point.shape[:-1]
+        mx = _evaluate(self._metric, self.point[..., None, :] + _MIXED * h).reshape(lead + (6, 4, 4, 4, 4))
+        mixed = np.einsum("b,a,...pbaij->...pij", _W1, _W1, mx) / (144 * h * h)
+        d2g = np.empty(lead + (4, 4, 4, 4))
+        d2g[..., _DIAG, _DIAG, :, :] = self._pure
+        d2g[..., _PAIR_I, _PAIR_J, :, :] = mixed
+        d2g[..., _PAIR_J, _PAIR_I, :, :] = mixed
         return d2g
 
     @cached_property
     def riemann(self) -> np.ndarray:
-        """Coordinate curvature R[l, k, i, j]: R(d_i, d_j) d_k = R[l,k,i,j] d_l.
+        """Coordinate curvature R[..., l, k, i, j]: R(d_i, d_j) d_k = R[l,k,i,j] d_l.
 
         Uses the sign convention of the module docstring.  The derivative
         of Gamma is expanded through dg and d2g, so only the metric itself
         is ever finite-differenced."""
         d2g, gamma = self.d2g, self.gamma
         # d_m Gamma^k_{ij}, with the Gamma derivative expanded over dg and d2g
-        z = d2g + np.einsum("mjil->mijl", d2g) - np.einsum("mlij->mijl", d2g)
-        dgamma = 0.5 * (np.einsum("mkl,ijl->mkij", self.dginv, self._y) + np.einsum("kl,mijl->mkij", self.ginv, z))
+        z = d2g + np.einsum("...mjil->...mijl", d2g) - np.einsum("...mlij->...mijl", d2g)
+        dgamma = np.einsum("...mkl,...ijl->...mkij", self.dginv, self._y)
+        dgamma = 0.5 * (dgamma + np.einsum("...kl,...mijl->...mkij", self.ginv, z))
         # R[l,k,i,j] = d_j Gamma^l_{ik} - d_i Gamma^l_{jk}
         #            + Gamma^l_{jm} Gamma^m_{ik} - Gamma^l_{im} Gamma^m_{jk}
         return (
-            np.einsum("jlik->lkij", dgamma)
-            - np.einsum("iljk->lkij", dgamma)
-            + np.einsum("ljm,mik->lkij", gamma, gamma)
-            - np.einsum("lim,mjk->lkij", gamma, gamma)
+            np.einsum("...jlik->...lkij", dgamma)
+            - np.einsum("...iljk->...lkij", dgamma)
+            + np.einsum("...ljm,...mik->...lkij", gamma, gamma)
+            - np.einsum("...lim,...mjk->...lkij", gamma, gamma)
         )
 
     @cached_property
     def rf(self) -> np.ndarray:
-        """Antisymmetric frame curvature, rf[a, b] = R(theta_a, theta_b) as a
-        4x4 endomorphism, so that rc(x ^ y) = x^a y^b rf[a, b].
+        """Antisymmetric frame curvature, rf[..., a, b, :, :] = R(theta_a,
+        theta_b) as a 4x4 endomorphism, so that rc(x ^ y) = x^a y^b rf[a, b].
 
         Each R(theta_a, theta_b) is antisymmetric (an so(4) element) up to
         finite-difference error; the exact antisymmetrization is applied so
         that downstream bivector algebra sees honest Lie algebra elements."""
         e, einv = self.frame.e, self.frame.einv
-        mats = np.einsum("lkij,ip,jp->plk", self.riemann, e[:, _PAIR_I], e[:, _PAIR_J])
-        f = einv @ mats @ e
-        f = 0.5 * (f - np.swapaxes(f, 1, 2))
-        rf = np.zeros((4, 4, 4, 4))
-        rf[_PAIR_I, _PAIR_J] = f
-        rf[_PAIR_J, _PAIR_I] = -f
+        mats = np.einsum("...lkij,...ip,...jp->...plk", self.riemann, e[..., _PAIR_I], e[..., _PAIR_J])
+        f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
+        f = 0.5 * (f - np.swapaxes(f, -1, -2))
+        rf = np.zeros(self.point.shape[:-1] + (4, 4, 4, 4))
+        rf[..., _PAIR_I, _PAIR_J, :, :] = f
+        rf[..., _PAIR_J, _PAIR_I, :, :] = -f
         return rf
 
     @cached_property
     def operator(self) -> CurvatureOperator:
-        """6x6 bivector curvature operator over the orthonormal frame."""
+        """6x6 bivector curvature operator over the orthonormal frame,
+        one per base point."""
         # pair coords of R(pair), one column per pair
-        cols = self.rf[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_J, _PAIR_I].T
+        cols = np.swapaxes(self.rf[..., _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_J, _PAIR_I], -1, -2)
         return CurvatureOperator(matrix=U6 @ cols @ U6.T)
 
     def rc(self, omega: np.ndarray) -> np.ndarray:
-        """Underlying 4x4 curvature image of a frame bivector."""
+        """Underlying 4x4 curvature image of a frame bivector (one base point)."""
         return np.tensordot(pair_coords(omega), self.rf[_PAIR_I, _PAIR_J], axes=1)
 
     def rg(self, omega: np.ndarray) -> np.ndarray:
@@ -266,8 +277,8 @@ class PointGeometry:
 
 
 def generalized_curvature(metric: MetricSpec, p: np.ndarray) -> PointGeometry:
-    """The per-point geometry: doubled curvature on the generalized
-    tangent space, the frame curvature and the 6x6 operator."""
+    """The geometry at points p (..., 4): doubled curvature on the
+    generalized tangent space, the frame curvature and the 6x6 operators."""
     return PointGeometry(metric, p)
 
 

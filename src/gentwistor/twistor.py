@@ -46,10 +46,14 @@ With u_a t_i the i-th column of u_a, the curvature terms at (i, j) are
     R(u_a t_i ^ u_b t_j)                = u_a[a, i] u_b[b, j] Rf[a, b]
     R(u_a t_i ^ t_j) + R(t_i ^ u_b t_j) = u_a[a, i] Rf[a, j] + u_b[b, j] Rf[i, b]
 
-fiber_residuals evaluates them as einsums for a batch of fibers x the
-six families x the 12 ordered pairs in one call, takes the Frobenius
-norms and keeps the maximum over the pairs of each family.  J1 is its
-(C1, C2) columns and semi its C2 column alone; constraints_genJ,
+fiber_residuals evaluates them as einsums over a geometry's base points
+(...) x a batch of fibers x the families x the 12 ordered pairs, and
+returns the Frobenius norms, maximised over the pairs, as an array
+(..., fiber, family).  R(omega1) and R(omega2) depend only on a family's
+two wedge slots, so they are evaluated once per distinct slot pair (3
+for J, 1 for J1 and semi).  The (point, fiber) pairs run in blocks of
+_BLOCK, which bounds memory; a value does not depend on its block.  J1
+is the (C1, C2) columns and semi the C2 column alone; constraints_genJ,
 constraints_J1 and semi_integrability_residual are one-fiber calls into
 it.  _constraint_block evaluates one family at one pair through
 PointGeometry.rc, the contraction of Rf with one bivector, and is the
@@ -207,29 +211,34 @@ def _constraint_block(
 
 
 # Blocks feeding each family, as indices into (u1, u2): first wedge slot,
-# second wedge slot, commutator.  J1 reads the first two columns of the
-# kernel and semi the second one alone.
+# second wedge slot, commutator.  Per kind: the labels, the distinct wedge
+# slot pairs, each family's slot pair and its commutator block.
 _FAMILY_SLOTS = np.array([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1)])
-_KIND_COLUMNS = {
-    StructureKind.GENJ: (GENJ_LABELS, slice(0, 6)),
-    StructureKind.ALMOST_J1: (J1_LABELS, slice(0, 2)),
-    StructureKind.SEMI: (("C2'",), slice(1, 2)),
+_KIND_PLANS = {
+    kind: (labels, *np.unique(_FAMILY_SLOTS[columns, :2], axis=0, return_inverse=True), _FAMILY_SLOTS[columns, 2])
+    for kind, labels, columns in (
+        (StructureKind.GENJ, GENJ_LABELS, slice(0, 6)),
+        (StructureKind.ALMOST_J1, J1_LABELS, slice(0, 2)),
+        (StructureKind.SEMI, ("C2'",), slice(1, 2)),
+    )
 }
 _PAIR_I, _PAIR_J = np.array(_ORDERED_PAIRS).T
+# (point, fiber) pairs per kernel block: about 13 MB of J temporaries
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class FiberResiduals:
-    """Kernel output for a batch of fibers over one base point.
+    """Kernel output for a batch of fibers over the base points of gc.
 
-    norms[n, k] is the Frobenius norm of family labels[k] at fibers[n],
-    maximised over the 12 ordered index pairs."""
+    norms[..., n, k] is the Frobenius norm of family labels[k] at fibers[n]
+    over base point [...], maximised over the 12 ordered index pairs."""
 
     labels: tuple[str, ...]
     norms: np.ndarray
 
     def fiber(self, n: int) -> ConstraintResiduals:
-        """The residuals of fibers[n] in the one-fiber form."""
+        """The residuals of fibers[n] over a one-point gc, in the one-fiber form."""
         return ConstraintResiduals({label: float(v) for label, v in zip(self.labels, self.norms[n])})
 
 
@@ -239,26 +248,32 @@ def fiber_residuals(
     kind: StructureKind = StructureKind.GENJ,
 ) -> FiberResiduals:
     """All residual families of one structure kind, for a batch of fibers
-    over the base point of gc, in one numpy evaluation."""
+    over each base point of gc, in blocks of _BLOCK (point, fiber) pairs."""
     if not fibers:
         raise UsageError("need at least one fiber point")
     if kind is StructureKind.SEMI and not all(f.tag.mixed for f in fibers):
         raise UsageError("semi-integrability is defined on the mixed components only")
-    labels, columns = _KIND_COLUMNS[kind]
-    slots = _FAMILY_SLOTS[columns]
+    labels, slot_pairs, family_pair, commutator = _KIND_PLANS[kind]
     u = np.array([fiber_to_structures(f) for f in fibers])  # (fiber, block, 4, 4)
-    # columns i of u_a and j of u_b, one per ordered pair: (fiber, family, 4, pair)
-    ua = u[:, slots[:, 0]][..., _PAIR_I]
-    ub = u[:, slots[:, 1]][..., _PAIR_J]
-    uc = u[:, slots[:, 2], None]
-    rf = gc.rf
-    # the curvature terms of the module docstring: rc1 = R(w1), rc2 = R(w2)
-    wedge_ab = np.einsum("fkan,fkbn->fknab", ua, ub)
-    rc1 = rf[_PAIR_I, _PAIR_J] - np.einsum("fknab,abpq->fknpq", wedge_ab, rf)
-    rc2 = np.einsum("fkan,anpq->fknpq", ua, rf[:, _PAIR_J]) + np.einsum("fkbn,nbpq->fknpq", ub, rf[_PAIR_I])
-    inner = rc1 + uc @ rc2
-    e = uc @ inner - inner @ uc  # (fiber, family, pair, 4, 4)
-    return FiberResiduals(labels, np.linalg.norm(e, axis=(-2, -1)).max(axis=2))
+    rf_points = gc.rf.reshape(-1, 4, 4, 4, 4)
+    norms = np.empty((len(rf_points) * len(fibers), len(labels)))
+    for start in range(0, len(norms), _BLOCK):
+        # x runs over the block's (point, fiber) pairs, point-major
+        point, fiber = np.divmod(np.arange(start, min(start + _BLOCK, len(norms))), len(fibers))
+        rf, ux = rf_points[point], u[fiber]
+        # columns i of u_a and j of u_b, one per ordered pair: (x, slot pair, 4, pair)
+        ua = ux[:, slot_pairs[:, 0]][..., _PAIR_I]
+        ub = ux[:, slot_pairs[:, 1]][..., _PAIR_J]
+        uc = ux[:, commutator, None]
+        # the curvature terms of the module docstring, once per slot pair:
+        # rc1 = R(w1), rc2 = R(w2)
+        wedge_ab = np.einsum("xsan,xsbn->xsnab", ua, ub)
+        rc1 = rf[:, None, _PAIR_I, _PAIR_J] - np.einsum("xsnab,xabpq->xsnpq", wedge_ab, rf)
+        rc2 = np.einsum("xsan,xanpq->xsnpq", ua, rf[:, :, _PAIR_J]) + np.einsum("xsbn,xnbpq->xsnpq", ub, rf[:, _PAIR_I])
+        inner = rc1[:, family_pair] + uc @ rc2[:, family_pair]
+        e = uc @ inner - inner @ uc  # (x, family, pair, 4, 4)
+        norms[start:start + len(point)] = np.linalg.norm(e, axis=(-2, -1)).max(axis=2)
+    return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-4] + (len(fibers), len(labels))))
 
 
 def constraints_genJ(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,3 +223,16 @@ def test_flags_embedded_in_report_match_classify():
     r = check(m, ComponentTag.MM, StructureKind.GENJ, base_samples=3, fiber_samples=2, seed=SEED)
     direct = classify_metric(m, n_points=3, seed=SEED)
     assert r.flags == direct
+
+
+def test_check_memory_does_not_grow_with_the_grid():
+    # the residual kernel runs over fixed-size blocks of (point, fiber)
+    # pairs; evaluated at once, 4 x 2000 pairs took about 124 MB
+    m = metric_by_name("s4")
+    tracemalloc.start()
+    try:
+        check(m, ComponentTag.PP, StructureKind.GENJ, fiber_samples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gentwistor.bivector import basis_wedge
 from gentwistor.calculus import partial
+from gentwistor.dsl import load_metric_file
 from gentwistor.errors import DecompositionError, DomainError, InvalidInputError
 from gentwistor.gca import ComponentTag
 from gentwistor.harness import check
@@ -21,6 +24,11 @@ from gentwistor.riemann import (
     orthonormal_frame,
 )
 from gentwistor.twistor import StructureKind, TwistorPoint, random_fiber
+
+# the six built-ins and the DSL transcription of s4 that bench/run.py loads
+BATCH_METRICS = [CATALOG[name] for name in sorted(CATALOG)] + [
+    load_metric_file(str(Path(__file__).resolve().parents[1] / "bench" / "dsl" / "s4.cfg"))
+]
 
 
 def test_orthonormal_frame_properties():
@@ -136,12 +144,13 @@ def _counted(metric):
 
 def test_metric_evaluation_counts():
     # the stencil has 1 + 16 + 96 points, one g call for the first 17 (all
-    # a connection needs) and one for the 96 mixed points
+    # a connection needs) and one for the 96 mixed points; check batches
+    # both over its 4 base points
     s4 = metric_by_name("s4")
     p = np.array([0.1, -0.2, 0.3, 0.05])
     m, calls = _counted(s4)
     check(m, ComponentTag.PP, StructureKind.GENJ)
-    assert sum(calls) == 4 * 113 and len(calls) == 4 * 2
+    assert sum(calls) == 4 * 113 and len(calls) == 2
     m, calls = _counted(s4)
     geo = generalized_curvature(m, p)
     geo.rf, geo.operator, geo.connection
@@ -153,6 +162,52 @@ def test_metric_evaluation_counts():
     tp = TwistorPoint(p, random_fiber(ComponentTag.PP, np.random.default_rng(3)))
     nijenhuis_numeric(m, tp, (("h+", 0), ("h-", 2)), StructureKind.GENJ)
     assert sum(calls) == 450
+
+
+@pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.name)
+def test_batched_geometry_equals_per_point(metric):
+    # a geometry over points (..., 4) holds, at each point, the arrays of
+    # that point's own geometry, bit for bit
+    points = metric.interior_points(4, np.random.default_rng(23))
+    batch = generalized_curvature(metric, points)
+    assert batch.rf.shape == (4, 4, 4, 4, 4) and batch.operator.matrix.shape == (4, 6, 6)
+    for n, p in enumerate(points):
+        one = generalized_curvature(metric, p)
+        assert np.array_equal(batch.gamma[n], one.gamma)
+        assert np.array_equal(batch.connection.upsilon[n], one.connection.upsilon)
+        assert np.array_equal(batch.rf[n], one.rf)
+        assert np.array_equal(batch.operator.matrix[n], one.operator.matrix)
+    grid = generalized_curvature(metric, points.reshape(2, 2, 4))
+    assert np.array_equal(grid.rf.reshape(batch.rf.shape), batch.rf)
+
+
+def test_batched_errors_name_the_offending_point():
+    # identity except in a small ball around the third of check()'s four
+    # sampled points (seed 0), where g is indefinite or not symmetric
+    points = metric_by_name("flat").interior_points(4, np.random.default_rng([0, 0]))
+    q = points[2]
+
+    def spec(row, col):
+        def g(p):
+            bump = np.exp(-np.sum((p - q) ** 2, axis=-1) / 0.05**2)
+            out = np.broadcast_to(np.eye(4), p.shape[:-1] + (4, 4)).copy()
+            out[..., row, col] -= 2.0 * bump
+            return out
+
+        return MetricSpec(f"bump-{row}{col}", -1.0, 1.0, g)
+
+    indefinite, asymmetric = spec(0, 0), spec(0, 1)
+    named = re.escape(f"metric at {q.tolist()} is not positive definite")
+    with pytest.raises(InvalidInputError, match=named):
+        check(indefinite, ComponentTag.PP, StructureKind.GENJ)
+    with pytest.raises(InvalidInputError, match=named):
+        generalized_curvature(indefinite, points)
+    with pytest.raises(InvalidInputError, match=re.escape(f"metric at {q.tolist()} is not symmetric")):
+        generalized_curvature(asymmetric, points)
+    outside = points.copy()
+    outside[1, 3] = 1.5
+    with pytest.raises(DomainError, match=re.escape(f"point {outside[1].tolist()} too close")):
+        generalized_curvature(indefinite, outside)
 
 
 def test_domain_guard_near_boundary():

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gentwistor import twistor
+from gentwistor.dsl import load_metric_file
 from gentwistor.errors import InvalidInputError, UsageError
 from gentwistor.bivector import sd_asd_coords
 from gentwistor.gca import BasisTag, ComponentTag
@@ -448,6 +452,45 @@ def test_kernel_fibers_bit_identical_across_batch_sizes(kind):
             part = fiber_residuals(gc, fibers[start:start + size], kind)
             window = slice(start, start + size)
             assert np.array_equal(part.norms, full.norms[window])
+
+
+# the six built-ins and the DSL transcription of s4 that bench/run.py loads
+BATCH_METRICS = [CATALOG[name] for name in sorted(CATALOG)] + [
+    load_metric_file(str(Path(__file__).resolve().parents[1] / "bench" / "dsl" / "s4.cfg"))
+]
+
+
+@pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.name)
+def test_batched_kernel_equals_per_point(metric, monkeypatch):
+    """Over a 4-point geometry the kernel gives norms (point, fiber,
+    family), each bit-identical to the point's own kernel call, whatever
+    the block size."""
+    points = metric.interior_points(4, np.random.default_rng(85))
+    batch = generalized_curvature(metric, points)
+    singles = [generalized_curvature(metric, p) for p in points]
+    rng = np.random.default_rng(86)
+    for kind in StructureKind:
+        tags = (ComponentTag.PM, ComponentTag.MP) if kind is StructureKind.SEMI else tuple(ComponentTag)
+        fibers = [random_fiber(tags[n % len(tags)], rng) for n in range(6)]
+        full = fiber_residuals(batch, fibers, kind)
+        assert full.norms.shape == (4, 6, len(full.labels))
+        for n, gc in enumerate(singles):
+            assert np.array_equal(full.norms[n], fiber_residuals(gc, fibers, kind).norms)
+        for block in (1, 5):  # blocks that cut across points
+            monkeypatch.setattr(twistor, "_BLOCK", block)
+            assert np.array_equal(fiber_residuals(batch, fibers, kind).norms, full.norms)
+        monkeypatch.undo()
+
+
+def test_curvature_terms_once_per_slot_pair():
+    # R(omega1) and R(omega2) depend on a family's two wedge slots only:
+    # J evaluates them for 3 slot pairs, J1 and semi for 1
+    pairs = {kind: twistor._KIND_PLANS[kind][1].tolist() for kind in StructureKind}
+    assert pairs == {
+        StructureKind.GENJ: [[0, 0], [0, 1], [1, 1]],
+        StructureKind.ALMOST_J1: [[0, 0]],
+        StructureKind.SEMI: [[0, 0]],
+    }
 
 
 def test_kernel_validation():
