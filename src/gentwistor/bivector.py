@@ -47,10 +47,10 @@ def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def basis_wedge(i: int, j: int) -> np.ndarray:
-    """e_i ^ e_j as a 4x4 matrix (sends e_i to e_j)."""
+    """e_i ^ e_j as a 4x4 matrix (sends e_i to e_j; zero for i == j)."""
     m = np.zeros((4, 4))
-    m[j, i] = 1.0
-    m[i, j] = -1.0
+    m[j, i] += 1.0
+    m[i, j] -= 1.0
     return m
 
 
@@ -97,8 +97,12 @@ def sd_asd_coords(a: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def unit_combination(c: np.ndarray, sign: int) -> np.ndarray:
-    """u = c1 I + c2 J + c3 K for the triple of the given sign."""
+    """u = c1 I + c2 J + c3 K for the triple of the given sign, c (..., 3);
+    I, J and K have disjoint supports, so each entry is +-c_k or zero."""
     i, j, k = TRIPLES[sign]
+    if np.ndim(c) > 1:
+        c = np.asarray(c)[..., None, None]
+        return c[..., 0, :, :] * i + c[..., 1, :, :] * j + c[..., 2, :, :] * k
     return c[0] * i + c[1] * j + c[2] * k
 
 

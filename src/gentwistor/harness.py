@@ -54,8 +54,8 @@ from .twistor import (  # noqa: F401
     StructureKind,
     constraints_J1,
     constraints_genJ,
+    fiber_blocks,
     fiber_residuals,
-    random_fiber,
     semi_integrability_residual,
 )
 
@@ -108,13 +108,12 @@ class CurvatureFlags:
 
 def _flags_over(matrices: np.ndarray) -> CurvatureFlags:
     """Flags from the sup over a stack of operator matrices (n, 6, 6)."""
-    wp = wm = bn = sn = 0.0
-    for m in matrices:
-        blocks = decompose(CurvatureOperator(m))
-        wp = max(wp, float(np.linalg.norm(blocks.wplus)))
-        wm = max(wm, float(np.linalg.norm(blocks.wminus)))
-        bn = max(bn, float(np.linalg.norm(blocks.b)))
-        sn = max(sn, abs(float(blocks.scalar)))
+    blocks = decompose(CurvatureOperator(matrices))
+    # np.linalg.norm of a block is the sqrt of vecdot's dot product of its
+    # flattened entries, and the sqrt of the largest is the largest norm
+    flat = [x.reshape(-1, 9) for x in (blocks.wplus, blocks.wminus, blocks.b)]
+    wp, wm, bn = (float(np.sqrt(np.vecdot(x, x).max())) for x in flat)
+    sn = float(np.abs(blocks.scalar).max())
     threshold = DEFAULT_FLAG_THRESHOLD
     zeros = (wp < threshold, wm < threshold, bn < threshold, sn < threshold)
     return CurvatureFlags(
@@ -223,8 +222,9 @@ def check(
 
     t0 = time.perf_counter()
     points = metric.interior_points(base_samples, np.random.default_rng([seed, 0]))
-    rng_fiber = np.random.default_rng([seed, 1])
-    fibers = [random_fiber(component, rng_fiber) for _ in range(fiber_samples)]
+    # fiber_samples random_fiber draws, bit for bit: vecdot is np.linalg.norm's dot
+    fibers = np.random.default_rng([seed, 1]).normal(size=(fiber_samples, 2, 3))
+    fibers /= np.sqrt(np.vecdot(fibers, fibers))[..., None]
 
     # one geometry over all points: the flags read its operators, the
     # residual kernel its frame curvature
@@ -234,7 +234,7 @@ def check(
 
     # one kernel call; the first strict maximum in (point, fiber, family)
     # order names the worst point, fiber and constraint
-    result = fiber_residuals(geometry, fibers, kind)
+    result = fiber_residuals(geometry, fiber_blocks(component, fibers), kind)
     norms = result.norms  # (point, fiber, family)
     ip, jf, kf = np.unravel_index(np.argmax(norms), norms.shape)
     max_residual = float(norms[ip, jf, kf])
@@ -257,7 +257,7 @@ def check(
         tolerance=float(tol),
         max_residual=float(max_residual),
         worst_point=tuple(float(x) for x in worst_point),
-        worst_fiber=tuple(float(x) for x in np.concatenate([worst_fiber.a, worst_fiber.b])),
+        worst_fiber=tuple(float(x) for x in worst_fiber.ravel()),
         worst_constraint=worst_label,
         flags=flags,
         prediction=predicted,

@@ -124,7 +124,7 @@ class CurvatureBlocks:
     wplus: np.ndarray
     wminus: np.ndarray
     b: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
 
 
 def _frame(p: np.ndarray, g: np.ndarray) -> tuple[FrameData, np.ndarray]:
@@ -293,28 +293,28 @@ def curvature_operator(metric: MetricSpec, p: np.ndarray) -> CurvatureOperator:
 
 
 def decompose(op: CurvatureOperator) -> CurvatureBlocks:
-    """Split a (symmetric, trace-balanced) curvature operator into blocks.
+    """Split (symmetric, trace-balanced) curvature operators (..., 6, 6).
 
-    The operator is symmetrized after checking the defect is below 1e-5;
+    Each operator is symmetrized after checking the defect is below 1e-5;
     both Weyl blocks are centered by their own traces so they come out
     exactly traceless, and the two scalar-curvature readings (4x either
-    diagonal trace) must agree within 1e-5.
+    diagonal trace) must agree within 1e-5.  An error names the readings
+    of the first operator that fails either check.
     """
     m = op.matrix
-    defect = float(np.abs(m - m.T).max())
-    if defect > _SYM_TOL:
-        raise DecompositionError(
-            f"curvature operator asymmetric beyond tolerance: defect {defect:.3e}"
-        )
-    ms = 0.5 * (m + m.T)
-    ul, lr, ur = ms[:3, :3], ms[3:, 3:], ms[:3, 3:]
-    s_plus = 4.0 * float(np.trace(ul))
-    s_minus = 4.0 * float(np.trace(lr))
-    if abs(s_plus - s_minus) > _TRACE_TOL:
-        raise DecompositionError(
-            f"scalar curvature mismatch between duality halves: "
-            f"{s_plus:.6e} vs {s_minus:.6e}"
-        )
-    wplus = ul - (np.trace(ul) / 3.0) * np.eye(3)
-    wminus = lr - (np.trace(lr) / 3.0) * np.eye(3)
+    mt = np.swapaxes(m, -1, -2)
+    defect = np.abs(m - mt).max(axis=(-2, -1))
+    ms = 0.5 * (m + mt)
+    ul, lr, ur = ms[..., :3, :3], ms[..., 3:, 3:], ms[..., :3, 3:]
+    t_plus, t_minus = np.trace(ul, axis1=-2, axis2=-1), np.trace(lr, axis1=-2, axis2=-1)
+    s_plus, s_minus = 4.0 * t_plus, 4.0 * t_minus
+    bad = (defect > _SYM_TOL) | (abs(s_plus - s_minus) > _TRACE_TOL)
+    if bad.any():
+        k = np.argmax(bad)  # flat index of the first failing operator
+        if defect.flat[k] > _SYM_TOL:
+            raise DecompositionError(f"curvature operator asymmetric beyond tolerance: defect {defect.flat[k]:.3e}")
+        raise DecompositionError(f"scalar curvature mismatch between duality halves: "
+                                 f"{s_plus.flat[k]:.6e} vs {s_minus.flat[k]:.6e}")
+    wplus = ul - (t_plus / 3.0)[..., None, None] * np.eye(3)
+    wminus = lr - (t_minus / 3.0)[..., None, None] * np.eye(3)
     return CurvatureBlocks(wplus=wplus, wminus=wminus, b=ur, scalar=s_plus)

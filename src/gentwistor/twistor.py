@@ -21,10 +21,10 @@ the constraint family is
 
     E = [u_c, R(omega1) + u_c R(omega2)]      c in {1, 2}
 
-maximised over the 12 ordered frame index pairs (i, j), i != j.  The
-plus sign in omega2 is fixed by the finite-difference Nijenhuis oracle:
-on a pure-component fiber of the round sphere its horizontal blocks
-match the closed form only with this sign (acceptance criterion 6 and
+maximised over the 16 ordered frame index pairs (i, j).  The plus
+sign in omega2 is fixed by the finite-difference Nijenhuis oracle: on a
+pure-component fiber of the round sphere its horizontal blocks match
+the closed form only with this sign (acceptance criterion 6 and
 test_unit_sphere_horizontal_pairs_match_closed_form).  The labels:
 
     C1: args (u1, u1), commutator u1      C2: args (u1, u1), commutator u2
@@ -38,27 +38,24 @@ and is meaningful on the mixed components where it detects exactly the
 Einstein condition.
 
 Every family is linear in the frame curvature.  PointGeometry.rf is
-its one stored form, the antisymmetric array Rf[a, b] = R(t_a, t_b), a
-4x4 endomorphism for each frame pair, so that R(x ^ y) = x^a y^b Rf[a, b].
-With u_a t_i the i-th column of u_a, the curvature terms at (i, j) are
-
-    R(t_i ^ t_j)                        = Rf[i, j]
-    R(u_a t_i ^ u_b t_j)                = u_a[a, i] u_b[b, j] Rf[a, b]
-    R(u_a t_i ^ t_j) + R(t_i ^ u_b t_j) = u_a[a, i] Rf[a, j] + u_b[b, j] Rf[i, b]
-
-fiber_residuals evaluates them as einsums over a geometry's base points
-(...) x a batch of fibers x the families x the 12 ordered pairs, and
-returns the Frobenius norms, maximised over the pairs, as an array
-(..., fiber, family).  R(omega1) and R(omega2) depend only on a family's
-two wedge slots, so they are evaluated once per distinct slot pair (3
-for J, 1 for J1 and semi).  The (point, fiber) pairs run in blocks of
-_BLOCK, which bounds memory; a value does not depend on its block.  J1
-is the (C1, C2) columns and semi the C2 column alone; constraints_genJ,
-constraints_J1 and semi_integrability_residual are one-fiber calls into
-it.  _constraint_block evaluates one family at one pair through
-PointGeometry.rc, the contraction of Rf with one bivector, and is the
-reference the kernel is tested against; the 8x8 obstruction matrices
-and the oracle's closed form are built from it.
+its one stored form, the antisymmetric array Rf[a, b] = R(t_a, t_b), so
+R(w) = sum_(a < b) w_ab Rf[a, b] for w = sum_(a < b) w_ab t_a ^ t_b, and
+E is linear in the 12 coordinates w_ab of omega1 and omega2, which
+depend on the fiber alone, with coefficients [u_c, Rf[a, b]] and
+u_c [u_c, Rf[a, b]] = [u_c, u_c Rf[a, b]].  fiber_residuals builds the
+coordinates by elementwise products, once per distinct wedge slot pair
+(3 for J, 1 for J1 and semi; zero at i = j for same-slot families),
+applies R -> [u_c, R] as a 16x16 Kronecker matrix to the six Rf[a < b]
+of every base point in one GEMM, contracts with the coordinates in one
+batched matmul, and returns the square root of the largest sum of
+squares over the pairs: Frobenius norms (..., fiber, family).  Blocks
+of _BLOCK (point, fiber) pairs, rounded down to whole fibers, bound
+memory; a value does not depend on its block or on the other points.  J1 is the (C1, C2) columns and semi the C2 column
+alone; constraints_genJ, constraints_J1 and semi_integrability_residual
+are one-fiber calls into it.  _constraint_block evaluates one family at
+one pair through PointGeometry.rc, the contraction of Rf with one
+bivector, and is the reference the kernel is tested against; the 8x8
+obstruction matrices and the oracle's closed form are built from it.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import basis_wedge, unit_combination, wedge
+from .bivector import WEDGE_PAIRS, basis_wedge, unit_combination, wedge
 from .errors import InvalidInputError, UsageError
 from .gca import ComponentTag, GenStructure, structure_from_blocks, type_of
 from .metrics import MetricSpec
@@ -77,12 +74,10 @@ from .riemann import PointGeometry, generalized_curvature
 
 _UNIT_TOL = 1e-12
 
-# All ordered index pairs.  For families whose two wedge slots carry the
-# same block the (j, i) value is minus the (i, j) one, but for the mixed
-# slot assignments the two orders are genuinely different constraints
-# (swapping the indices swaps which slot carries which block), so the
-# maximisation must run over ordered pairs.
-_ORDERED_PAIRS = tuple((i, j) for i in range(4) for j in range(4) if i != j)
+# All 16 ordered index pairs, i-major: for the mixed slot assignments (i, j)
+# and (j, i) are different constraints (swapping the indices swaps which slot
+# carries which block) and omega1(i, i) = -u1 t_i ^ u2 t_i is not zero.
+_PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)
 
 GENJ_LABELS = ("C1", "C2", "C3", "C4", "C5", "C6")
 J1_LABELS = ("C1'", "C2'")
@@ -161,6 +156,12 @@ def fiber_to_structures(f: FiberPoint) -> tuple[np.ndarray, np.ndarray]:
     return unit_combination(f.a, s1), unit_combination(f.b, s2)
 
 
+def fiber_blocks(tag: ComponentTag, ab: np.ndarray) -> np.ndarray:
+    """fiber_to_structures over unit pairs ab (..., 2, 3): (..., 2, 4, 4)."""
+    s1, s2 = tag.signs
+    return np.stack([unit_combination(ab[..., 0, :], s1), unit_combination(ab[..., 1, :], s2)], axis=-3)
+
+
 def structure_from_fiber(f: FiberPoint) -> GenStructure:
     u1, u2 = fiber_to_structures(f)
     return structure_from_blocks(u1, u2)
@@ -179,7 +180,7 @@ def type_of_genJ(f: FiberPoint) -> int:
 class ConstraintResiduals:
     """Curvature commutator residuals for one (point, fiber) evaluation.
 
-    norms[label] is the Frobenius norm maximised over the 12 ordered
+    norms[label] is the Frobenius norm maximised over the 16 ordered
     frame index pairs."""
 
     norms: dict[str, float]
@@ -211,20 +212,29 @@ def _constraint_block(
 
 
 # Blocks feeding each family, as indices into (u1, u2): first wedge slot,
-# second wedge slot, commutator.  Per kind: the labels, the distinct wedge
-# slot pairs, each family's slot pair and its commutator block.
+# second wedge slot, commutator.  Per kind: the labels, the distinct slot
+# pairs and commutators, and each family's index into each.
 _FAMILY_SLOTS = np.array([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1)])
 _KIND_PLANS = {
-    kind: (labels, *np.unique(_FAMILY_SLOTS[columns, :2], axis=0, return_inverse=True), _FAMILY_SLOTS[columns, 2])
+    kind: (labels, *np.unique(_FAMILY_SLOTS[columns, :2], axis=0, return_inverse=True),
+           *np.unique(_FAMILY_SLOTS[columns, 2], return_inverse=True))
     for kind, labels, columns in (
         (StructureKind.GENJ, GENJ_LABELS, slice(0, 6)),
         (StructureKind.ALMOST_J1, J1_LABELS, slice(0, 2)),
         (StructureKind.SEMI, ("C2'",), slice(1, 2)),
     )
 }
-_PAIR_I, _PAIR_J = np.array(_ORDERED_PAIRS).T
-# (point, fiber) pairs per kernel block: about 13 MB of J temporaries
+_WEDGE_I, _WEDGE_J = np.array(WEDGE_PAIRS).T
+_EYE = np.eye(4)
+# R -> [u, R] = (u kron Id - Id kron u^T) R on row-major R, linear in u's 16 entries
+_COMMUTATOR = np.array([np.kron(e, _EYE) - np.kron(_EYE, e.T) for e in np.eye(16).reshape(16, 4, 4)]).reshape(16, 256)
+# (point, fiber) pairs per kernel block, rounded down to whole fibers
 _BLOCK = 256
+
+
+def _wedge_coords(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of x ^ y over the basis wedges t_a ^ t_b (a < b), for vectors (..., 4)."""
+    return x[..., _WEDGE_I] * y[..., _WEDGE_J] - x[..., _WEDGE_J] * y[..., _WEDGE_I]
 
 
 @dataclass(frozen=True)
@@ -232,7 +242,7 @@ class FiberResiduals:
     """Kernel output for a batch of fibers over the base points of gc.
 
     norms[..., n, k] is the Frobenius norm of family labels[k] at fibers[n]
-    over base point [...], maximised over the 12 ordered index pairs."""
+    over base point [...], maximised over the 16 ordered index pairs."""
 
     labels: tuple[str, ...]
     norms: np.ndarray
@@ -244,36 +254,42 @@ class FiberResiduals:
 
 def fiber_residuals(
     gc: PointGeometry,
-    fibers: Sequence[FiberPoint],
+    fibers: Sequence[FiberPoint] | np.ndarray,
     kind: StructureKind = StructureKind.GENJ,
 ) -> FiberResiduals:
-    """All residual families of one structure kind, for a batch of fibers
-    over each base point of gc, in blocks of _BLOCK (point, fiber) pairs."""
-    if not fibers:
+    """All residual families of one structure kind, for fibers over each
+    base point of gc, in blocks of _BLOCK (point, fiber) pairs; fibers are
+    FiberPoints, or untagged (fiber, 2, 4, 4) fiber_blocks that skip the semi check."""
+    if len(fibers) == 0:
         raise UsageError("need at least one fiber point")
-    if kind is StructureKind.SEMI and not all(f.tag.mixed for f in fibers):
+    if not isinstance(fibers, np.ndarray) and kind is StructureKind.SEMI and not all(f.tag.mixed for f in fibers):
         raise UsageError("semi-integrability is defined on the mixed components only")
-    labels, slot_pairs, family_pair, commutator = _KIND_PLANS[kind]
-    u = np.array([fiber_to_structures(f) for f in fibers])  # (fiber, block, 4, 4)
-    rf_points = gc.rf.reshape(-1, 4, 4, 4, 4)
-    norms = np.empty((len(rf_points) * len(fibers), len(labels)))
-    for start in range(0, len(norms), _BLOCK):
-        # x runs over the block's (point, fiber) pairs, point-major
-        point, fiber = np.divmod(np.arange(start, min(start + _BLOCK, len(norms))), len(fibers))
-        rf, ux = rf_points[point], u[fiber]
-        # columns i of u_a and j of u_b, one per ordered pair: (x, slot pair, 4, pair)
-        ua = ux[:, slot_pairs[:, 0]][..., _PAIR_I]
-        ub = ux[:, slot_pairs[:, 1]][..., _PAIR_J]
-        uc = ux[:, commutator, None]
-        # the curvature terms of the module docstring, once per slot pair:
-        # rc1 = R(w1), rc2 = R(w2)
-        wedge_ab = np.einsum("xsan,xsbn->xsnab", ua, ub)
-        rc1 = rf[:, None, _PAIR_I, _PAIR_J] - np.einsum("xsnab,xabpq->xsnpq", wedge_ab, rf)
-        rc2 = np.einsum("xsan,xanpq->xsnpq", ua, rf[:, :, _PAIR_J]) + np.einsum("xsbn,xnbpq->xsnpq", ub, rf[:, _PAIR_I])
-        inner = rc1[:, family_pair] + uc @ rc2[:, family_pair]
-        e = uc @ inner - inner @ uc  # (x, family, pair, 4, 4)
-        norms[start:start + len(point)] = np.linalg.norm(e, axis=(-2, -1)).max(axis=2)
-    return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-4] + (len(fibers), len(labels))))
+    u = fibers if isinstance(fibers, np.ndarray) else np.array([fiber_to_structures(f) for f in fibers])
+    labels, slot_pairs, family_pair, commutators, family_commutator = _KIND_PLANS[kind]
+    rf = gc.rf.reshape(-1, 4, 4, 4, 4)[:, _WEDGE_I, _WEDGE_J].reshape(-1, 16)  # (point x wedge, 16)
+    points = len(rf) // 6
+    step = max(1, _BLOCK // points)
+    norms = np.empty((points, len(u), len(labels)))
+    for start in range(0, len(u), step):
+        ux = u[start:start + step]
+        n = len(ux)
+        # coordinates of omega1 = t_i ^ t_j - x ^ y and omega2 = x ^ t_j + t_i ^ y,
+        # x = u_a t_i and y = u_b t_j, per slot pair and ordered pair (i, j)
+        x = np.swapaxes(ux[:, slot_pairs[:, 0]], -1, -2)[:, :, _PAIR_I]
+        y = np.swapaxes(ux[:, slot_pairs[:, 1]], -1, -2)[:, :, _PAIR_J]
+        ti, tj = _EYE[_PAIR_I], _EYE[_PAIR_J]
+        w1, w2 = _wedge_coords(ti, tj) - _wedge_coords(x, y), _wedge_coords(x, tj) + _wedge_coords(ti, y)
+        coords = np.concatenate([w1, w2], axis=-1).reshape(n, 1, 1, -1, 12)
+        # [u_c, R] and [u_c, u_c R] = u_c [u_c, R] for every wedge slice R of
+        # rf, the first as one GEMM: (fiber, commutator, t, p, q, point, wedge)
+        uc = ux[:, commutators]
+        images = ((uc.reshape(-1, 16) @ _COMMUTATOR).reshape(-1, 16) @ rf.T).reshape(n, len(commutators), 1, 4, -1)
+        images = np.concatenate([images, uc[:, :, None] @ images], axis=2).reshape(n, len(commutators), 2, 16, points, 6)
+        images = images.transpose(0, 1, 4, 2, 5, 3).reshape(n, len(commutators), points, 12, 16)
+        e = coords @ images  # (fiber, commutator, point, slot pair x pair, 16)
+        sq = np.vecdot(e, e).reshape(e.shape[:3] + (len(slot_pairs), 16)).max(axis=-1)
+        norms[:, start:start + n] = np.sqrt(sq).transpose(2, 0, 3, 1)[..., family_pair, family_commutator]
+    return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-4] + (len(u), len(labels))))
 
 
 def constraints_genJ(

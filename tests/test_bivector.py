@@ -34,6 +34,13 @@ def test_wedge_on_basis_vectors():
         assert np.array_equal(m @ e[j], -e[i])
 
 
+def test_basis_wedge_is_antisymmetric_in_its_indices():
+    for i in range(4):
+        assert not basis_wedge(i, i).any()
+        for j in range(4):
+            assert np.array_equal(basis_wedge(i, j), -basis_wedge(j, i))
+
+
 def test_quaternion_relations_plus_triple():
     ip, jp, kp = TRIPLES[+1]
     for t in (ip, jp, kp):
@@ -139,6 +146,17 @@ def test_unit_combinations_square_to_minus_id():
             coords = sd_asd_coords(u)
             np.testing.assert_allclose(coords[sign], c, atol=1e-13)
             np.testing.assert_allclose(coords[-sign], 0.0, atol=1e-14)
+
+
+def test_unit_combination_over_leading_axes():
+    # each entry of u is +-c_k or zero, so a batch equals its vectors' own
+    # combinations bit for bit
+    c = np.random.default_rng(13).normal(size=(2, 5, 3))
+    for sign in (+1, -1):
+        u = unit_combination(c, sign)
+        assert u.shape == (2, 5, 4, 4)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(u[idx], unit_combination(c[idx], sign))
 
 
 def test_sd_asd_coords_invert_the_generator_sum():

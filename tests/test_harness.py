@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -18,7 +19,9 @@ from gentwistor.harness import (
 )
 from gentwistor.metrics import CATALOG, metric_by_name
 from gentwistor.riemann import generalized_curvature
-from gentwistor.twistor import StructureKind, constraints_J1, constraints_genJ, random_fiber
+from gentwistor import harness
+from gentwistor.riemann import CurvatureOperator, decompose
+from gentwistor.twistor import StructureKind, constraints_J1, constraints_genJ, fiber_residuals, random_fiber
 
 SEED = 20240818
 
@@ -236,3 +239,65 @@ def test_check_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_flags_equal_the_per_matrix_loop():
+    # the flags take one decompose call over the operator stack; the loop of
+    # per-matrix decompose and np.linalg.norm calls gives the same bits
+    for name in CATALOG:
+        m = metric_by_name(name)
+        stack = generalized_curvature(m, m.interior_points(8, np.random.default_rng([SEED, 0]))).operator.matrix
+        wp = wm = bn = sn = 0.0
+        for op in stack:
+            blocks = decompose(CurvatureOperator(op))
+            wp = max(wp, float(np.linalg.norm(blocks.wplus)))
+            wm = max(wm, float(np.linalg.norm(blocks.wminus)))
+            bn = max(bn, float(np.linalg.norm(blocks.b)))
+            sn = max(sn, abs(float(blocks.scalar)))
+        flags = classify_metric(m, n_points=8, seed=SEED)
+        assert (flags.wplus_norm, flags.wminus_norm, flags.b_norm, flags.scalar_norm) == (wp, wm, bn, sn)
+
+
+def test_check_draws_the_random_fiber_samples():
+    # check draws its fibers as one array; its worst fiber and maximum are
+    # those of the same seed's random_fiber samples, bit for bit, and each
+    # sample is its six normals normalised one vector at a time
+    m = metric_by_name("schwarzschild")
+    for seed in range(10):
+        tag = list(ComponentTag)[seed % 4]
+        geometry = generalized_curvature(m, m.interior_points(4, np.random.default_rng([seed, 0])))
+        for n in range(1, 17):
+            rng = np.random.default_rng([seed, 1])
+            fibers = [random_fiber(tag, rng) for _ in range(n)]
+            rng = np.random.default_rng([seed, 1])
+            for f in fibers:
+                a, b = rng.normal(size=3), rng.normal(size=3)
+                assert np.array_equal(f.a, a / np.linalg.norm(a)) and np.array_equal(f.b, b / np.linalg.norm(b))
+            norms = fiber_residuals(geometry, fibers, StructureKind.GENJ).norms
+            worst = fibers[np.unravel_index(np.argmax(norms), norms.shape)[1]]
+            r = check(m, tag, StructureKind.GENJ, fiber_samples=n, seed=seed)
+            assert r.worst_fiber == tuple(np.concatenate([worst.a, worst.b]).tolist())
+            assert r.max_residual == norms.max()
+
+
+@pytest.mark.parametrize("tag, kind", [
+    (ComponentTag.PP, StructureKind.GENJ),
+    (ComponentTag.MM, StructureKind.ALMOST_J1),
+    (ComponentTag.PM, StructureKind.SEMI),
+])
+def test_check_stage_counts(tag, kind, monkeypatch):
+    # one check is 2 g calls (the near and the mixed stencil points of all
+    # base points), 1 residual-kernel call and 1 decompose call
+    calls = {"g": 0, "fiber_residuals": 0, "decompose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    s4 = metric_by_name("s4")
+    monkeypatch.setattr(harness, "fiber_residuals", counted("fiber_residuals", harness.fiber_residuals))
+    monkeypatch.setattr(harness, "decompose", counted("decompose", harness.decompose))
+    check(dataclasses.replace(s4, g=counted("g", s4.g)), tag, kind)
+    assert calls == {"g": 2, "fiber_residuals": 1, "decompose": 1}

@@ -278,6 +278,33 @@ def test_decompose_synthetic_exact_round_trip():
         assert abs(np.trace(back.wplus)) < 1e-12 and abs(np.trace(back.wminus)) < 1e-12
 
 
+@pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.name)
+def test_batched_decompose_equals_per_matrix(metric):
+    # a stack of operators splits into the blocks of each operator's own
+    # call, bit for bit, and fails with the error of its first failing one
+    stack = generalized_curvature(metric, metric.interior_points(6, np.random.default_rng(24))).operator.matrix
+    batch = decompose(CurvatureOperator(stack))
+    for n, m in enumerate(stack):
+        one = decompose(CurvatureOperator(m))
+        for name in ("wplus", "wminus", "b", "scalar"):
+            assert np.array_equal(getattr(batch, name)[n], getattr(one, name))
+    asym, trace = stack.copy(), stack.copy()
+    asym[:, 0, 1] += 1.0
+    trace[:, 0, 0] += 1.0
+    for bad in (asym, trace):
+        with pytest.raises(DecompositionError) as single:
+            decompose(CurvatureOperator(bad[2]))
+        for culprits in ([2], [2, 4]):
+            mixed = stack.copy()
+            mixed[culprits] = bad[culprits]
+            with pytest.raises(DecompositionError, match=re.escape(str(single.value))):
+                decompose(CurvatureOperator(mixed.reshape(2, 3, 6, 6)))
+    first_trace = stack.copy()
+    first_trace[1], first_trace[3] = trace[1], asym[3]
+    with pytest.raises(DecompositionError, match="scalar curvature mismatch"):
+        decompose(CurvatureOperator(first_trace))
+
+
 def test_decompose_rejects_asymmetric():
     bad = np.zeros((6, 6))
     bad[0, 1] = 1.0

@@ -386,14 +386,14 @@ _FAMILY_BLOCKS = {
     "C5": (0, 1, 0),
     "C6": (0, 1, 1),
 }
-_ORDERED = [(i, j) for i in range(4) for j in range(4) if i != j]
+_ORDERED = [(i, j) for i in range(4) for j in range(4)]
 
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_kernel_matches_per_block_reference(name):
     """Every family norm of the kernel equals the maximum of a loop of
-    _constraint_block over the 12 ordered pairs, within 1e-12 relative or
-    1e-12 of the curvature scale."""
+    _constraint_block over the 16 ordered pairs, the diagonal included,
+    within 1e-12 relative or 1e-12 of the curvature scale."""
     m = metric_by_name(name)
     rng = np.random.default_rng(81)
     p = m.interior_points(1, rng)[0]
@@ -476,7 +476,7 @@ def test_batched_kernel_equals_per_point(metric, monkeypatch):
         assert full.norms.shape == (4, 6, len(full.labels))
         for n, gc in enumerate(singles):
             assert np.array_equal(full.norms[n], fiber_residuals(gc, fibers, kind).norms)
-        for block in (1, 5):  # blocks that cut across points
+        for block in (1, 5):  # fewer pairs than one fiber's: one fiber per block
             monkeypatch.setattr(twistor, "_BLOCK", block)
             assert np.array_equal(fiber_residuals(batch, fibers, kind).norms, full.norms)
         monkeypatch.undo()
