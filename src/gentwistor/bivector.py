@@ -100,10 +100,8 @@ def unit_combination(c: np.ndarray, sign: int) -> np.ndarray:
     """u = c1 I + c2 J + c3 K for the triple of the given sign, c (..., 3);
     I, J and K have disjoint supports, so each entry is +-c_k or zero."""
     i, j, k = TRIPLES[sign]
-    if np.ndim(c) > 1:
-        c = np.asarray(c)[..., None, None]
-        return c[..., 0, :, :] * i + c[..., 1, :, :] * j + c[..., 2, :, :] * k
-    return c[0] * i + c[1] * j + c[2] * k
+    c = np.asarray(c)[..., None, None]
+    return c[..., 0, :, :] * i + c[..., 1, :, :] * j + c[..., 2, :, :] * k
 
 
 #: U6 @ pair_coords(A) are A's coordinates over the orthonormal basis

@@ -46,13 +46,14 @@ u_c [u_c, Rf[a, b]] = [u_c, u_c Rf[a, b]].  fiber_residuals builds the
 coordinates by elementwise products, once per distinct wedge slot pair
 (3 for J, 1 for J1 and semi; zero at i = j for same-slot families),
 applies R -> [u_c, R] as a 16x16 Kronecker matrix to the six Rf[a < b]
-of every base point in one GEMM, contracts with the coordinates in one
-batched matmul, and returns the square root of the largest sum of
+of a block's base points in one GEMM, contracts with the coordinates in
+one batched matmul, and returns the square root of the largest sum of
 squares over the pairs: Frobenius norms (..., fiber, family).  Blocks
-of _BLOCK (point, fiber) pairs, rounded down to whole fibers, bound
-memory; a value does not depend on its block or on the other points.  J1 is the (C1, C2) columns and semi the C2 column
-alone; constraints_genJ, constraints_J1 and semi_integrability_residual
-are one-fiber calls into it.  _constraint_block evaluates one family at
+of at most _BLOCK (point, fiber) pairs, whole fibers or else one fiber's
+points, bound memory; a value depends neither on its block nor on the
+other points.  J1 is the (C1, C2) columns and semi the C2 column alone;
+constraints_genJ, constraints_J1 and semi_integrability_residual are
+one-fiber calls into it.  _constraint_block evaluates one family at
 one pair through PointGeometry.rc, the contraction of Rf with one
 bivector, and is the reference the kernel is tested against; the 8x8
 obstruction matrices and the oracle's closed form are built from it.
@@ -150,16 +151,15 @@ def sphere_directions(n: int) -> np.ndarray:
     )
 
 
-def fiber_to_structures(f: FiberPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2) 4x4 blocks over the orthonormal frame."""
-    s1, s2 = f.tag.signs
-    return unit_combination(f.a, s1), unit_combination(f.b, s2)
-
-
 def fiber_blocks(tag: ComponentTag, ab: np.ndarray) -> np.ndarray:
-    """fiber_to_structures over unit pairs ab (..., 2, 3): (..., 2, 4, 4)."""
+    """fiber_to_structures of the tag's fibers with unit pairs ab (..., 2, 3): (..., 2, 4, 4)."""
     s1, s2 = tag.signs
     return np.stack([unit_combination(ab[..., 0, :], s1), unit_combination(ab[..., 1, :], s2)], axis=-3)
+
+
+def fiber_to_structures(f: FiberPoint) -> tuple[np.ndarray, np.ndarray]:
+    """(u1, u2) 4x4 blocks over the orthonormal frame."""
+    return tuple(fiber_blocks(f.tag, np.stack([f.a, f.b])))
 
 
 def structure_from_fiber(f: FiberPoint) -> GenStructure:
@@ -228,7 +228,7 @@ _WEDGE_I, _WEDGE_J = np.array(WEDGE_PAIRS).T
 _EYE = np.eye(4)
 # R -> [u, R] = (u kron Id - Id kron u^T) R on row-major R, linear in u's 16 entries
 _COMMUTATOR = np.array([np.kron(e, _EYE) - np.kron(_EYE, e.T) for e in np.eye(16).reshape(16, 4, 4)]).reshape(16, 256)
-# (point, fiber) pairs per kernel block, rounded down to whole fibers
+# most (point, fiber) pairs per kernel block
 _BLOCK = 256
 
 
@@ -257,21 +257,21 @@ def fiber_residuals(
     fibers: Sequence[FiberPoint] | np.ndarray,
     kind: StructureKind = StructureKind.GENJ,
 ) -> FiberResiduals:
-    """All residual families of one structure kind, for fibers over each
-    base point of gc, in blocks of _BLOCK (point, fiber) pairs; fibers are
-    FiberPoints, or untagged (fiber, 2, 4, 4) fiber_blocks that skip the semi check."""
+    """All residual families of one structure kind, for fibers over each base
+    point of gc.  fibers are FiberPoints, or their (fiber, 2, 4, 4) fiber_blocks,
+    which carry no tag: an array's caller owns the mixed-component check of semi."""
     if len(fibers) == 0:
         raise UsageError("need at least one fiber point")
     if not isinstance(fibers, np.ndarray) and kind is StructureKind.SEMI and not all(f.tag.mixed for f in fibers):
         raise UsageError("semi-integrability is defined on the mixed components only")
     u = fibers if isinstance(fibers, np.ndarray) else np.array([fiber_to_structures(f) for f in fibers])
     labels, slot_pairs, family_pair, commutators, family_commutator = _KIND_PLANS[kind]
-    rf = gc.rf.reshape(-1, 4, 4, 4, 4)[:, _WEDGE_I, _WEDGE_J].reshape(-1, 16)  # (point x wedge, 16)
-    points = len(rf) // 6
-    step = max(1, _BLOCK // points)
+    rf = gc.rf.reshape(-1, 4, 4, 4, 4)[:, _WEDGE_I, _WEDGE_J]  # (point, wedge, 4, 4)
+    points = len(rf)
+    fiber_step, point_step = max(1, _BLOCK // points), min(points, _BLOCK)
     norms = np.empty((points, len(u), len(labels)))
-    for start in range(0, len(u), step):
-        ux = u[start:start + step]
+    for start in range(0, len(u), fiber_step):
+        ux = u[start:start + fiber_step]
         n = len(ux)
         # coordinates of omega1 = t_i ^ t_j - x ^ y and omega2 = x ^ t_j + t_i ^ y,
         # x = u_a t_i and y = u_b t_j, per slot pair and ordered pair (i, j)
@@ -283,12 +283,14 @@ def fiber_residuals(
         # [u_c, R] and [u_c, u_c R] = u_c [u_c, R] for every wedge slice R of
         # rf, the first as one GEMM: (fiber, commutator, t, p, q, point, wedge)
         uc = ux[:, commutators]
-        images = ((uc.reshape(-1, 16) @ _COMMUTATOR).reshape(-1, 16) @ rf.T).reshape(n, len(commutators), 1, 4, -1)
-        images = np.concatenate([images, uc[:, :, None] @ images], axis=2).reshape(n, len(commutators), 2, 16, points, 6)
-        images = images.transpose(0, 1, 4, 2, 5, 3).reshape(n, len(commutators), points, 12, 16)
-        e = coords @ images  # (fiber, commutator, point, slot pair x pair, 16)
-        sq = np.vecdot(e, e).reshape(e.shape[:3] + (len(slot_pairs), 16)).max(axis=-1)
-        norms[:, start:start + n] = np.sqrt(sq).transpose(2, 0, 3, 1)[..., family_pair, family_commutator]
+        maps = (uc.reshape(-1, 16) @ _COMMUTATOR).reshape(-1, 16)
+        for first in range(0, points, point_step):
+            images = (maps @ rf[first:first + point_step].reshape(-1, 16).T).reshape(n, len(commutators), 1, 4, -1)
+            images = np.concatenate([images, uc[:, :, None] @ images], axis=2).reshape(n, len(commutators), 2, 16, -1, 6)
+            images = images.transpose(0, 1, 4, 2, 5, 3).reshape(n, len(commutators), -1, 12, 16)
+            e = coords @ images  # (fiber, commutator, point, slot pair x pair, 16)
+            sq = np.vecdot(e, e).reshape(e.shape[:3] + (len(slot_pairs), 16)).max(axis=-1)
+            norms[first:first + point_step, start:start + n] = np.sqrt(sq).transpose(2, 0, 3, 1)[..., family_pair, family_commutator]
     return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-4] + (len(u), len(labels))))
 
 

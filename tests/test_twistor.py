@@ -476,7 +476,9 @@ def test_batched_kernel_equals_per_point(metric, monkeypatch):
         assert full.norms.shape == (4, 6, len(full.labels))
         for n, gc in enumerate(singles):
             assert np.array_equal(full.norms[n], fiber_residuals(gc, fibers, kind).norms)
-        for block in (1, 5):  # fewer pairs than one fiber's: one fiber per block
+        # one point, 3 points and a remainder of 1, one whole fiber, and 5
+        # whole fibers and a remainder of 1 per block
+        for block in (1, 3, 4, 20):
             monkeypatch.setattr(twistor, "_BLOCK", block)
             assert np.array_equal(fiber_residuals(batch, fibers, kind).norms, full.norms)
         monkeypatch.undo()
