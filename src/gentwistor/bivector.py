@@ -37,6 +37,8 @@ import numpy as np
 # Index pairs (i < j) fixing the column order of 6-dimensional bivector
 # coordinates throughout the package.
 WEDGE_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+#: WEDGE_PAIRS as index arrays: WEDGE_I[k], WEDGE_J[k] = WEDGE_PAIRS[k].
+WEDGE_I, WEDGE_J = np.array(WEDGE_PAIRS).T
 
 
 def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,11 +80,11 @@ _GENERATORS = np.stack(SIX_BASIS)
 
 
 def pair_coords(a: np.ndarray) -> np.ndarray:
-    """Coefficients of an antisymmetric matrix over the basis wedges.
+    """Coefficients of antisymmetric matrices (..., 4, 4) over the basis wedges.
 
     a = sum_{i<j} c_{ij} theta_i ^ theta_j  with  c_{ij} = a[j, i].
     """
-    return np.array([a[j, i] for (i, j) in WEDGE_PAIRS])
+    return a[..., WEDGE_J, WEDGE_I]
 
 
 def sd_asd_coords(a: np.ndarray) -> dict[int, np.ndarray]:

@@ -116,8 +116,10 @@ def _resolve_metric(args) -> MetricSpec:
 
     try:
         return load_metric_file(args.metric_file)
-    except FileNotFoundError:
-        raise ConfigError(f"{args.metric_file}: file not found") from None
+    except OSError as e:  # missing, a directory, unreadable
+        raise ConfigError(f"{args.metric_file}: cannot read file: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{args.metric_file}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except GentwistorError as e:
         raise ConfigError(f"{args.metric_file}: {e}") from e
 

@@ -419,15 +419,13 @@ class MetricConfig:
     exprs: dict[str, Expr] = field(repr=False)
 
 
-def _line_col(text: str, line_no: int, col: int) -> str:
-    return f"{line_no}:{col}"
-
-
 def parse_config(text: str) -> MetricConfig:
-    """Parse the key-value table; diagnostics carry line:col positions."""
+    """Parse the key-value table; diagnostics carry line:col positions.
+    Each key may appear once."""
     name = None
     lo = hi = None
     exprs: dict[str, Expr] = {}
+    key_lines: dict[str, int] = {}
     in_table = False
     seen_table = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -450,6 +448,10 @@ def parse_config(text: str) -> MetricConfig:
         key = key_part.strip()
         value = value_part.strip()
         value_col = 1 + len(key_part) + 1 + (len(value_part) - len(value_part.lstrip()))
+        if key in key_lines:
+            raise ConfigError(f"{line_no}:{1 + len(key_part) - len(key_part.lstrip())}: "
+                              f"duplicate key {key!r}, first set on line {key_lines[key]}")
+        key_lines[key] = line_no
         if key == "name":
             name = value
         elif key == "domain":

@@ -49,7 +49,7 @@ from .metrics import MetricSpec
 # curvature_operator, constraints_genJ, constraints_J1 and
 # semi_integrability_residual are not called here; they stay importable from
 # harness because bench/run.py's traced run rebinds them on this module.
-from .riemann import CurvatureOperator, curvature_operator, decompose, generalized_curvature  # noqa: F401
+from .riemann import curvature_operator, decompose, generalized_curvature  # noqa: F401
 from .twistor import (  # noqa: F401
     StructureKind,
     constraints_J1,
@@ -108,7 +108,7 @@ class CurvatureFlags:
 
 def _flags_over(matrices: np.ndarray) -> CurvatureFlags:
     """Flags from the sup over a stack of operator matrices (n, 6, 6)."""
-    blocks = decompose(CurvatureOperator(matrices))
+    blocks = decompose(matrices)
     # np.linalg.norm of a block is the sqrt of vecdot's dot product of its
     # flattened entries, and the sqrt of the largest is the largest norm
     flat = [x.reshape(-1, 9) for x in (blocks.wplus, blocks.wminus, blocks.b)]
@@ -137,7 +137,7 @@ def classify_metric(metric: MetricSpec, n_points: int = 8, seed: int = 0) -> Cur
     seed = _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     points = metric.interior_points(n_points, rng)
-    return _flags_over(generalized_curvature(metric, points).operator.matrix)
+    return _flags_over(generalized_curvature(metric, points).operator)
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def check(
     # one geometry over all points: the flags read its operators, the
     # residual kernel its frame curvature
     geometry = generalized_curvature(metric, points)
-    flags = _flags_over(geometry.operator.matrix)
+    flags = _flags_over(geometry.operator)
     predicted = predict(flags).expected(component, kind)
 
     # one kernel call; the first strict maximum in (point, fiber, family)

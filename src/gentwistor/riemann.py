@@ -35,9 +35,10 @@ single-point shapes and harness.check's 4 points are one pass:
    from the same dg, so Upsilon is antisymmetric up to roundoff.
 4. riemann, rf, operator: the coordinate curvature tensor from dg and
    d2g (no nested differencing), pushed into the frame as one so(4)
-   element per wedge pair and stored once, as the antisymmetric array
-   rf[a, b] = R(theta_a, theta_b); the 6x6 matrix over the orthonormal
-   bivector basis (I+, J+, K+, I-, J-, K-) / sqrt(2) is read from it.
+   element per wedge pair and stored once, as the six slices
+   rf[k] = R(theta_a, theta_b) for (a, b) = WEDGE_PAIRS[k]; the 6x6
+   matrix over the orthonormal bivector basis (I+, J+, K+, I-, J-, K-)
+   / sqrt(2) is read from it.
 5. decompose: block splitting
 
        R = [[ W+ + s/12 Id,  B        ],
@@ -61,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bivector import U6, WEDGE_PAIRS, pair_coords
+from .bivector import U6, WEDGE_I, WEDGE_J, WEDGE_PAIRS, pair_coords
 # partial is not called here; it stays importable from riemann because
 # bench/run.py's traced run rebinds it on this module.
 from .calculus import partial  # noqa: F401
@@ -80,8 +81,6 @@ _EYE = np.eye(4)
 _NEAR = np.vstack([np.zeros((1, 4))] + [np.outer(_STEPS, _EYE[k]) for k in range(4)])
 # 4 x 4 steps in each coordinate plane k < l, l-step outer, k-step inner
 _MIXED = np.array([a * _EYE[k] + b * _EYE[l] for k, l in WEDGE_PAIRS for b in _STEPS for a in _STEPS])
-_PAIR_I = np.array([i for i, _ in WEDGE_PAIRS])
-_PAIR_J = np.array([j for _, j in WEDGE_PAIRS])
 _DIAG = np.arange(4)
 
 
@@ -104,17 +103,6 @@ class ConnectionData:
 
     upsilon: np.ndarray
     antisymmetry_defect: float = field(default=0.0, compare=False)
-
-
-@dataclass(frozen=True)
-class CurvatureOperator:
-    """6x6 matrix of the bivector curvature operator at a point."""
-
-    matrix: np.ndarray
-
-    @property
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
 
 
 @dataclass(frozen=True)
@@ -217,8 +205,8 @@ class PointGeometry:
         mixed = np.einsum("b,a,...pbaij->...pij", _W1, _W1, mx) / (144 * h * h)
         d2g = np.empty(lead + (4, 4, 4, 4))
         d2g[..., _DIAG, _DIAG, :, :] = self._pure
-        d2g[..., _PAIR_I, _PAIR_J, :, :] = mixed
-        d2g[..., _PAIR_J, _PAIR_I, :, :] = mixed
+        d2g[..., WEDGE_I, WEDGE_J, :, :] = mixed
+        d2g[..., WEDGE_J, WEDGE_I, :, :] = mixed
         return d2g
 
     @cached_property
@@ -244,32 +232,28 @@ class PointGeometry:
 
     @cached_property
     def rf(self) -> np.ndarray:
-        """Antisymmetric frame curvature, rf[..., a, b, :, :] = R(theta_a,
-        theta_b) as a 4x4 endomorphism, so that rc(x ^ y) = x^a y^b rf[a, b].
+        """Frame curvature on the six basis wedges, rf[..., k, :, :] =
+        R(theta_a, theta_b) as a 4x4 endomorphism for (a, b) =
+        WEDGE_PAIRS[k], so that rc(w) = pair_coords(w) . rf.
 
         Each R(theta_a, theta_b) is antisymmetric (an so(4) element) up to
         finite-difference error; the exact antisymmetrization is applied so
         that downstream bivector algebra sees honest Lie algebra elements."""
         e, einv = self.frame.e, self.frame.einv
-        mats = np.einsum("...lkij,...ip,...jp->...plk", self.riemann, e[..., _PAIR_I], e[..., _PAIR_J])
+        mats = np.einsum("...lkij,...ip,...jp->...plk", self.riemann, e[..., WEDGE_I], e[..., WEDGE_J])
         f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
-        f = 0.5 * (f - np.swapaxes(f, -1, -2))
-        rf = np.zeros(self.point.shape[:-1] + (4, 4, 4, 4))
-        rf[..., _PAIR_I, _PAIR_J, :, :] = f
-        rf[..., _PAIR_J, _PAIR_I, :, :] = -f
-        return rf
+        return 0.5 * (f - np.swapaxes(f, -1, -2))
 
     @cached_property
-    def operator(self) -> CurvatureOperator:
+    def operator(self) -> np.ndarray:
         """6x6 bivector curvature operator over the orthonormal frame,
-        one per base point."""
+        one per base point: (..., 6, 6)."""
         # pair coords of R(pair), one column per pair
-        cols = np.swapaxes(self.rf[..., _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_J, _PAIR_I], -1, -2)
-        return CurvatureOperator(matrix=U6 @ cols @ U6.T)
+        return U6 @ np.swapaxes(pair_coords(self.rf), -1, -2) @ U6.T
 
     def rc(self, omega: np.ndarray) -> np.ndarray:
         """Underlying 4x4 curvature image of a frame bivector (one base point)."""
-        return np.tensordot(pair_coords(omega), self.rf[_PAIR_I, _PAIR_J], axes=1)
+        return np.tensordot(pair_coords(omega), self.rf, axes=1)
 
     def rg(self, omega: np.ndarray) -> np.ndarray:
         """R_g on a frame bivector omega: diag(rc(omega), rc(omega))."""
@@ -287,12 +271,12 @@ def christoffel(metric: MetricSpec, p: np.ndarray) -> ConnectionData:
     return PointGeometry(metric, p).connection
 
 
-def curvature_operator(metric: MetricSpec, p: np.ndarray) -> CurvatureOperator:
+def curvature_operator(metric: MetricSpec, p: np.ndarray) -> np.ndarray:
     """6x6 bivector curvature operator over the orthonormal frame."""
     return PointGeometry(metric, p).operator
 
 
-def decompose(op: CurvatureOperator) -> CurvatureBlocks:
+def decompose(m: np.ndarray) -> CurvatureBlocks:
     """Split (symmetric, trace-balanced) curvature operators (..., 6, 6).
 
     Each operator is symmetrized after checking the defect is below 1e-5;
@@ -301,7 +285,6 @@ def decompose(op: CurvatureOperator) -> CurvatureBlocks:
     diagonal trace) must agree within 1e-5.  An error names the readings
     of the first operator that fails either check.
     """
-    m = op.matrix
     mt = np.swapaxes(m, -1, -2)
     defect = np.abs(m - mt).max(axis=(-2, -1))
     ms = 0.5 * (m + mt)

@@ -38,36 +38,37 @@ and is meaningful on the mixed components where it detects exactly the
 Einstein condition.
 
 Every family is linear in the frame curvature.  PointGeometry.rf is
-its one stored form, the antisymmetric array Rf[a, b] = R(t_a, t_b), so
-R(w) = sum_(a < b) w_ab Rf[a, b] for w = sum_(a < b) w_ab t_a ^ t_b, and
-E is linear in the 12 coordinates w_ab of omega1 and omega2, which
-depend on the fiber alone, with coefficients [u_c, Rf[a, b]] and
-u_c [u_c, Rf[a, b]] = [u_c, u_c Rf[a, b]].  fiber_residuals builds the
-coordinates by elementwise products, once per distinct wedge slot pair
-(3 for J, 1 for J1 and semi; zero at i = j for same-slot families),
-applies R -> [u_c, R] as a 16x16 Kronecker matrix to the six Rf[a < b]
-of a block's base points in one GEMM, contracts with the coordinates in
-one batched matmul, and returns the square root of the largest sum of
-squares over the pairs: Frobenius norms (..., fiber, family).  Blocks
-of at most _BLOCK (point, fiber) pairs, whole fibers or else one fiber's
-points, bound memory; a value depends neither on its block nor on the
-other points.  J1 is the (C1, C2) columns and semi the C2 column alone;
-constraints_genJ, constraints_J1 and semi_integrability_residual are
-one-fiber calls into it.  _constraint_block evaluates one family at
-one pair through PointGeometry.rc, the contraction of Rf with one
-bivector, and is the reference the kernel is tested against; the 8x8
-obstruction matrices and the oracle's closed form are built from it.
+its one stored form, the six slices Rf[k] = R(t_a ^ t_b) for (a, b) =
+WEDGE_PAIRS[k], so R(w) = sum_k w_k Rf[k] for w = sum_k w_k t_a ^ t_b,
+and E is linear in the 12 coordinates w_k of omega1 and omega2, which
+depend on the fiber alone, with coefficients [u_c, Rf[k]] and
+u_c [u_c, Rf[k]] = [u_c, u_c Rf[k]].  fiber_residuals takes the fibers
+as their (u1, u2) blocks, (fiber, 2, 4, 4) as fiber_blocks builds them,
+builds the coordinates by elementwise products, once per distinct wedge
+slot pair (3 for J, 1 for J1 and semi; zero at i = j for same-slot
+families), applies R -> [u_c, R] as a 16x16 Kronecker matrix to the six
+Rf[k] of a block's base points in one GEMM, contracts with the
+coordinates in one batched matmul, and returns the square root of the
+largest sum of squares over the pairs: Frobenius norms (..., fiber,
+family).  Blocks of at most _BLOCK (point, fiber) pairs, whole fibers
+or else one fiber's points, bound memory; a value depends neither on
+its block nor on the other points.  J1 is the (C1, C2) columns and semi
+the C2 column alone; constraints_genJ, constraints_J1 and
+semi_integrability_residual are one-fiber calls into it.
+_constraint_block evaluates one family at one pair through
+PointGeometry.rc, the contraction of Rf with one bivector, and is the
+reference the kernel is tested against; the 8x8 obstruction matrices
+and the oracle's closed form are built from it.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import WEDGE_PAIRS, basis_wedge, unit_combination, wedge
+from .bivector import WEDGE_I, WEDGE_J, basis_wedge, unit_combination, wedge
 from .errors import InvalidInputError, UsageError
 from .gca import ComponentTag, GenStructure, structure_from_blocks, type_of
 from .metrics import MetricSpec
@@ -157,14 +158,13 @@ def fiber_blocks(tag: ComponentTag, ab: np.ndarray) -> np.ndarray:
     return np.stack([unit_combination(ab[..., 0, :], s1), unit_combination(ab[..., 1, :], s2)], axis=-3)
 
 
-def fiber_to_structures(f: FiberPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2) 4x4 blocks over the orthonormal frame."""
-    return tuple(fiber_blocks(f.tag, np.stack([f.a, f.b])))
+def fiber_to_structures(f: FiberPoint) -> np.ndarray:
+    """The (u1, u2) 4x4 blocks over the orthonormal frame, stacked: (2, 4, 4)."""
+    return fiber_blocks(f.tag, np.stack([f.a, f.b]))
 
 
 def structure_from_fiber(f: FiberPoint) -> GenStructure:
-    u1, u2 = fiber_to_structures(f)
-    return structure_from_blocks(u1, u2)
+    return structure_from_blocks(*fiber_to_structures(f))
 
 
 def type_of_genJ(f: FiberPoint) -> int:
@@ -224,7 +224,6 @@ _KIND_PLANS = {
         (StructureKind.SEMI, ("C2'",), slice(1, 2)),
     )
 }
-_WEDGE_I, _WEDGE_J = np.array(WEDGE_PAIRS).T
 _EYE = np.eye(4)
 # R -> [u, R] = (u kron Id - Id kron u^T) R on row-major R, linear in u's 16 entries
 _COMMUTATOR = np.array([np.kron(e, _EYE) - np.kron(_EYE, e.T) for e in np.eye(16).reshape(16, 4, 4)]).reshape(16, 256)
@@ -234,39 +233,29 @@ _BLOCK = 256
 
 def _wedge_coords(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coordinates of x ^ y over the basis wedges t_a ^ t_b (a < b), for vectors (..., 4)."""
-    return x[..., _WEDGE_I] * y[..., _WEDGE_J] - x[..., _WEDGE_J] * y[..., _WEDGE_I]
+    return x[..., WEDGE_I] * y[..., WEDGE_J] - x[..., WEDGE_J] * y[..., WEDGE_I]
 
 
 @dataclass(frozen=True)
 class FiberResiduals:
     """Kernel output for a batch of fibers over the base points of gc.
 
-    norms[..., n, k] is the Frobenius norm of family labels[k] at fibers[n]
+    norms[..., n, k] is the Frobenius norm of family labels[k] at fiber u[n]
     over base point [...], maximised over the 16 ordered index pairs."""
 
     labels: tuple[str, ...]
     norms: np.ndarray
 
-    def fiber(self, n: int) -> ConstraintResiduals:
-        """The residuals of fibers[n] over a one-point gc, in the one-fiber form."""
-        return ConstraintResiduals({label: float(v) for label, v in zip(self.labels, self.norms[n])})
 
-
-def fiber_residuals(
-    gc: PointGeometry,
-    fibers: Sequence[FiberPoint] | np.ndarray,
-    kind: StructureKind = StructureKind.GENJ,
-) -> FiberResiduals:
+def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = StructureKind.GENJ) -> FiberResiduals:
     """All residual families of one structure kind, for fibers over each base
-    point of gc.  fibers are FiberPoints, or their (fiber, 2, 4, 4) fiber_blocks,
-    which carry no tag: an array's caller owns the mixed-component check of semi."""
-    if len(fibers) == 0:
+    point of gc.  u holds the fibers' (u1, u2) blocks, (fiber, 2, 4, 4) as
+    fiber_blocks builds them; they carry no component tag, so the caller
+    owns the check that semi runs on the mixed components."""
+    if len(u) == 0:
         raise UsageError("need at least one fiber point")
-    if not isinstance(fibers, np.ndarray) and kind is StructureKind.SEMI and not all(f.tag.mixed for f in fibers):
-        raise UsageError("semi-integrability is defined on the mixed components only")
-    u = fibers if isinstance(fibers, np.ndarray) else np.array([fiber_to_structures(f) for f in fibers])
     labels, slot_pairs, family_pair, commutators, family_commutator = _KIND_PLANS[kind]
-    rf = gc.rf.reshape(-1, 4, 4, 4, 4)[:, _WEDGE_I, _WEDGE_J]  # (point, wedge, 4, 4)
+    rf = gc.rf.reshape(-1, 6, 4, 4)  # (point, wedge, 4, 4)
     points = len(rf)
     fiber_step, point_step = max(1, _BLOCK // points), min(points, _BLOCK)
     norms = np.empty((points, len(u), len(labels)))
@@ -291,46 +280,44 @@ def fiber_residuals(
             e = coords @ images  # (fiber, commutator, point, slot pair x pair, 16)
             sq = np.vecdot(e, e).reshape(e.shape[:3] + (len(slot_pairs), 16)).max(axis=-1)
             norms[first:first + point_step, start:start + n] = np.sqrt(sq).transpose(2, 0, 3, 1)[..., family_pair, family_commutator]
-    return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-4] + (len(u), len(labels))))
+    return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-3] + (len(u), len(labels))))
 
 
-def constraints_genJ(
-    metric: MetricSpec,
-    p: np.ndarray,
-    f: FiberPoint,
-    gc: PointGeometry | None = None,
-) -> ConstraintResiduals:
-    """All six residual families of the generalized structure."""
-    if gc is None:
-        gc = generalized_curvature(metric, p)
-    return fiber_residuals(gc, [f], StructureKind.GENJ).fiber(0)
-
-
-def constraints_J1(
-    metric: MetricSpec,
-    p: np.ndarray,
-    f: FiberPoint,
-    gc: PointGeometry | None = None,
-) -> ConstraintResiduals:
-    """The two residual families of the ordinary almost complex structure."""
-    if gc is None:
-        gc = generalized_curvature(metric, p)
-    return fiber_residuals(gc, [f], StructureKind.ALMOST_J1).fiber(0)
-
-
-def semi_integrability_residual(
-    metric: MetricSpec,
-    p: np.ndarray,
-    f: FiberPoint,
-    gc: PointGeometry | None = None,
-) -> float:
-    """Residual of the projected (semi-integrability) condition: the C2'
-    family alone.  Only meaningful on mixed components."""
-    if not f.tag.mixed:
+def _one_fiber(metric: MetricSpec, p: np.ndarray, f: FiberPoint, gc: PointGeometry | None,
+               kind: StructureKind) -> dict[str, float]:
+    """The kind's residual families at one fiber over one base point, by label."""
+    if kind is StructureKind.SEMI and not f.tag.mixed:
         raise UsageError("semi-integrability is defined on the mixed components only")
     if gc is None:
         gc = generalized_curvature(metric, p)
-    return float(fiber_residuals(gc, [f], StructureKind.SEMI).norms[0, 0])
+    result = fiber_residuals(gc, fiber_to_structures(f)[None], kind)
+    return dict(zip(result.labels, result.norms[0].tolist()))
+
+
+def constraints_genJ(metric: MetricSpec, p: np.ndarray, f: FiberPoint,
+                     gc: PointGeometry | None = None) -> ConstraintResiduals:
+    """All six residual families of the generalized structure."""
+    return ConstraintResiduals(_one_fiber(metric, p, f, gc, StructureKind.GENJ))
+
+
+def constraints_J1(metric: MetricSpec, p: np.ndarray, f: FiberPoint,
+                   gc: PointGeometry | None = None) -> ConstraintResiduals:
+    """The two residual families of the ordinary almost complex structure."""
+    return ConstraintResiduals(_one_fiber(metric, p, f, gc, StructureKind.ALMOST_J1))
+
+
+def semi_integrability_residual(metric: MetricSpec, p: np.ndarray, f: FiberPoint,
+                                gc: PointGeometry | None = None) -> float:
+    """Residual of the projected (semi-integrability) condition: the C2'
+    family alone.  Only meaningful on mixed components."""
+    return _one_fiber(metric, p, f, gc, StructureKind.SEMI)["C2'"]
+
+
+def _slot_blocks(u: np.ndarray, args: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of u = (u1, u2) that args, 1 or 2 each, feed into the two wedge slots."""
+    if not set(args) <= {1, 2}:
+        raise UsageError(f"args must be 1 or 2 each, got {args}")
+    return u[args[0] - 1], u[args[1] - 1]
 
 
 def doubled_obstruction_matrix(
@@ -350,12 +337,10 @@ def doubled_obstruction_matrix(
     roundoff); see the companion test."""
     if gc is None:
         gc = generalized_curvature(metric, p)
-    u1, u2 = fiber_to_structures(f)
-    blocks = {1: u1, 2: u2}
-    ua, ub = blocks[args[0]], blocks[args[1]]
-    w1, w2 = _omega_pair(ua, ub, i, j)
+    u = fiber_to_structures(f)
+    w1, w2 = _omega_pair(*_slot_blocks(u, args), i, j)
     z = np.zeros((4, 4))
-    jj = np.block([[u1, z], [z, u2]])
+    jj = np.block([[u[0], z], [z, u[1]]])
     rg1 = gc.rg(w1)
     rg2 = gc.rg(w2)
     rhat1 = jj @ rg1 - rg1 @ jj
@@ -375,10 +360,9 @@ def blockwise_obstruction_matrix(
     """Same 8x8 obstruction assembled from the two 4x4 commutator blocks."""
     if gc is None:
         gc = generalized_curvature(metric, p)
-    u1, u2 = fiber_to_structures(f)
-    blocks = {1: u1, 2: u2}
-    ua, ub = blocks[args[0]], blocks[args[1]]
-    top = _constraint_block(gc, ua, ub, u1, i, j)
-    bot = _constraint_block(gc, ua, ub, u2, i, j)
+    u = fiber_to_structures(f)
+    ua, ub = _slot_blocks(u, args)
+    top = _constraint_block(gc, ua, ub, u[0], i, j)
+    bot = _constraint_block(gc, ua, ub, u[1], i, j)
     z = np.zeros((4, 4))
     return np.block([[top, z], [z, bot]])

@@ -154,6 +154,36 @@ def test_non_finite_domain_exits_one(tmp_path):
             assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_duplicate_config_key_exits_one(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(FLAT_CONFIG + "g11 = 2\n")
+    proc = run("classify", "--metric-file", str(cfg), expect=1)
+    assert proc.stderr == f"error: {cfg}: 15:1: duplicate key 'g11', first set on line 5\n"
+
+
+def test_unreadable_metric_file_exits_one(tmp_path):
+    # a directory and bytes that are not UTF-8 give one error line, no traceback
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe[metric]\n")
+    for path, reason in ((tmp_path, "cannot read file: Is a directory"), (binary, "not UTF-8 text")):
+        proc = run("classify", "--metric-file", str(path), expect=1)
+        assert proc.stderr.startswith(f"error: {path}: {reason}") and proc.stderr.count("\n") == 1
+    proc = run("check", "--metric-file", str(tmp_path / "missing.cfg"), "--component=++", "--structure", "J", expect=1)
+    assert proc.stderr.count("\n") == 1 and "No such file or directory" in proc.stderr
+
+
+def test_permission_error_on_metric_file_exits_one(monkeypatch, capsys):
+    # file permissions do not bind a superuser, so the read error is injected
+    from gentwistor import cli, dsl
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(dsl, "load_metric_file", refuse)
+    assert cli.main(["classify", "--metric-file", "locked.cfg"]) == 1
+    assert capsys.readouterr().err == "error: locked.cfg: cannot read file: Permission denied\n"
+
+
 def test_oracle_verb_flat():
     proc = run("oracle", "--metric", "flat", "--points", "1", "--seed", "2")
     assert "max over 1 points" in proc.stdout

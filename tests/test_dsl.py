@@ -226,6 +226,15 @@ def test_config_structural_errors():
         parse_config(GOOD_CONFIG + "\nextra = 2\n")
 
 
+def test_config_rejects_duplicate_keys():
+    # a repeated key is an error at its line:col, not a silent overwrite
+    for extra, first in (("name = b", 4), ("domain = [-2, 2]", 5), ("g11 = 2", 6)):
+        key = extra.split()[0]
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}', first set on line {first}$") as e:
+            parse_config(GOOD_CONFIG + "  " + extra + "\n")
+        assert str(e.value).startswith("16:3:")
+
+
 def test_config_rejects_non_finite_domain():
     # an infinite bound, or a width that overflows, would load with an
     # infinite fd_step and fail later inside the samplers

@@ -20,8 +20,15 @@ from gentwistor.harness import (
 from gentwistor.metrics import CATALOG, metric_by_name
 from gentwistor.riemann import generalized_curvature
 from gentwistor import harness
-from gentwistor.riemann import CurvatureOperator, decompose
-from gentwistor.twistor import StructureKind, constraints_J1, constraints_genJ, fiber_residuals, random_fiber
+from gentwistor.riemann import decompose
+from gentwistor.twistor import (
+    StructureKind,
+    constraints_J1,
+    constraints_genJ,
+    fiber_residuals,
+    fiber_to_structures,
+    random_fiber,
+)
 
 SEED = 20240818
 
@@ -246,10 +253,10 @@ def test_flags_equal_the_per_matrix_loop():
     # per-matrix decompose and np.linalg.norm calls gives the same bits
     for name in CATALOG:
         m = metric_by_name(name)
-        stack = generalized_curvature(m, m.interior_points(8, np.random.default_rng([SEED, 0]))).operator.matrix
+        stack = generalized_curvature(m, m.interior_points(8, np.random.default_rng([SEED, 0]))).operator
         wp = wm = bn = sn = 0.0
         for op in stack:
-            blocks = decompose(CurvatureOperator(op))
+            blocks = decompose(op)
             wp = max(wp, float(np.linalg.norm(blocks.wplus)))
             wm = max(wm, float(np.linalg.norm(blocks.wminus)))
             bn = max(bn, float(np.linalg.norm(blocks.b)))
@@ -273,7 +280,8 @@ def test_check_draws_the_random_fiber_samples():
             for f in fibers:
                 a, b = rng.normal(size=3), rng.normal(size=3)
                 assert np.array_equal(f.a, a / np.linalg.norm(a)) and np.array_equal(f.b, b / np.linalg.norm(b))
-            norms = fiber_residuals(geometry, fibers, StructureKind.GENJ).norms
+            blocks = np.array([fiber_to_structures(f) for f in fibers])
+            norms = fiber_residuals(geometry, blocks, StructureKind.GENJ).norms
             worst = fibers[np.unravel_index(np.argmax(norms), norms.shape)[1]]
             r = check(m, tag, StructureKind.GENJ, fiber_samples=n, seed=seed)
             assert r.worst_fiber == tuple(np.concatenate([worst.a, worst.b]).tolist())

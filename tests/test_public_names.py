@@ -12,8 +12,11 @@ not this one. A dataclass that ``dataclasses.fields`` iterates in
 ALLOWED with that reason; a member is spelled module.Class.member there.
 
 An imported name must be read in the module of ``src/gentwistor`` or
-``tests`` that imports it, unless the import statement carries
-``# noqa: F401`` (a re-export that ``bench/run.py`` rebinds).
+``tests`` that imports it. The one exception is a re-export that the
+traced benchmark rebinds: a name in an import statement marked
+``# noqa: F401`` in a module of ``src/gentwistor`` is exempt only if
+``HOOKS`` in ``bench/run.py`` names that attribute on that module. The
+marker exempts no other name of the statement.
 """
 
 import ast
@@ -27,7 +30,6 @@ ALLOWED = {
     "dsl.to_source": "the printer behind the parser's round-trip tests",
     "calculus.exterior_d": "its symbolic test pins the terms of the Courant formula",
     "calculus.lie_derivative_one_form": "its symbolic test pins the terms of the Courant formula",
-    "riemann.CurvatureOperator.symmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
     "riemann.ConnectionData.antisymmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
 }
 
@@ -168,20 +170,43 @@ def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [alias.asname or alias.name.split(".")[0] for alias in node.names]
 
 
-def unused_imports() -> list[str]:
+def hooked_attributes() -> set[tuple[str, str]]:
+    """(module, attribute) for each entry of HOOKS in bench/run.py, read by
+    ast.  run.py binds each module of src/gentwistor to its own name, so the
+    name in an entry is the module's stem; an alias would exempt nothing."""
+    tree = _parse(ROOT / "bench" / "run.py")
+    hooks = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
+    )
+    return {(entry.elts[0].id, entry.elts[1].value) for entry in hooks.elts}
+
+
+def _unused_in(path: Path, hooked: set[str]) -> list[str]:
+    """Imported names that path never reads; a name of a statement marked
+    noqa: F401 is exempt if it is in hooked."""
+    lines = path.read_text().splitlines()
+    tree = _parse(path)
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unused = []
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
-        lines = path.read_text().splitlines()
-        tree = _parse(path)
-        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if "noqa: F401" in lines[node.lineno - 1]:
-                continue
-            unused += [f"{path.name}:{node.lineno} {name}" for name in _bound_names(node) if name not in loaded]
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        exempt = hooked if "noqa: F401" in lines[node.lineno - 1] else set()
+        unused += [f"{path.name}:{node.lineno} {name}" for name in _bound_names(node)
+                   if name not in loaded and name not in exempt]
+    return unused
+
+
+def unused_imports() -> list[str]:
+    hooks = hooked_attributes()
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        unused += _unused_in(path, {attr for stem, attr in hooks if stem == path.stem})
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        unused += _unused_in(path, set())
     return unused
 
 
@@ -193,6 +218,14 @@ def test_every_public_name_has_a_reader():
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, f"imports with no reader: {unused}"
+
+
+def test_noqa_exempts_only_hooked_names(tmp_path):
+    # the marker on a statement exempts the names HOOKS rebinds, not its others
+    path = tmp_path / "module.py"
+    path.write_text("from .twistor import (  # noqa: F401\n    constraints_J1,\n    fiber_blocks,\n)\n")
+    assert _unused_in(path, {"constraints_J1"}) == ["module.py:1 fiber_blocks"]
+    assert _unused_in(path, set()) == ["module.py:1 constraints_J1", "module.py:1 fiber_blocks"]
 
 
 def test_allowlist_is_current():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gentwistor.bivector import basis_wedge
+from gentwistor.bivector import WEDGE_PAIRS, basis_wedge
 from gentwistor.calculus import partial
 from gentwistor.dsl import load_metric_file
 from gentwistor.errors import DecompositionError, DomainError, InvalidInputError
@@ -15,7 +15,6 @@ from gentwistor.harness import check
 from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
 from gentwistor.oracle import nijenhuis_numeric
 from gentwistor.riemann import (
-    CurvatureOperator,
     PointGeometry,
     christoffel,
     curvature_operator,
@@ -125,7 +124,7 @@ def test_one_geometry_serves_operator_and_connection():
     m = metric_by_name("eguchi-hanson")
     p = np.array([2.3, 2.45, 2.5, 2.2])
     geo = generalized_curvature(m, p)
-    assert np.array_equal(curvature_operator(m, p).matrix, geo.operator.matrix)
+    assert np.array_equal(curvature_operator(m, p), geo.operator)
     assert np.array_equal(christoffel(m, p).upsilon, geo.connection.upsilon)
     assert christoffel(m, p).antisymmetry_defect == geo.connection.antisymmetry_defect
 
@@ -170,14 +169,15 @@ def test_batched_geometry_equals_per_point(metric):
     # that point's own geometry, bit for bit
     points = metric.interior_points(4, np.random.default_rng(23))
     batch = generalized_curvature(metric, points)
-    assert batch.rf.shape == (4, 4, 4, 4, 4) and batch.operator.matrix.shape == (4, 6, 6)
+    assert batch.rf.shape == (4, 6, 4, 4) and batch.operator.shape == (4, 6, 6)
     for n, p in enumerate(points):
         one = generalized_curvature(metric, p)
         assert np.array_equal(batch.gamma[n], one.gamma)
         assert np.array_equal(batch.connection.upsilon[n], one.connection.upsilon)
         assert np.array_equal(batch.rf[n], one.rf)
-        assert np.array_equal(batch.operator.matrix[n], one.operator.matrix)
+        assert np.array_equal(batch.operator[n], one.operator)
     grid = generalized_curvature(metric, points.reshape(2, 2, 4))
+    assert grid.rf.shape == (2, 2, 6, 4, 4)
     assert np.array_equal(grid.rf.reshape(batch.rf.shape), batch.rf)
 
 
@@ -219,7 +219,7 @@ def test_domain_guard_near_boundary():
 def test_curvature_flat_exactly_zero():
     m = metric_by_name("flat")
     op = curvature_operator(m, np.array([0.3, 0.1, -0.5, 0.2]))
-    np.testing.assert_allclose(op.matrix, 0.0, atol=1e-13)
+    np.testing.assert_allclose(op, 0.0, atol=1e-13)
 
 
 def test_curvature_covariance_perturbed_chart():
@@ -228,7 +228,7 @@ def test_curvature_covariance_perturbed_chart():
     rng = np.random.default_rng(3)
     for p in m.interior_points(3, rng):
         op = curvature_operator(m, p)
-        assert np.abs(op.matrix).max() < 1e-8
+        assert np.abs(op).max() < 1e-8
 
 
 def test_curvature_s4_is_plus_identity():
@@ -237,8 +237,8 @@ def test_curvature_s4_is_plus_identity():
     rng = np.random.default_rng(4)
     for p in m.interior_points(3, rng):
         op = curvature_operator(m, p)
-        np.testing.assert_allclose(op.matrix, np.eye(6), atol=1e-4)
-        assert abs(abs(op.matrix[0, 0]) - 1.0) < 1e-6
+        np.testing.assert_allclose(op, np.eye(6), atol=1e-4)
+        assert abs(abs(op[0, 0]) - 1.0) < 1e-6
         bl = decompose(op)
         assert bl.scalar == pytest.approx(12.0, abs=1e-3)
 
@@ -246,8 +246,8 @@ def test_curvature_s4_is_plus_identity():
 def test_curvature_step_halving_stability():
     m = metric_by_name("eguchi-hanson")
     p = np.array([2.3, 2.4, 2.5, 2.2])
-    a = PointGeometry(m, p, m.fd_step).operator.matrix
-    b = PointGeometry(m, p, m.fd_step / 2).operator.matrix
+    a = PointGeometry(m, p, m.fd_step).operator
+    b = PointGeometry(m, p, m.fd_step / 2).operator
     assert np.abs(a - b).max() < 1e-6
 
 
@@ -268,13 +268,13 @@ def test_decompose_synthetic_exact_round_trip():
         wm -= (np.trace(wm) / 3.0) * np.eye(3)
         b = rng.normal(size=(3, 3))
         s = float(rng.normal()) * 10.0
-        op = CurvatureOperator(matrix=_assemble(wp, wm, b, s))
+        op = _assemble(wp, wm, b, s)
         back = decompose(op)
         np.testing.assert_allclose(back.wplus, wp, atol=1e-10)
         np.testing.assert_allclose(back.wminus, wm, atol=1e-10)
         np.testing.assert_allclose(back.b, b, atol=1e-10)
         assert back.scalar == pytest.approx(s, abs=1e-10)
-        np.testing.assert_allclose(_assemble(back.wplus, back.wminus, back.b, back.scalar), op.matrix, atol=1e-10)
+        np.testing.assert_allclose(_assemble(back.wplus, back.wminus, back.b, back.scalar), op, atol=1e-10)
         assert abs(np.trace(back.wplus)) < 1e-12 and abs(np.trace(back.wminus)) < 1e-12
 
 
@@ -282,10 +282,10 @@ def test_decompose_synthetic_exact_round_trip():
 def test_batched_decompose_equals_per_matrix(metric):
     # a stack of operators splits into the blocks of each operator's own
     # call, bit for bit, and fails with the error of its first failing one
-    stack = generalized_curvature(metric, metric.interior_points(6, np.random.default_rng(24))).operator.matrix
-    batch = decompose(CurvatureOperator(stack))
+    stack = generalized_curvature(metric, metric.interior_points(6, np.random.default_rng(24))).operator
+    batch = decompose(stack)
     for n, m in enumerate(stack):
-        one = decompose(CurvatureOperator(m))
+        one = decompose(m)
         for name in ("wplus", "wminus", "b", "scalar"):
             assert np.array_equal(getattr(batch, name)[n], getattr(one, name))
     asym, trace = stack.copy(), stack.copy()
@@ -293,29 +293,29 @@ def test_batched_decompose_equals_per_matrix(metric):
     trace[:, 0, 0] += 1.0
     for bad in (asym, trace):
         with pytest.raises(DecompositionError) as single:
-            decompose(CurvatureOperator(bad[2]))
+            decompose(bad[2])
         for culprits in ([2], [2, 4]):
             mixed = stack.copy()
             mixed[culprits] = bad[culprits]
             with pytest.raises(DecompositionError, match=re.escape(str(single.value))):
-                decompose(CurvatureOperator(mixed.reshape(2, 3, 6, 6)))
+                decompose(mixed.reshape(2, 3, 6, 6))
     first_trace = stack.copy()
     first_trace[1], first_trace[3] = trace[1], asym[3]
     with pytest.raises(DecompositionError, match="scalar curvature mismatch"):
-        decompose(CurvatureOperator(first_trace))
+        decompose(first_trace)
 
 
 def test_decompose_rejects_asymmetric():
     bad = np.zeros((6, 6))
     bad[0, 1] = 1.0
     with pytest.raises(DecompositionError):
-        decompose(CurvatureOperator(matrix=bad))
+        decompose(bad)
 
 
 def test_decompose_rejects_trace_mismatch():
     bad = np.diag([1.0, 1, 1, 0, 0, 0])
     with pytest.raises(DecompositionError):
-        decompose(CurvatureOperator(matrix=bad))
+        decompose(bad)
 
 
 # measured duality profiles of the curved catalog entries (frozen):
@@ -368,8 +368,8 @@ def test_generalized_curvature_blocks_and_connection_identity():
     gc = generalized_curvature(m, p)
     for a, b in ((0, 1), (1, 3)):
         rg = gc.rg(basis_wedge(a, b))
-        np.testing.assert_allclose(rg[:4, :4], gc.rf[a, b], atol=1e-15)
-        np.testing.assert_allclose(rg[4:, 4:], gc.rf[a, b], atol=1e-15)
+        np.testing.assert_allclose(rg[:4, :4], gc.rf[WEDGE_PAIRS.index((a, b))], atol=1e-15)
+        np.testing.assert_allclose(rg[4:, 4:], gc.rf[WEDGE_PAIRS.index((a, b))], atol=1e-15)
         np.testing.assert_allclose(rg[:4, 4:], 0.0, atol=1e-15)
 
     def eta_f(q):
@@ -387,14 +387,18 @@ def test_generalized_curvature_blocks_and_connection_identity():
         ex = np.einsum("i,ikl->kl", x, eta0)
         ey = np.einsum("j,jkl->kl", y, eta0)
         lhs = -(d_part + ex @ ey - ey @ ex)
-        rhs = gc.rf[a, b]
+        rhs = gc.rf[WEDGE_PAIRS.index((a, b))]
         assert np.abs(lhs - rhs).max() < 1e-4
 
 
 def test_rg_antisymmetric_pair_indexing():
+    # rc reads the six slices of rf in WEDGE_PAIRS order: the image of
+    # t_a ^ t_b is rf's slice for a < b, its negative for a > b, zero for a = b
     m = metric_by_name("s4")
     gc = generalized_curvature(m, np.array([0.1, 0.2, -0.1, 0.0]))
     for a in range(4):
-        assert not gc.rf[a, a].any()
-        for b in range(4):
-            assert np.array_equal(gc.rf[b, a], -gc.rf[a, b])
+        assert not gc.rc(basis_wedge(a, a)).any()
+        for b in range(a + 1, 4):
+            slice_ab = gc.rf[WEDGE_PAIRS.index((a, b))]
+            assert np.array_equal(gc.rc(basis_wedge(a, b)), slice_ab)
+            assert np.array_equal(gc.rc(basis_wedge(b, a)), -slice_ab)

@@ -6,10 +6,11 @@ import pytest
 from gentwistor import twistor
 from gentwistor.dsl import load_metric_file
 from gentwistor.errors import InvalidInputError, UsageError
-from gentwistor.bivector import sd_asd_coords
+from gentwistor.bivector import U6, WEDGE_PAIRS, basis_wedge, sd_asd_coords
 from gentwistor.gca import BasisTag, ComponentTag
 from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
-from gentwistor.riemann import generalized_curvature
+from gentwistor.harness import DEFAULT_FLAG_THRESHOLD, CurvatureFlags, predict
+from gentwistor.riemann import PointGeometry, generalized_curvature
 from gentwistor.twistor import (
     J1_LABELS,
     FiberPoint,
@@ -17,6 +18,7 @@ from gentwistor.twistor import (
     _constraint_block,
     constraints_genJ,
     constraints_J1,
+    fiber_blocks,
     fiber_residuals,
     fiber_to_structures,
     random_fiber,
@@ -192,6 +194,11 @@ def _fibers(tag, n, seed):
     return [random_fiber(tag, rng) for _ in range(n)]
 
 
+def _blocks(fibers):
+    """The kernel's input for a list of fiber points: (fiber, 2, 4, 4)."""
+    return np.array([fiber_to_structures(f) for f in fibers])
+
+
 def test_flat_residuals_vanish():
     m = metric_by_name("flat")
     p = np.array([0.2, -0.3, 0.1, 0.4])
@@ -358,6 +365,10 @@ def test_doubled_path_matches_block_assembly():
         full = doubled_obstruction_matrix(m, p, f, int(i), int(j), args=args, gc=gc)
         blocks = blockwise_obstruction_matrix(m, p, f, int(i), int(j), args=args, gc=gc)
         assert np.allclose(full, blocks, atol=1e-10)
+    for build in (doubled_obstruction_matrix, blockwise_obstruction_matrix):
+        for args in ((0, 1), (1, 3)):
+            with pytest.raises(UsageError, match="args must be 1 or 2"):
+                build(m, p, f, 0, 1, args=args, gc=gc)
 
 
 def test_obstruction_linear_in_curvature():
@@ -401,7 +412,7 @@ def test_kernel_matches_per_block_reference(name):
     tol = 1e-12 * np.abs(gc.rf).max()
     for tag in ComponentTag:
         fibers = [random_fiber(tag, rng) for _ in range(3)]
-        res = fiber_residuals(gc, fibers)
+        res = fiber_residuals(gc, _blocks(fibers))
         assert res.labels == tuple(_FAMILY_BLOCKS)
         for n, f in enumerate(fibers):
             blocks = fiber_to_structures(f)
@@ -421,16 +432,16 @@ def test_j1_and_semi_are_kernel_columns():
     mixed = [random_fiber(tag, rng) for tag in (ComponentTag.PM, ComponentTag.MP) for _ in range(3)]
     pure = [random_fiber(tag, rng) for tag in (ComponentTag.PP, ComponentTag.MM) for _ in range(3)]
     for fibers in (mixed, pure):
-        full = fiber_residuals(gc, fibers)
-        j1 = fiber_residuals(gc, fibers, StructureKind.ALMOST_J1)
+        full = fiber_residuals(gc, _blocks(fibers))
+        j1 = fiber_residuals(gc, _blocks(fibers), StructureKind.ALMOST_J1)
         assert j1.labels == J1_LABELS
         assert np.array_equal(j1.norms, full.norms[:, :2])
         for n, f in enumerate(fibers):
             one = constraints_J1(m, p, f, gc=gc)
             assert [one.norms[label] for label in J1_LABELS] == full.norms[n, :2].tolist()
             assert constraints_genJ(m, p, f, gc=gc).norms == dict(zip(full.labels, full.norms[n].tolist()))
-    full = fiber_residuals(gc, mixed)
-    semi = fiber_residuals(gc, mixed, StructureKind.SEMI)
+    full = fiber_residuals(gc, _blocks(mixed))
+    semi = fiber_residuals(gc, _blocks(mixed), StructureKind.SEMI)
     assert semi.labels == ("C2'",)
     assert np.array_equal(semi.norms, full.norms[:, 1:2])
     assert [semi_integrability_residual(m, p, f, gc=gc) for f in mixed] == full.norms[:, 1].tolist()
@@ -445,7 +456,7 @@ def test_kernel_fibers_bit_identical_across_batch_sizes(kind):
     gc = generalized_curvature(m, p)
     rng = np.random.default_rng(83)
     tags = (ComponentTag.PM, ComponentTag.MP) if kind is StructureKind.SEMI else tuple(ComponentTag)
-    fibers = [random_fiber(tags[n % len(tags)], rng) for n in range(8)]
+    fibers = _blocks([random_fiber(tags[n % len(tags)], rng) for n in range(8)])
     full = fiber_residuals(gc, fibers, kind)
     for size in (1, 4):
         for start in range(0, 8, size):
@@ -471,7 +482,7 @@ def test_batched_kernel_equals_per_point(metric, monkeypatch):
     rng = np.random.default_rng(86)
     for kind in StructureKind:
         tags = (ComponentTag.PM, ComponentTag.MP) if kind is StructureKind.SEMI else tuple(ComponentTag)
-        fibers = [random_fiber(tags[n % len(tags)], rng) for n in range(6)]
+        fibers = _blocks([random_fiber(tags[n % len(tags)], rng) for n in range(6)])
         full = fiber_residuals(batch, fibers, kind)
         assert full.norms.shape == (4, 6, len(full.labels))
         for n, gc in enumerate(singles):
@@ -482,6 +493,67 @@ def test_batched_kernel_equals_per_point(metric, monkeypatch):
             monkeypatch.setattr(twistor, "_BLOCK", block)
             assert np.array_equal(fiber_residuals(batch, fibers, kind).norms, full.norms)
         monkeypatch.undo()
+
+
+def _traceless_symmetric(rng):
+    w = rng.normal(size=(3, 3))
+    w = w + w.T
+    return w - (np.trace(w) / 3.0) * np.eye(3)
+
+
+def _curvature_parts(rng):
+    """Random operators (6, 6) of each SO(4) part alone, keyed by the flag
+    that says the part vanishes: W+, W-, B and s Id / 12."""
+    z = np.zeros((3, 3))
+    b = rng.normal(size=(3, 3))
+    return {
+        "wplus_zero": np.block([[_traceless_symmetric(rng), z], [z, z]]),
+        "wminus_zero": np.block([[z, z], [z, _traceless_symmetric(rng)]]),
+        "einstein": np.block([[z, b], [b.T, z]]),
+        "scalar_zero": rng.normal() * np.eye(6),  # s Id / 12 for s = 12 times a normal draw
+    }
+
+
+def _geometry_of(op):
+    """A geometry holding only the rf whose read-out is op: the columns
+    U6^T op U6 are the pair coordinates of R on each basis wedge."""
+    cols = U6.T @ op @ U6
+    gc = object.__new__(PointGeometry)
+    gc.rf = np.einsum("rc,rpq->cpq", cols, np.array([basis_wedge(*pair) for pair in WEDGE_PAIRS]))
+    return gc
+
+
+def _only_false(flag):
+    """Flags with flag false and every other vanishing condition true;
+    predict reads the booleans only."""
+    zeros = dict.fromkeys(("wplus_zero", "wminus_zero", "einstein", "scalar_zero"), True) | {flag: False}
+    return CurvatureFlags(**zeros, flat=False, wplus_norm=0.0, wminus_norm=0.0, b_norm=0.0, scalar_norm=0.0,
+                          threshold=DEFAULT_FLAG_THRESHOLD)
+
+
+_CELLS = [(tag, kind) for kind in StructureKind for tag in ComponentTag
+          if kind is not StructureKind.SEMI or tag.mixed]
+
+
+@pytest.mark.parametrize("tag, kind", _CELLS, ids=lambda v: v.name if isinstance(v, ComponentTag) else v.value)
+def test_curvature_part_support_is_the_prediction(tag, kind):
+    """Each family is linear in rf and SO(4)-equivariant, so by Schur's
+    lemma it responds to a curvature part (W+, W-, B, s) or annihilates it.
+    The parts a cell's residual responds to are exactly the conjuncts of
+    predict's rule for that cell: a part alone is obstructed exactly when
+    predict, told that only its flag is false, says obstructed."""
+    rng = np.random.default_rng(87)
+    ab = rng.normal(size=(64, 2, 3))
+    ab /= np.linalg.norm(ab, axis=-1, keepdims=True)
+    blocks = fiber_blocks(tag, ab)
+    for flag, op in _curvature_parts(rng).items():
+        gc = _geometry_of(op)
+        np.testing.assert_allclose(gc.operator, op, rtol=0, atol=1e-14)
+        residual = fiber_residuals(gc, blocks, kind).norms.max()
+        if predict(_only_false(flag)).expected(tag, kind):
+            assert residual <= 1e-13, (flag, residual)
+        else:
+            assert residual > 1e-2, (flag, residual)
 
 
 def test_curvature_terms_once_per_slot_pair():
@@ -499,10 +571,7 @@ def test_kernel_validation():
     m = metric_by_name("flat")
     gc = generalized_curvature(m, np.zeros(4))
     with pytest.raises(UsageError):
-        fiber_residuals(gc, [])
-    f = random_fiber(ComponentTag.PP, np.random.default_rng(84))
-    with pytest.raises(UsageError):
-        fiber_residuals(gc, [f], StructureKind.SEMI)
+        fiber_residuals(gc, np.empty((0, 2, 4, 4)))
 
 
 def test_semi_equals_second_family_on_mixed():
