@@ -14,11 +14,12 @@ keeping those points where the fields are valid is the caller's job (the
 oracle checks its metric box with ``oracle.oracle_margin``).
 
 Each operation evaluates every field it is given once at each of the
-1 + 4n points of the stencil at p (p itself, then the four offsets along
-each coordinate) and applies one array formula to those values, so a
-Nijenhuis evaluation calls J, Y and Z 1 + 4n times each however many
-brackets it takes. The callable contract is unchanged: fields are still
-called one point at a time.
+1 + 4n points of the stencil at p (``stencil(p, h)``: p itself, then the
+four offsets along each coordinate) and applies one array formula to
+those values, so a Nijenhuis evaluation calls J, Y and Z 1 + 4n times
+each however many brackets it takes. The callable contract is unchanged:
+fields are still called one point at a time; a caller that can compute
+its fields faster in a batch reads the points from ``stencil`` first.
 
 Bracket conventions:
 
@@ -71,8 +72,9 @@ def partial(f: FieldFn, p: np.ndarray, i: int, h: float = DEFAULT_STEP) -> np.nd
     return _fd(values, h)
 
 
-def _stencil(p: np.ndarray, h: float) -> np.ndarray:
-    """(1 + 4n, n) points: p, then p + off h e_i for each i and offset."""
+def stencil(p: np.ndarray, h: float) -> np.ndarray:
+    """(1 + 4n, n) points where every operation at p evaluates its fields:
+    p, then p + off h e_i for each i and offset."""
     p = np.asarray(p, dtype=float)
     n = p.size
     pts = np.tile(p, (1 + 4 * n, 1))
@@ -123,18 +125,18 @@ def _courant(y: np.ndarray, z: np.ndarray, h: float) -> np.ndarray:
 
 def lie_bracket(x: FieldFn, y: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """[X, Y](p) = DY(p) X(p) - DX(p) Y(p)."""
-    pts = _stencil(p, h)
+    pts = stencil(p, h)
     return _lie(_values(x, pts), _values(y, pts), h)
 
 
 def exterior_d(xi: FieldFn, p: np.ndarray) -> np.ndarray:
     """(d xi)_{ij} = d_i xi_j - d_j xi_i, as an antisymmetric matrix."""
-    return _exterior_d(_values(xi, _stencil(p, DEFAULT_STEP)), DEFAULT_STEP)
+    return _exterior_d(_values(xi, stencil(p, DEFAULT_STEP)), DEFAULT_STEP)
 
 
 def lie_derivative_one_form(x: FieldFn, xi: FieldFn, p: np.ndarray) -> np.ndarray:
     """L_X xi = i_X d xi + d( xi(X) )."""
-    pts = _stencil(p, DEFAULT_STEP)
+    pts = stencil(p, DEFAULT_STEP)
     return _lie_derivative(_values(x, pts), _values(xi, pts), DEFAULT_STEP)
 
 
@@ -155,7 +157,7 @@ def courant_bracket(y: GenField, z: GenField, p: np.ndarray, h: float = DEFAULT_
     The skew-symmetrized bracket: antisymmetric in (Y, Z) exactly, at the
     price of failing the Jacobi identity by an exact term.
     """
-    pts = _stencil(p, h)
+    pts = stencil(p, h)
     return _courant(_values(y, pts), _values(z, pts), h)
 
 
@@ -179,7 +181,7 @@ def nijenhuis_field(
     Tensorial in Y and Z for an honest almost structure (J^2 = -Id,
     pairing-orthogonal), so test fields may be chosen freely.
     """
-    pts = _stencil(p, h)
+    pts = stencil(p, h)
     j = _values(jfield, pts)
     ys = _values(y, pts)
     zs = _values(z, pts)

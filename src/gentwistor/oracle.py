@@ -38,6 +38,14 @@ Test fields come in four families, named by selector tuples:
 The result carries a two-step Richardson noise estimate: the tensor is
 evaluated at the requested step and at half the step, the difference
 bounds the discretization error, and the half-step value is reported.
+
+Chart data comes from one batched pass per evaluation.
+``nijenhuis_numeric`` checks all its arguments first, then takes the 49
+distinct chart points of its two stencils (``calculus.stencil`` at h and
+h/2; 25 base points and 25 fiber points), and ``TwistorChart.prepare``
+computes the frames, connections, fiber blocks and chart matrices at all
+of them at once.  The brackets then only look the data up, and nothing
+is shared between evaluations.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
-from .calculus import GenField, nijenhuis_field
+from .calculus import GenField, nijenhuis_field, stencil
 from .errors import DomainError, UsageError
 from .gca import S_MATRIX
 from .metrics import MetricSpec
@@ -75,54 +83,57 @@ def _sign0(x: float) -> int:
     return 1 if x >= 0.0 else -1
 
 
+def _one_plus_sq(w: np.ndarray) -> np.ndarray:
+    """1 + |w|^2 over the leading axes of w (..., 2); a matmul, which rounds
+    like the dot product w @ w of one point."""
+    return 1.0 + (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
 def stereo_to_sphere(w: np.ndarray, pole: int) -> np.ndarray:
-    """Inverse chart map, exact unit vector for any w."""
+    """Inverse chart map, w (..., 2) -> exact unit vectors (..., 3) for any w."""
     w = np.asarray(w, dtype=float)
-    d = 1.0 + float(w @ w)
-    return np.array([2.0 * w[0] / d, 2.0 * w[1] / d, pole * (2.0 - d) / d])
+    d = _one_plus_sq(w)
+    return np.stack([2.0 * w[..., 0] / d, 2.0 * w[..., 1] / d, pole * (2.0 - d) / d], axis=-1)
 
 
 def stereo_from_sphere(a: np.ndarray, pole: int) -> np.ndarray:
-    den = 1.0 + pole * a[2]
-    if den < POLE_MARGIN:
+    """Chart map, a (..., 3) -> w (..., 2); raises if any a is near the pole."""
+    a = np.asarray(a, dtype=float)
+    den = 1.0 + pole * a[..., 2]
+    if (den < POLE_MARGIN).any():
         raise DomainError(
-            f"fiber point with a3 = {a[2]:.4f} is too close to the pole {-pole}; "
+            f"fiber point with a3 = {a[..., 2][den < POLE_MARGIN][0]:.4f} is too close to the pole {-pole}; "
             "re-chart with the opposite pole"
         )
-    return np.array([a[0] / den, a[1] / den])
+    return np.stack([a[..., 0] / den, a[..., 1] / den], axis=-1)
 
 
 def stereo_jac_to_sphere(w: np.ndarray, pole: int) -> np.ndarray:
-    """3x2 Jacobian of stereo_to_sphere at w."""
+    """(..., 3, 2) Jacobians of stereo_to_sphere at w (..., 2)."""
     w = np.asarray(w, dtype=float)
-    d = 1.0 + float(w @ w)
-    jac = np.empty((3, 2))
-    for k in range(2):
-        col = -4.0 * w[k] * np.array([w[0], w[1], pole]) / (d * d)
-        col[k] += 2.0 / d
-        jac[:, k] = col
+    d = _one_plus_sq(w)
+    v = np.stack([w[..., 0], w[..., 1], np.full_like(d, pole)], axis=-1)
+    jac = -4.0 * w[..., None, :] * v[..., :, None] / (d * d)[..., None, None]
+    jac[..., [0, 1], [0, 1]] += 2.0 / d[..., None]
     return jac
 
 
 def stereo_jac_from_sphere(a: np.ndarray, pole: int) -> np.ndarray:
-    """2x3 Jacobian of stereo_from_sphere at a (restricted to the sphere)."""
-    den = 1.0 + pole * a[2]
-    jac = np.zeros((2, 3))
-    jac[0, 0] = 1.0 / den
-    jac[1, 1] = 1.0 / den
-    jac[0, 2] = -pole * a[0] / (den * den)
-    jac[1, 2] = -pole * a[1] / (den * den)
+    """(..., 2, 3) Jacobians of stereo_from_sphere at a (..., 3), restricted to the sphere."""
+    a = np.asarray(a, dtype=float)
+    den = 1.0 + pole * a[..., 2]
+    jac = np.zeros(a.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = jac[..., 1, 1] = 1.0 / den
+    jac[..., :, 2] = -pole * a[..., :2] / (den * den)[..., None]
     return jac
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """(..., 3, 3) matrices of x -> v x x for v (..., 3)."""
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., [2, 0, 1], [1, 2, 0]] = v
+    out[..., [1, 2, 0], [2, 0, 1]] = -v
+    return out
 
 
 def _is_int(x) -> bool:
@@ -162,32 +173,40 @@ class OracleResult:
         return float(np.abs(self.value).max())
 
 
-def _cached(cache: dict, key: bytes, build):
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = build()
-    return hit
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of rows (n, k), and the index of each row among them."""
+    out, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return out, inverse.reshape(-1)
 
 
-# rows and columns of the horizontal (tangent, cotangent) block in the
-# adapted 16x16 matrix
-_HORIZONTAL = np.ix_(np.r_[0:4, 8:12], np.r_[0:4, 8:12])
+def _t(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+# rows and columns of the horizontal (tangent, cotangent) block in a stack
+# of adapted 16x16 matrices
+_HORIZONTAL = (slice(None),) + np.ix_(np.r_[0:4, 8:12], np.r_[0:4, 8:12])
+_EYE4 = np.eye(4)
 
 
 class TwistorChart:
     """Chart data for one metric, component tag, structure kind and pole
     choice.
 
-    Three caches, each keyed on what its entry depends on, so an oracle
-    evaluation computes each quantity once per point that it needs:
+    ``prepare`` computes the data at a batch of chart points z in one pass,
+    each quantity once per point it depends on:
 
-    * per base point z[:4]: the orthonormal frame and the frame
-      connection's Upsilon_i in SD/ASD coordinates (``_base_data``);
-    * per fiber point z[4:8]: the velocity maps of the two spheres and
-      the structure matrix in the adapted frame (``_fiber_block``);
+    * per distinct base point z[:4]: the orthonormal frame and the frame
+      connection's Upsilon_i in SD/ASD coordinates, from one
+      ``orthonormal_frame`` and one ``christoffel`` call on all of them;
+    * per distinct fiber point z[4:8]: the velocity maps of the two
+      spheres and the structure matrix in the adapted frame
+      (``_fiber_blocks``);
     * per chart point z: the adapted frame, its inverse and the structure
-      matrix in chart components (``frame8``, ``structure_field``).
+      matrix in chart components, as stacked matrix products.
 
+    ``frame8``, ``structure_field`` and the test fields read the prepared
+    data; a point that no pass has covered is prepared as a batch of one.
     A chart instance is meant to live for one oracle evaluation."""
 
     def __init__(self, metric: MetricSpec, tag, kind: StructureKind, poles: tuple[int, int]):
@@ -199,9 +218,7 @@ class TwistorChart:
         self.tag = tag
         self.kind = kind
         self.poles = (int(poles[0]), int(poles[1]))
-        self._base_cache: dict[bytes, tuple] = {}
-        self._fiber_cache: dict[bytes, tuple] = {}
-        self._chart_cache: dict[bytes, tuple] = {}
+        self._data: dict[bytes, tuple] = {}
 
     @classmethod
     def for_point(cls, metric: MetricSpec, tp: TwistorPoint, kind: StructureKind) -> "TwistorChart":
@@ -217,87 +234,75 @@ class TwistorChart:
         wb = stereo_from_sphere(tp.f.b, self.poles[1])
         return np.concatenate([tp.p, wa, wb])
 
-    # -- cached per-point data -----------------------------------------
+    # -- chart data ----------------------------------------------------
 
-    def _base_data(self, p: np.ndarray):
-        """(frame, Upsilon SD/ASD coordinates on sphere a, on sphere b)."""
+    def _fiber_blocks(self, w: np.ndarray):
+        """(velocity maps, adapted) at fiber points w (n, 4).
 
-        def build():
-            frame = orthonormal_frame(self.metric, p)
-            ups = sd_asd_coords(christoffel(self.metric, p).upsilon)
-            s1, s2 = self.tag.signs
-            return frame, ups[s1], ups[s2]
+        The velocity map of sphere k sends the SD/ASD coordinates c of a
+        bivector to the chart velocity 2 s_k x x c of the sphere point x
+        rotated by it: (n, 2, 3) for each sphere.  adapted (n, 16, 16) is
+        the structure matrix in the adapted frame: its horizontal block is
+        S diag(u1, v) S / 2, the TT form of the PM matrix diag(u1, v) with
+        v = u2 for J and v = u1 for J1, and its vertical block is the 4x4
+        chart matrix of the fiber rotation on both spheres."""
+        adapted = np.zeros((len(w), 16, 16))
+        velocity, units = [], []
+        for k, (pole, sign) in enumerate(zip(self.poles, self.tag.signs)):
+            wk = w[:, 2 * k : 2 * k + 2]
+            x = stereo_to_sphere(wk, pole)
+            dw, cross = stereo_jac_from_sphere(x, pole), _cross_matrix(x)
+            rotation = _VERTICAL_ORIENTATION * sign * (dw @ cross @ stereo_jac_to_sphere(wk, pole))
+            adapted[:, 4 + 2 * k : 6 + 2 * k, 4 + 2 * k : 6 + 2 * k] = rotation
+            velocity.append(dw @ (2.0 * sign * cross))
+            units.append(unit_combination(x, sign))
+        pm = np.zeros((len(w), 8, 8))
+        pm[:, :4, :4] = units[0]
+        pm[:, 4:, 4:] = units[1] if self.kind is StructureKind.GENJ else units[0]
+        adapted[_HORIZONTAL] = S_MATRIX @ pm @ (0.5 * S_MATRIX)
+        adapted[:, 12:16, 12:16] = -_t(adapted[:, 4:8, 4:8])
+        return velocity, adapted
 
-        return _cached(self._base_cache, p.tobytes(), build)
+    def prepare(self, z: np.ndarray) -> None:
+        """Compute the chart data at chart points z (n, 8) in one pass.
 
-    def _fiber_data(self, w: np.ndarray):
-        return _cached(self._fiber_cache, w.tobytes(), lambda: self._fiber_block(w))
+        Columns 0..3 of the adapted frame e8 are horizontal lifts (base
+        frame over the fiber velocity of parallel transport), columns
+        4..7 the coordinate fiber directions."""
+        z = np.asarray(z, dtype=float)
+        base, at_base = _distinct(z[:, :4])
+        fiber, at_fiber = _distinct(z[:, 4:])
+        frame = orthonormal_frame(self.metric, base)
+        ups = sd_asd_coords(christoffel(self.metric, base).upsilon)
+        velocity, adapted = self._fiber_blocks(fiber)
+        velocity = [v[at_fiber] for v in velocity]
+        lift = np.concatenate([v @ _t(ups[s][at_base]) for v, s in zip(velocity, self.tag.signs)], axis=-2)
+        e, einv = frame.e[at_base], frame.einv[at_base]
+        e8, e8inv = np.zeros((2, len(z), 8, 8))
+        e8[:, :4, :4], e8[:, 4:, :4], e8[:, 4:, 4:] = e, lift, _EYE4
+        e8inv[:, :4, :4], e8inv[:, 4:, :4], e8inv[:, 4:, 4:] = einv, -lift @ einv, _EYE4
+        e16, e16inv = np.zeros((2, len(z), 16, 16))
+        e16[:, :8, :8], e16[:, 8:, 8:] = e8, _t(e8inv)
+        e16inv[:, :8, :8], e16inv[:, 8:, 8:] = e8inv, _t(e8)
+        j = e16 @ adapted[at_fiber] @ e16inv
+        for k, row in enumerate(z):
+            self._data[row.tobytes()] = e8[k], e8inv[k], j[k], velocity[0][k], velocity[1][k]
 
-    def _fiber_block(self, w: np.ndarray):
-        """(va, vb, adapted) at fiber point w.
-
-        va maps the SD/ASD coordinates c of a bivector to the chart
-        velocity 2 s1 a x c of sphere a rotated by it (vb likewise).
-        adapted is the 16x16 structure matrix in the adapted frame: its
-        horizontal block is S diag(u1, v) S / 2, the TT form of the PM
-        matrix diag(u1, v) with v = u2 for J and v = u1 for J1, and its
-        vertical block is the 4x4 chart matrix of the fiber rotation on
-        both spheres."""
-        a = stereo_to_sphere(w[0:2], self.poles[0])
-        b = stereo_to_sphere(w[2:4], self.poles[1])
-        dwa = stereo_jac_from_sphere(a, self.poles[0])
-        dwb = stereo_jac_from_sphere(b, self.poles[1])
-        xa, xb = _cross_matrix(a), _cross_matrix(b)
-        s1, s2 = self.tag.signs
-        jv = np.zeros((4, 4))
-        jv[:2, :2] = _VERTICAL_ORIENTATION * s1 * (dwa @ xa @ stereo_jac_to_sphere(w[0:2], self.poles[0]))
-        jv[2:, 2:] = _VERTICAL_ORIENTATION * s2 * (dwb @ xb @ stereo_jac_to_sphere(w[2:4], self.poles[1]))
-        u1 = unit_combination(a, s1)
-        v = unit_combination(b, s2) if self.kind is StructureKind.GENJ else u1
-        zero = np.zeros((4, 4))
-        adapted = np.zeros((16, 16))
-        adapted[_HORIZONTAL] = S_MATRIX @ np.block([[u1, zero], [zero, v]]) @ (0.5 * S_MATRIX)
-        adapted[4:8, 4:8] = jv
-        adapted[12:16, 12:16] = -jv.T
-        return dwa @ (2.0 * s1 * xa), dwb @ (2.0 * s2 * xb), adapted
-
-    def _chart_data(self, z: np.ndarray):
-        """(e8, e8inv, structure matrix) at chart point z.
-
-        Columns 0..3 of e8 are horizontal lifts (base frame over the
-        fiber velocity of parallel transport), columns 4..7 the
-        coordinate fiber directions."""
-
-        def build():
-            frame, ups_a, ups_b = self._base_data(z[:4])
-            va, vb, adapted = self._fiber_data(z[4:])
-            lift = np.concatenate([va @ ups_a.T, vb @ ups_b.T])
-            e8 = np.zeros((8, 8))
-            e8[:4, :4] = frame.e
-            e8[4:, :4] = lift
-            e8[4:, 4:] = np.eye(4)
-            e8inv = np.zeros((8, 8))
-            e8inv[:4, :4] = frame.einv
-            e8inv[4:, :4] = -lift @ frame.einv
-            e8inv[4:, 4:] = np.eye(4)
-            e16 = np.zeros((16, 16))
-            e16[:8, :8] = e8
-            e16[8:, 8:] = e8inv.T
-            e16inv = np.zeros((16, 16))
-            e16inv[:8, :8] = e8inv
-            e16inv[8:, 8:] = e8.T
-            return e8, e8inv, e16 @ adapted @ e16inv
-
-        return _cached(self._chart_cache, z.tobytes(), build)
+    def _at(self, z) -> tuple:
+        """(e8, e8inv, structure matrix, velocity maps of both spheres) at z."""
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
+        if key not in self._data:
+            self.prepare(z[None])
+        return self._data[key]
 
     def frame8(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Adapted frame over the chart and its inverse."""
-        e8, e8inv, _ = self._chart_data(np.asarray(z, dtype=float))
-        return e8, e8inv
+        return self._at(z)[:2]
 
     def structure_field(self, z: np.ndarray) -> np.ndarray:
         """16x16 chart matrix of the chart's structure at z."""
-        return self._chart_data(np.asarray(z, dtype=float))[2]
+        return self._at(z)[2]
 
     # -- test fields ---------------------------------------------------
 
@@ -307,12 +312,10 @@ class TwistorChart:
             sign = 1.0 if family == "h+" else -1.0
 
             def vec(z):
-                e8, _ = self.frame8(np.asarray(z, dtype=float))
-                return e8[:, idx]
+                return self.frame8(z)[0][:, idx]
 
             def form(z):
-                _, e8inv = self.frame8(np.asarray(z, dtype=float))
-                return sign * e8inv[idx, :]
+                return sign * self.frame8(z)[1][idx, :]
 
             return GenField(vec, form)
 
@@ -320,7 +323,7 @@ class TwistorChart:
         s1, s2 = self.tag.signs
 
         def fiber_motion(z):
-            va, vb, _ = self._fiber_data(np.asarray(z, dtype=float)[4:])
+            va, vb = self._at(z)[3:]
             out = np.zeros(8)
             out[4:6] = va @ coords[s1]
             out[6:8] = vb @ coords[s2]
@@ -349,7 +352,9 @@ def nijenhuis_numeric(
     """Generalized Nijenhuis tensor on two selector fields at a point.
 
     Evaluates at the given step and at half of it; the reported value is
-    the half-step one, the noise their sup-norm difference."""
+    the half-step one, the noise their sup-norm difference.  Every
+    argument is checked before any metric evaluation; then one
+    ``prepare`` pass covers the 49 distinct points of both stencils."""
     if len(selectors) != 2:
         raise UsageError("selectors must be a pair of (family, index) tuples")
     if not (np.isfinite(step) and step > 0.0):
@@ -358,10 +363,11 @@ def nijenhuis_numeric(
         chart = TwistorChart.for_point(metric, tp, kind)
     else:
         chart = TwistorChart(metric, tp.f.tag, kind, poles)
-    metric.require_interior(tp.p, oracle_margin(metric, step))
-    z0 = chart.embed(tp)
     y = chart.basic_field(selectors[0])
     zf = chart.basic_field(selectors[1])
+    metric.require_interior(tp.p, oracle_margin(metric, step))
+    z0 = chart.embed(tp)
+    chart.prepare(_distinct(np.vstack([stencil(z0, step), stencil(z0, 0.5 * step)]))[0])
     full = nijenhuis_field(chart.structure_field, y, zf, z0, h=step)
     half = nijenhuis_field(chart.structure_field, y, zf, z0, h=0.5 * step)
     return OracleResult(value=half, noise=float(np.abs(full - half).max()))

@@ -1,7 +1,11 @@
+import dataclasses
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
-from gentwistor import oracle
+from gentwistor import oracle, twistor
 from gentwistor.calculus import GenField, nijenhuis_field
 from gentwistor.errors import DomainError, UsageError
 from gentwistor.gca import ComponentTag
@@ -55,6 +59,31 @@ def test_stereo_roundtrip_and_jacobian_chain():
             np.testing.assert_allclose(stereo_from_sphere(a, pole), w, atol=1e-12)
             chain = stereo_jac_from_sphere(a, pole) @ stereo_jac_to_sphere(w, pole)
             np.testing.assert_allclose(chain, np.eye(2), atol=1e-12)
+
+
+def test_chart_maps_over_leading_axes():
+    # a stack of points gives the per-row results bit for bit, and one point
+    # keeps its shape
+    w = RNG.uniform(-1.5, 1.5, size=(3, 5, 2))
+    for pole in (1, -1):
+        a = stereo_to_sphere(w, pole)
+        for fn, x, shape in (
+            (stereo_to_sphere, w, (3,)),
+            (stereo_jac_to_sphere, w, (3, 2)),
+            (stereo_from_sphere, a, (2,)),
+            (stereo_jac_from_sphere, a, (2, 3)),
+            (lambda v, pole: oracle._cross_matrix(v), a, (3, 3)),
+        ):
+            stack = fn(x, pole)
+            assert stack.shape == (3, 5) + shape
+            for i in range(3):
+                for j in range(5):
+                    one = fn(x[i, j], pole)
+                    assert one.shape == shape and np.array_equal(one, stack[i, j])
+        near_pole = a.copy()
+        near_pole[2, 1] = [0.0, 0.03, -pole]
+        with pytest.raises(DomainError, match="re-chart"):
+            stereo_from_sphere(near_pole, pole)
 
 
 def test_chart_embed_roundtrip():
@@ -125,14 +154,14 @@ def test_selector_index_must_be_an_integer():
     assert np.array_equal(got.value, ref.value)
 
 
-def _counted(fn, points):
-    """fn that records the point of each call."""
+def _recorded(fn, points):
+    """fn that records the point argument of each call."""
 
-    def counted(*args):
-        points.append(np.array(args[-1]).tobytes())
+    def recorded(*args):
+        points.append(np.array(args[-1]))
         return fn(*args)
 
-    return counted
+    return recorded
 
 
 def test_each_quantity_evaluated_once_per_point(monkeypatch):
@@ -146,24 +175,120 @@ def test_each_quantity_evaluated_once_per_point(monkeypatch):
     y = chart.basic_field(("h+", 1))
     z = chart.basic_field(("v", 2))
     nijenhuis_field(
-        _counted(chart.structure_field, seen["J"]),
-        GenField(_counted(y.vec, seen["Y.vec"]), _counted(y.form, seen["Y.form"])),
-        GenField(_counted(z.vec, seen["Z.vec"]), _counted(z.form, seen["Z.form"])),
+        _recorded(chart.structure_field, seen["J"]),
+        GenField(_recorded(y.vec, seen["Y.vec"]), _recorded(y.form, seen["Y.form"])),
+        GenField(_recorded(z.vec, seen["Z.vec"]), _recorded(z.form, seen["Z.form"])),
         z0,
         h=0.01,
     )
     for name, points in seen.items():
-        assert len(points) == 33 and len(set(points)) == 33, name
-    # one selector pair (two stencils, h and h / 2) needs 25 distinct base
-    # points and 25 distinct fiber points: one connection and one fiber
-    # block at each
-    conns, frames, fibers = [], [], []
-    monkeypatch.setattr(oracle, "christoffel", _counted(oracle.christoffel, conns))
-    monkeypatch.setattr(oracle, "orthonormal_frame", _counted(oracle.orthonormal_frame, frames))
-    monkeypatch.setattr(TwistorChart, "_fiber_block", _counted(TwistorChart._fiber_block, fibers))
+        assert len(points) == 33 and len(np.unique(points, axis=0)) == 33, name
+    # one selector pair (two stencils, h and h / 2) touches 49 distinct chart
+    # points over 25 distinct base points and 25 distinct fiber points: one
+    # prepare pass, one connection and one frame call on the base points and
+    # one fiber batch, each point once; nijenhuis_field then reads only
+    # prepared points
+    calls = {name: [] for name in ("christoffel", "frame", "fibers", "prepare")}
+    monkeypatch.setattr(oracle, "christoffel", _recorded(oracle.christoffel, calls["christoffel"]))
+    monkeypatch.setattr(oracle, "orthonormal_frame", _recorded(oracle.orthonormal_frame, calls["frame"]))
+    monkeypatch.setattr(TwistorChart, "_fiber_blocks", _recorded(TwistorChart._fiber_blocks, calls["fibers"]))
+    monkeypatch.setattr(TwistorChart, "prepare", _recorded(TwistorChart.prepare, calls["prepare"]))
     nijenhuis_numeric(m, tp, (("h+", 0), ("v*", 3)), StructureKind.GENJ)
-    for points in (conns, frames, fibers):
-        assert len(points) == 25 and len(set(points)) == 25
+    for name, n in (("christoffel", 25), ("frame", 25), ("fibers", 25), ("prepare", 49)):
+        (points,) = calls[name]
+        assert points.shape == (n, 8 if name == "prepare" else 4), name
+        assert len(np.unique(points, axis=0)) == n, name
+
+
+def _counted_metric(name):
+    """The named metric with a g that records the shape of each call."""
+    m = metric_by_name(name)
+    calls = []
+
+    def g(p):
+        calls.append(np.shape(p))
+        return m.g(p)
+
+    return dataclasses.replace(m, g=g), calls
+
+
+def test_bad_arguments_cost_no_metric_evaluation():
+    m, calls = _counted_metric("s4")
+    tp = _tp(P_UNIT, ComponentTag.PP)
+    good = (("h+", 0), ("v", 1))
+    for selectors, poles, step in (
+        ((("h+", 0), ("v", 6)), "auto", 1e-2),
+        ((("x", 0), ("v", 1)), "auto", 1e-2),
+        ((("h+", 0), ("h-", 1.0)), "auto", 1e-2),
+        (good, (1, 0), 1e-2),
+        (good, "north", 1e-2),
+        (good, "auto", -1.0),
+    ):
+        with pytest.raises(UsageError):
+            nijenhuis_numeric(m, tp, selectors, StructureKind.GENJ, step=step, poles=poles)
+    with pytest.raises(DomainError):
+        nijenhuis_numeric(m, TwistorPoint(np.array([0.99, 0.0, 0.0, 0.0]), tp.f), good, StructureKind.GENJ)
+    assert calls == []
+    # a good call evaluates the metric twice: the frames, then the
+    # connections' 17-point stencils, at the 25 base points
+    nijenhuis_numeric(m, tp, good, StructureKind.GENJ)
+    assert calls == [(25, 4), (25, 17, 4)]
+
+
+@pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("eguchi-hanson", P_EH)])
+def test_prepared_points_equal_points_prepared_one_by_one(name, p):
+    # the batch-of-one path (a point no stencil covered) and one batched pass
+    # over the same points give the same chart data, bit for bit; the
+    # batched chart reads its lookups without evaluating the metric again
+    for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
+        for poles in ((1, 1), (-1, -1)):
+            m, calls = _counted_metric(name)
+            tp = TwistorPoint(p, FiberPoint.normalized([0.3, -0.5, 0.2], [0.6, 0.1, -0.3], ComponentTag.PM))
+            one = TwistorChart(m, ComponentTag.PM, kind, poles)
+            points = one.embed(tp) + 0.02 * RNG.normal(size=(8, 8))
+            singles = [(one.structure_field(z), *one.frame8(z)) for z in points]
+            assert len(calls) == 2 * len(points)
+            batched = TwistorChart(m, ComponentTag.PM, kind, poles)
+            batched.prepare(points)
+            assert len(calls) == 2 * len(points) + 2
+            for z, single in zip(points, singles):
+                for got, want in zip((batched.structure_field(z), *batched.frame8(z)), single):
+                    assert np.array_equal(got, want), (name, kind, poles)
+            assert len(calls) == 2 * len(points) + 2
+
+
+def test_oracle_borrows_nothing_from_the_closed_form_path(monkeypatch):
+    # the referee must not run the twistor kernel: with every function
+    # twistor defines replaced by one that raises (in twistor and wherever
+    # a module imported it), the oracle still returns the same values on
+    # every selector family, for both structure kinds
+    m = metric_by_name("flat-perturbed")
+    tp = _tp(np.array([0.1, -0.15, 0.2, 0.05]), ComponentTag.MP)
+    cases = [(kind, sel) for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1)
+             for sel in ((("h+", 0), ("h-", 1)), (("v", 2), ("v*", 3)), (("h-", 3), ("v*", 5)))]
+    before = [nijenhuis_numeric(m, tp, sel, kind) for kind, sel in cases]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the oracle called twistor.{name}")
+
+        return call
+
+    patched = set()
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("gentwistor")]
+    for name, obj in list(vars(twistor).items()):
+        if inspect.isfunction(obj) and obj.__module__ == twistor.__name__:
+            for module in modules:
+                if getattr(module, name, None) is obj:
+                    monkeypatch.setattr(module, name, refuse(name))
+                    patched.add(f"{module.__name__}.{name}")
+    assert {"gentwistor.twistor.fiber_residuals", "gentwistor.twistor.fiber_blocks",
+            "gentwistor.oracle.fiber_to_structures", "gentwistor.oracle._constraint_block"} <= patched
+    for (kind, sel), ref in zip(cases, before):
+        r = nijenhuis_numeric(m, tp, sel, kind)
+        assert np.array_equal(r.value, ref.value) and r.noise == ref.noise
+    with pytest.raises(AssertionError, match="twistor"):
+        predicted_horizontal_value(m, tp, ("h+", 0), ("h+", 1), StructureKind.GENJ)
 
 
 def test_structure_field_is_an_almost_structure():
