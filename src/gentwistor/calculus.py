@@ -17,9 +17,10 @@ Each operation evaluates every field it is given once at each of the
 1 + 4n points of the stencil at p (``stencil(p, h)``: p itself, then the
 four offsets along each coordinate) and applies one array formula to
 those values, so a Nijenhuis evaluation calls J, Y and Z 1 + 4n times
-each however many brackets it takes. The callable contract is unchanged:
-fields are still called one point at a time; a caller that can compute
-its fields faster in a batch reads the points from ``stencil`` first.
+each however many brackets it takes.  Fields given as callables are
+called one point at a time.  A caller that computes its fields in a
+batch takes the points from ``stencil`` and hands the values to
+``nijenhuis_values``, the array core that ``nijenhuis_field`` wraps.
 
 Bracket conventions:
 
@@ -169,22 +170,13 @@ def pairing(y: GenField, z: GenField, p: np.ndarray) -> float:
     )
 
 
-def nijenhuis_field(
-    jfield: Callable[[np.ndarray], np.ndarray],
-    y: GenField,
-    z: GenField,
-    p: np.ndarray,
-    h: float = DEFAULT_STEP,
-) -> np.ndarray:
-    """Nij(Y, Z)(p) with Courant brackets, stacked components.
+def nijenhuis_values(j: np.ndarray, ys: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
+    """Nij(Y, Z) at the centre of a stencil, stacked components, from J
+    (1 + 4n, 2n, 2n) and Y, Z (1 + 4n, 2n) at its rows (``stencil(p, h)``).
 
     Tensorial in Y and Z for an honest almost structure (J^2 = -Id,
     pairing-orthogonal), so test fields may be chosen freely.
     """
-    pts = stencil(p, h)
-    j = _values(jfield, pts)
-    ys = _values(y, pts)
-    zs = _values(z, pts)
     jy = np.einsum("sab,sb->sa", j, ys)
     jz = np.einsum("sab,sb->sa", j, zs)
     t1 = _courant(jy, jz, h)
@@ -192,3 +184,16 @@ def nijenhuis_field(
     t3 = j[0] @ _courant(ys, jz, h)
     t4 = _courant(ys, zs, h)
     return t1 - t2 - t3 - t4
+
+
+def nijenhuis_field(
+    jfield: Callable[[np.ndarray], np.ndarray],
+    y: GenField,
+    z: GenField,
+    p: np.ndarray,
+    h: float = DEFAULT_STEP,
+) -> np.ndarray:
+    """Nij(Y, Z)(p) with Courant brackets, for a structure field and
+    generalized fields given as callables."""
+    pts = stencil(p, h)
+    return nijenhuis_values(_values(jfield, pts), _values(y, pts), _values(z, pts), h)

@@ -69,6 +69,11 @@ class Token:
     offset: int
 
 
+# ASCII digits only: str.isdigit also accepts superscripts, which float()
+# rejects, and the digits of other scripts, which it reads
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(src: str) -> Iterator[Token]:
     i, n = 0, len(src)
     while i < n:
@@ -76,19 +81,19 @@ def _tokenize(src: str) -> Iterator[Token]:
         if c in " \t":
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and src[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or src[j] == "."
                 j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k] in _DIGITS:
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j] in _DIGITS:
                         j += 1
             yield Token("NUMBER", src[i:j], i)
             i = j

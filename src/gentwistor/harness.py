@@ -76,12 +76,16 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _UINT64_MAX = 2**64 - 1
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise UsageError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= _UINT64_MAX:
-        raise UsageError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int; UsageError unless it is an integer (a bool is
+    not) in [lo, hi]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if int(value) < lo:
+        raise UsageError(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and int(value) > hi:
+        raise UsageError(f"{name} must be at most {hi}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -132,9 +136,8 @@ def _flags_over(matrices: np.ndarray) -> CurvatureFlags:
 
 def classify_metric(metric: MetricSpec, n_points: int = 8, seed: int = 0) -> CurvatureFlags:
     """Curvature flags from the sup over n_points interior samples."""
-    if n_points < 1:
-        raise UsageError(f"n_points must be at least 1, got {n_points}")
-    seed = _check_seed(seed)
+    n_points = _check_int("n_points", n_points, 1)
+    seed = _check_int("seed", seed, 0, _UINT64_MAX)
     rng = np.random.default_rng([seed, 0])
     points = metric.interior_points(n_points, rng)
     return _flags_over(generalized_curvature(metric, points).operator)
@@ -212,11 +215,11 @@ def check(
 
     The flags (and hence the prediction) are computed over the same base
     points the residuals are measured at."""
-    if base_samples < 1 or fiber_samples < 1:
-        raise UsageError("sample counts must be at least 1")
+    base_samples = _check_int("base_samples", base_samples, 1)
+    fiber_samples = _check_int("fiber_samples", fiber_samples, 1)
     if not (np.isfinite(tol) and tol > 0.0):
         raise UsageError(f"tolerance must be positive and finite, got {tol}")
-    seed = _check_seed(seed)
+    seed = _check_int("seed", seed, 0, _UINT64_MAX)
     if kind is StructureKind.SEMI and not component.mixed:
         raise UsageError("semi-integrability is defined on the mixed components only")
 

@@ -40,12 +40,14 @@ evaluated at the requested step and at half the step, the difference
 bounds the discretization error, and the half-step value is reported.
 
 Chart data comes from one batched pass per evaluation.
-``nijenhuis_numeric`` checks all its arguments first, then takes the 49
-distinct chart points of its two stencils (``calculus.stencil`` at h and
-h/2; 25 base points and 25 fiber points), and ``TwistorChart.prepare``
-computes the frames, connections, fiber blocks and chart matrices at all
-of them at once.  The brackets then only look the data up, and nothing
-is shared between evaluations.
+``nijenhuis_numeric`` checks all its arguments first, then stacks the 66
+rows of its two stencils (``calculus.stencil`` at h and h/2).
+``TwistorChart.chart_data`` computes the frames, the structure matrices
+and the fiber velocity maps at all of them at once, the metric data once
+per distinct base point and the fiber data once per distinct fiber
+point; ``TwistorChart.field_values`` reads a test field's values off
+that data, and ``calculus.nijenhuis_values`` takes the arrays of each
+stencil.  Nothing is shared between evaluations.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
-from .calculus import GenField, nijenhuis_field, stencil
+# nijenhuis_field is not called here; it stays importable from oracle
+# because bench/run.py's traced run rebinds it on this module.
+from .calculus import nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
 from .errors import DomainError, UsageError
 from .gca import S_MATRIX
 from .metrics import MetricSpec
@@ -173,12 +177,6 @@ class OracleResult:
         return float(np.abs(self.value).max())
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of rows (n, k), and the index of each row among them."""
-    out, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return out, inverse.reshape(-1)
-
-
 def _t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
@@ -193,8 +191,8 @@ class TwistorChart:
     """Chart data for one metric, component tag, structure kind and pole
     choice.
 
-    ``prepare`` computes the data at a batch of chart points z in one pass,
-    each quantity once per point it depends on:
+    ``chart_data`` computes the data at a batch of chart points z in one
+    pass, each quantity once per point it depends on:
 
     * per distinct base point z[:4]: the orthonormal frame and the frame
       connection's Upsilon_i in SD/ASD coordinates, from one
@@ -202,12 +200,10 @@ class TwistorChart:
     * per distinct fiber point z[4:8]: the velocity maps of the two
       spheres and the structure matrix in the adapted frame
       (``_fiber_blocks``);
-    * per chart point z: the adapted frame, its inverse and the structure
+    * per row of z: the adapted frame, its inverse and the structure
       matrix in chart components, as stacked matrix products.
 
-    ``frame8``, ``structure_field`` and the test fields read the prepared
-    data; a point that no pass has covered is prepared as a batch of one.
-    A chart instance is meant to live for one oracle evaluation."""
+    ``field_values`` turns that data into a test field's values."""
 
     def __init__(self, metric: MetricSpec, tag, kind: StructureKind, poles: tuple[int, int]):
         if kind is StructureKind.SEMI:
@@ -218,7 +214,6 @@ class TwistorChart:
         self.tag = tag
         self.kind = kind
         self.poles = (int(poles[0]), int(poles[1]))
-        self._data: dict[bytes, tuple] = {}
 
     @classmethod
     def for_point(cls, metric: MetricSpec, tp: TwistorPoint, kind: StructureKind) -> "TwistorChart":
@@ -263,15 +258,18 @@ class TwistorChart:
         adapted[:, 12:16, 12:16] = -_t(adapted[:, 4:8, 4:8])
         return velocity, adapted
 
-    def prepare(self, z: np.ndarray) -> None:
-        """Compute the chart data at chart points z (n, 8) in one pass.
+    def chart_data(self, z: np.ndarray):
+        """(e8, e8inv, structure matrices, velocity maps) at chart points
+        z (n, 8): the adapted frames (n, 8, 8) and their inverses, the
+        structure's chart matrices (n, 16, 16), and the velocity maps of
+        both spheres, (n, 2, 3) each.
 
         Columns 0..3 of the adapted frame e8 are horizontal lifts (base
         frame over the fiber velocity of parallel transport), columns
         4..7 the coordinate fiber directions."""
         z = np.asarray(z, dtype=float)
-        base, at_base = _distinct(z[:, :4])
-        fiber, at_fiber = _distinct(z[:, 4:])
+        base, at_base = np.unique(z[:, :4], axis=0, return_inverse=True)
+        fiber, at_fiber = np.unique(z[:, 4:], axis=0, return_inverse=True)
         frame = orthonormal_frame(self.metric, base)
         ups = sd_asd_coords(christoffel(self.metric, base).upsilon)
         velocity, adapted = self._fiber_blocks(fiber)
@@ -284,55 +282,24 @@ class TwistorChart:
         e16, e16inv = np.zeros((2, len(z), 16, 16))
         e16[:, :8, :8], e16[:, 8:, 8:] = e8, _t(e8inv)
         e16inv[:, :8, :8], e16inv[:, 8:, 8:] = e8inv, _t(e8)
-        j = e16 @ adapted[at_fiber] @ e16inv
-        for k, row in enumerate(z):
-            self._data[row.tobytes()] = e8[k], e8inv[k], j[k], velocity[0][k], velocity[1][k]
-
-    def _at(self, z) -> tuple:
-        """(e8, e8inv, structure matrix, velocity maps of both spheres) at z."""
-        z = np.asarray(z, dtype=float)
-        key = z.tobytes()
-        if key not in self._data:
-            self.prepare(z[None])
-        return self._data[key]
-
-    def frame8(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Adapted frame over the chart and its inverse."""
-        return self._at(z)[:2]
-
-    def structure_field(self, z: np.ndarray) -> np.ndarray:
-        """16x16 chart matrix of the chart's structure at z."""
-        return self._at(z)[2]
+        return e8, e8inv, e16 @ adapted[at_fiber] @ e16inv, velocity
 
     # -- test fields ---------------------------------------------------
 
-    def basic_field(self, selector) -> GenField:
+    def field_values(self, selector, e8: np.ndarray, e8inv: np.ndarray, velocity) -> np.ndarray:
+        """(n, 16) stacked (vector, form) values of a test field, from the
+        chart_data at n points."""
         family, idx = _validate_selector(selector)
+        out = np.zeros((len(e8), 16))
         if family in _HORIZONTAL_KINDS:
-            sign = 1.0 if family == "h+" else -1.0
-
-            def vec(z):
-                return self.frame8(z)[0][:, idx]
-
-            def form(z):
-                return sign * self.frame8(z)[1][idx, :]
-
-            return GenField(vec, form)
-
-        coords = sd_asd_coords(SIX_BASIS[idx])
-        s1, s2 = self.tag.signs
-
-        def fiber_motion(z):
-            va, vb = self._at(z)[3:]
-            out = np.zeros(8)
-            out[4:6] = va @ coords[s1]
-            out[6:8] = vb @ coords[s2]
+            out[:, :8] = e8[:, :, idx]
+            out[:, 8:] = (1.0 if family == "h+" else -1.0) * e8inv[:, idx, :]
             return out
-
-        zero = lambda z: np.zeros(8)
-        if family == "v":
-            return GenField(fiber_motion, zero)
-        return GenField(zero, fiber_motion)
+        coords = sd_asd_coords(SIX_BASIS[idx])
+        at = 4 if family == "v" else 12
+        for k, sign in enumerate(self.tag.signs):
+            out[:, at + 2 * k : at + 2 * k + 2] = velocity[k] @ coords[sign]
+        return out
 
 
 def oracle_margin(metric: MetricSpec, step: float = DEFAULT_ORACLE_STEP) -> float:
@@ -354,7 +321,7 @@ def nijenhuis_numeric(
     Evaluates at the given step and at half of it; the reported value is
     the half-step one, the noise their sup-norm difference.  Every
     argument is checked before any metric evaluation; then one
-    ``prepare`` pass covers the 49 distinct points of both stencils."""
+    ``chart_data`` pass covers the 66 rows of both stencils."""
     if len(selectors) != 2:
         raise UsageError("selectors must be a pair of (family, index) tuples")
     if not (np.isfinite(step) and step > 0.0):
@@ -363,13 +330,15 @@ def nijenhuis_numeric(
         chart = TwistorChart.for_point(metric, tp, kind)
     else:
         chart = TwistorChart(metric, tp.f.tag, kind, poles)
-    y = chart.basic_field(selectors[0])
-    zf = chart.basic_field(selectors[1])
+    for sel in selectors:
+        _validate_selector(sel)
     metric.require_interior(tp.p, oracle_margin(metric, step))
     z0 = chart.embed(tp)
-    chart.prepare(_distinct(np.vstack([stencil(z0, step), stencil(z0, 0.5 * step)]))[0])
-    full = nijenhuis_field(chart.structure_field, y, zf, z0, h=step)
-    half = nijenhuis_field(chart.structure_field, y, zf, z0, h=0.5 * step)
+    e8, e8inv, j, velocity = chart.chart_data(np.vstack([stencil(z0, step), stencil(z0, 0.5 * step)]))
+    y, zf = (chart.field_values(sel, e8, e8inv, velocity) for sel in selectors)
+    n = len(j) // 2
+    full = nijenhuis_values(j[:n], y[:n], zf[:n], step)
+    half = nijenhuis_values(j[n:], y[n:], zf[n:], 0.5 * step)
     return OracleResult(value=half, noise=float(np.abs(full - half).max()))
 
 

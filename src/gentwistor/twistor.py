@@ -100,6 +100,8 @@ class FiberPoint:
     tag: ComponentTag
 
     def __post_init__(self):
+        if not isinstance(self.tag, ComponentTag):
+            raise UsageError(f"fiber tag must be a ComponentTag, got {self.tag!r}")
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if a.shape != (3,) or b.shape != (3,):

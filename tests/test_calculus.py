@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from gentwistor.calculus import (
+    DEFAULT_STEP,
     GenField,
     courant_bracket,
     exterior_d,
     lie_bracket,
     lie_derivative_one_form,
     nijenhuis_field,
+    nijenhuis_values,
     pairing,
     partial,
+    stencil,
 )
 from gentwistor.errors import DomainError
 from gentwistor.gca import ComponentTag, from_complex, from_symplectic
 from gentwistor.metrics import metric_by_name
-from gentwistor.oracle import nijenhuis_numeric, oracle_margin
-from gentwistor.twistor import StructureKind, TwistorPoint, random_fiber
+from gentwistor.oracle import TwistorChart, nijenhuis_numeric, oracle_margin
+from gentwistor.twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber
 
 I0 = np.array([[0.0, -1.0, 0, 0], [1.0, 0, 0, 0], [0, 0, 0, -1.0], [0, 0, 1.0, 0]])
 
@@ -316,6 +319,56 @@ def test_stencil_values_match_per_call_reference():
         assert np.abs(expect).max() > 1e-3
         np.testing.assert_allclose(nijenhuis_field(jfield, y, z, p, h), expect, rtol=0, atol=1e-9)
         np.testing.assert_allclose(courant_bracket(y, z, p, h), bracket(y, z), rtol=0, atol=1e-9)
+
+
+def test_nijenhuis_values_equal_nijenhuis_field():
+    # the array core on stencil values and the wrapper on callables give the
+    # same tensor bit for bit: on the complex, symplectic and closed
+    # B-transformed model structures of criterion 7 ...
+    rng = np.random.default_rng(12)
+    jc, js = from_complex(I0).m, from_symplectic(I0).m
+
+    def closed_b(q):
+        eb, ebinv = _shear(d_alpha(q))
+        return ebinv @ jc @ eb
+
+    for jfield in (lambda q: jc, lambda q: js, closed_b):
+        y, z = _random_genfield(rng), _random_genfield(rng)
+        p = rng.normal(size=4) * 0.3
+        pts = stencil(p, DEFAULT_STEP)
+        j, ys, zs = (np.stack([np.asarray(f(q), float) for q in pts]) for f in (jfield, y, z))
+        assert np.array_equal(nijenhuis_values(j, ys, zs, DEFAULT_STEP), nijenhuis_field(jfield, y, z, p))
+    # ... and on an oracle chart of s4, where the values come from one
+    # chart_data pass over the stencil and the callables make one pass each
+    f = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PP)
+    tp = TwistorPoint(np.array([0.12, -0.07, 0.2, 0.05]), f)
+    chart = TwistorChart.for_point(metric_by_name("s4"), tp, StructureKind.GENJ)
+    z0, h = chart.embed(tp), 1e-2
+    e8, e8inv, j, velocity = chart.chart_data(stencil(z0, h))
+
+    seen = []
+
+    def one_point(read):
+        """A field that records its point and reads the chart data of its
+        own one-point pass."""
+
+        def field(q):
+            seen.append(q)
+            return read(chart.chart_data(q[None]))[0]
+
+        return field
+
+    jfield = one_point(lambda data: data[2])
+    for sels in ((("h-", 0), ("h-", 1)), (("h+", 1), ("v*", 2))):
+        ys, zs = (chart.field_values(sel, e8, e8inv, velocity) for sel in sels)
+        y, z = (one_point(lambda d, s=sel: chart.field_values(s, d[0], d[1], d[3])) for sel in sels)
+        got = nijenhuis_values(j, ys, zs, h)
+        seen.clear()
+        assert np.array_equal(got, nijenhuis_field(jfield, y, z, z0, h))
+        assert np.abs(got).max() > 0.5  # the comparison is not vacuous
+        # J, Y and Z each once at each of the 33 stencil points, however
+        # many brackets the formula takes
+        assert np.array_equal(np.array(seen), np.tile(stencil(z0, h), (3, 1)))
 
 
 def test_domain_guard():

@@ -145,6 +145,15 @@ def test_metric_file_diagnostics_line_col(tmp_path):
     assert ":10:" in proc.stderr or ":9:" in proc.stderr
 
 
+def test_non_ascii_digits_in_metric_file_exit_one(tmp_path):
+    cfg = tmp_path / "digits.cfg"
+    for expr, col in (("2\u00b2", 8), ("\u0663*x1", 7)):
+        cfg.write_text(FLAT_CONFIG.replace("g11 = 1", f"g11 = {expr}"), encoding="utf-8")
+        proc = run("classify", "--metric-file", str(cfg), expect=1)
+        assert proc.stderr.startswith(f"error: {cfg}: 5:{col}: unexpected character")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_non_finite_domain_exits_one(tmp_path):
     cfg = tmp_path / "wide.cfg"
     for domain in ("[0, inf]", "[-1e308, 1e308]"):
@@ -195,6 +204,23 @@ def test_oracle_verb_samples_inside_the_oracle_margin():
     # 0.0402 from the edge when sampled with the 5% margin.
     proc = run("oracle", "--metric", "schwarzschild", "--points", "3", "--seed", "5406165350277484087")
     assert "point 2 (+-)" in proc.stdout
+
+
+def test_oracle_verb_output_is_pinned():
+    # the oracle is the referee of the closed-form path: a refactor of it
+    # must not move its printed readings
+    proc = run("oracle", "--metric", "s4", "--points", "2", "--seed", "0")
+    assert proc.stdout == (
+        "point 0 (++): max |Nij| = 1.432e+00  (fd noise 9.4e-08)\n"
+        "point 1 (--): max |Nij| = 1.739e-01  (fd noise 3.5e-08)\n"
+        "max over 2 points: 1.432e+00\n"
+    )
+    proc = run("oracle", "--metric", "eguchi-hanson", "--structure", "J1", "--points", "2", "--seed", "0")
+    assert proc.stdout == (
+        "point 0 (++): max |Nij| = 3.506e-02  (fd noise 9.4e-08)\n"
+        "point 1 (--): max |Nij| = 2.588e-08  (fd noise 3.9e-07)\n"
+        "max over 2 points: 3.506e-02\n"
+    )
 
 
 @pytest.mark.skipif(shutil.which("gentwistor") is None, reason="console script not on PATH")

@@ -76,6 +76,20 @@ def test_parse_error_offsets():
         parse("1 2")
 
 
+def test_numbers_take_ascii_digits_only():
+    # str.isdigit also accepts superscripts, which float() rejects, and the
+    # digits of other scripts, which it reads; neither is a number here
+    for src, offset in (("2\u00b2", 1), ("\u0663*x1", 0), (".\u0663", 0), ("1+\u0663", 2)):
+        with pytest.raises(ParseError, match="unexpected character") as e:
+            parse(src)
+        assert e.value.offset == offset, src
+    # an exponent needs ASCII digits too: the number ends before the e
+    with pytest.raises(ParseError, match="unexpected 'e\u00b3'") as e:
+        parse("1e\u00b3")
+    assert e.value.offset == 1
+    assert ev("10.5e+1") == 105.0
+
+
 def test_eval_errors_not_nan():
     with pytest.raises(EvalError):
         ev("1/0")

@@ -168,6 +168,25 @@ def test_check_validation():
         check(m, ComponentTag.PM, StructureKind.GENJ, seed=2**64)
 
 
+def test_sample_counts_must_be_integers():
+    # a numpy integer is stored as an int, so the report still serializes;
+    # a float or a bool is refused before any measurement
+    m = metric_by_name("flat")
+    r = check(m, ComponentTag.PM, StructureKind.GENJ, base_samples=np.int64(2), fiber_samples=np.int32(3))
+    assert type(r.base_samples) is int and type(r.fiber_samples) is int
+    assert json.loads(report_json(r))["base_samples"] == 2
+    for bad in (2.5, True, "2", None):
+        with pytest.raises(UsageError, match="base_samples must be an integer"):
+            check(m, ComponentTag.PM, StructureKind.GENJ, base_samples=bad)
+        with pytest.raises(UsageError, match="fiber_samples must be an integer"):
+            check(m, ComponentTag.PM, StructureKind.GENJ, fiber_samples=bad)
+        with pytest.raises(UsageError, match="n_points must be an integer"):
+            classify_metric(m, n_points=bad)
+    with pytest.raises(UsageError, match="fiber_samples must be at least 1"):
+        check(m, ComponentTag.PM, StructureKind.GENJ, fiber_samples=np.int64(0))
+    assert classify_metric(m, n_points=np.int64(2)) == classify_metric(m, n_points=2)
+
+
 def test_check_rejects_non_finite_tolerance():
     # a NaN tolerance would print invalid JSON and an inf one would read
     # every cell integrable

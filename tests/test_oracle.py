@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gentwistor import oracle, twistor
-from gentwistor.calculus import GenField, nijenhuis_field
 from gentwistor.errors import DomainError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.metrics import metric_by_name
@@ -164,42 +163,6 @@ def _recorded(fn, points):
     return recorded
 
 
-def test_each_quantity_evaluated_once_per_point(monkeypatch):
-    m = metric_by_name("s4")
-    tp = _tp(P_UNIT, ComponentTag.PM)
-    chart = TwistorChart.for_point(m, tp, StructureKind.GENJ)
-    z0 = chart.embed(tp)
-    # one nijenhuis_field call: J and both test fields once at each of the
-    # 1 + 4 * 8 stencil points, however many brackets it takes
-    seen = {name: [] for name in ("J", "Y.vec", "Y.form", "Z.vec", "Z.form")}
-    y = chart.basic_field(("h+", 1))
-    z = chart.basic_field(("v", 2))
-    nijenhuis_field(
-        _recorded(chart.structure_field, seen["J"]),
-        GenField(_recorded(y.vec, seen["Y.vec"]), _recorded(y.form, seen["Y.form"])),
-        GenField(_recorded(z.vec, seen["Z.vec"]), _recorded(z.form, seen["Z.form"])),
-        z0,
-        h=0.01,
-    )
-    for name, points in seen.items():
-        assert len(points) == 33 and len(np.unique(points, axis=0)) == 33, name
-    # one selector pair (two stencils, h and h / 2) touches 49 distinct chart
-    # points over 25 distinct base points and 25 distinct fiber points: one
-    # prepare pass, one connection and one frame call on the base points and
-    # one fiber batch, each point once; nijenhuis_field then reads only
-    # prepared points
-    calls = {name: [] for name in ("christoffel", "frame", "fibers", "prepare")}
-    monkeypatch.setattr(oracle, "christoffel", _recorded(oracle.christoffel, calls["christoffel"]))
-    monkeypatch.setattr(oracle, "orthonormal_frame", _recorded(oracle.orthonormal_frame, calls["frame"]))
-    monkeypatch.setattr(TwistorChart, "_fiber_blocks", _recorded(TwistorChart._fiber_blocks, calls["fibers"]))
-    monkeypatch.setattr(TwistorChart, "prepare", _recorded(TwistorChart.prepare, calls["prepare"]))
-    nijenhuis_numeric(m, tp, (("h+", 0), ("v*", 3)), StructureKind.GENJ)
-    for name, n in (("christoffel", 25), ("frame", 25), ("fibers", 25), ("prepare", 49)):
-        (points,) = calls[name]
-        assert points.shape == (n, 8 if name == "prepare" else 4), name
-        assert len(np.unique(points, axis=0)) == n, name
-
-
 def _counted_metric(name):
     """The named metric with a g that records the shape of each call."""
     m = metric_by_name(name)
@@ -210,6 +173,27 @@ def _counted_metric(name):
         return m.g(p)
 
     return dataclasses.replace(m, g=g), calls
+
+
+def test_each_quantity_evaluated_once_per_point(monkeypatch):
+    # one selector pair (two stencils, h and h / 2) is one chart_data call on
+    # their 66 rows, 49 of them distinct, over 25 distinct base points and 25
+    # distinct fiber points: one connection and one frame call on the base
+    # points and one fiber batch, each point once, and two metric calls
+    m, g_calls = _counted_metric("s4")
+    tp = _tp(P_UNIT, ComponentTag.PM)
+    calls = {name: [] for name in ("christoffel", "frame", "fibers", "chart_data")}
+    monkeypatch.setattr(oracle, "christoffel", _recorded(oracle.christoffel, calls["christoffel"]))
+    monkeypatch.setattr(oracle, "orthonormal_frame", _recorded(oracle.orthonormal_frame, calls["frame"]))
+    monkeypatch.setattr(TwistorChart, "_fiber_blocks", _recorded(TwistorChart._fiber_blocks, calls["fibers"]))
+    monkeypatch.setattr(TwistorChart, "chart_data", _recorded(TwistorChart.chart_data, calls["chart_data"]))
+    nijenhuis_numeric(m, tp, (("h+", 0), ("v*", 3)), StructureKind.GENJ)
+    (rows,) = calls["chart_data"]
+    assert rows.shape == (66, 8) and len(np.unique(rows, axis=0)) == 49
+    for name in ("christoffel", "frame", "fibers"):
+        (points,) = calls[name]
+        assert points.shape == (25, 4) and len(np.unique(points, axis=0)) == 25, name
+    assert g_calls == [(25, 4), (25, 17, 4)]
 
 
 def test_bad_arguments_cost_no_metric_evaluation():
@@ -237,24 +221,22 @@ def test_bad_arguments_cost_no_metric_evaluation():
 
 @pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("eguchi-hanson", P_EH)])
 def test_prepared_points_equal_points_prepared_one_by_one(name, p):
-    # the batch-of-one path (a point no stencil covered) and one batched pass
-    # over the same points give the same chart data, bit for bit; the
-    # batched chart reads its lookups without evaluating the metric again
+    # chart_data on a stack of chart points and on each row alone give the
+    # same data, bit for bit, at two metric calls per pass
     for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
         for poles in ((1, 1), (-1, -1)):
             m, calls = _counted_metric(name)
             tp = TwistorPoint(p, FiberPoint.normalized([0.3, -0.5, 0.2], [0.6, 0.1, -0.3], ComponentTag.PM))
-            one = TwistorChart(m, ComponentTag.PM, kind, poles)
-            points = one.embed(tp) + 0.02 * RNG.normal(size=(8, 8))
-            singles = [(one.structure_field(z), *one.frame8(z)) for z in points]
-            assert len(calls) == 2 * len(points)
-            batched = TwistorChart(m, ComponentTag.PM, kind, poles)
-            batched.prepare(points)
-            assert len(calls) == 2 * len(points) + 2
-            for z, single in zip(points, singles):
-                for got, want in zip((batched.structure_field(z), *batched.frame8(z)), single):
-                    assert np.array_equal(got, want), (name, kind, poles)
-            assert len(calls) == 2 * len(points) + 2
+            chart = TwistorChart(m, ComponentTag.PM, kind, poles)
+            points = chart.embed(tp) + 0.02 * RNG.normal(size=(8, 8))
+            e8, e8inv, j, (va, vb) = chart.chart_data(points)
+            assert len(calls) == 2
+            for k, z in enumerate(points):
+                one_e8, one_e8inv, one_j, (one_va, one_vb) = chart.chart_data(z[None])
+                for got, want in ((one_e8, e8), (one_e8inv, e8inv), (one_j, j), (one_va, va), (one_vb, vb)):
+                    assert got.shape == (1,) + want.shape[1:]
+                    assert np.array_equal(got[0], want[k]), (name, kind, poles)
+            assert len(calls) == 2 + 2 * len(points)
 
 
 def test_oracle_borrows_nothing_from_the_closed_form_path(monkeypatch):
@@ -303,8 +285,7 @@ def test_structure_field_is_an_almost_structure():
         for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
             chart = TwistorChart.for_point(m, tp, kind)
             z0 = chart.embed(tp)
-            for _ in range(3):
-                j = chart.structure_field(z0 + 0.02 * RNG.normal(size=8))
+            for j in chart.chart_data(z0 + 0.02 * RNG.normal(size=(3, 8)))[2]:
                 np.testing.assert_allclose(j @ j, -np.eye(16), atol=1e-9)
                 np.testing.assert_allclose(j.T @ q16 @ j, q16, atol=1e-9)
 
@@ -329,7 +310,7 @@ def test_flat_perturbed_vanishes_with_nontrivial_lift():
     m = metric_by_name("flat-perturbed")
     tp = _tp(np.array([0.1, -0.15, 0.2, 0.05]), ComponentTag.PM)
     chart = TwistorChart.for_point(m, tp, StructureKind.GENJ)
-    e8, _ = chart.frame8(chart.embed(tp))
+    e8 = chart.chart_data(chart.embed(tp)[None])[0][0]
     assert np.abs(e8[4:, :4]).max() > 1e-4
     for sel in [(("h+", 0), ("h+", 1)), (("h+", 2), ("h-", 3)), (("h-", 1), ("v", 3))]:
         r = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ)

@@ -99,6 +99,15 @@ def test_fiber_point_rejects_non_unit():
         FiberPoint(np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), ComponentTag.PP)
 
 
+def test_fiber_point_rejects_a_tag_that_is_not_a_component_tag():
+    unit = np.array([0.0, 0.0, 1.0])
+    for tag in ("++", None, 1):
+        with pytest.raises(UsageError, match="ComponentTag"):
+            FiberPoint(unit, unit, tag)
+        with pytest.raises(UsageError, match="ComponentTag"):
+            FiberPoint.normalized(unit, unit, tag)
+
+
 def test_fiber_point_rejects_nan():
     nan = np.array([np.nan, 0.0, 0.0])
     unit = np.array([0.0, 0.0, 1.0])
