@@ -17,10 +17,12 @@ Each operation evaluates every field it is given once at each of the
 1 + 4n points of the stencil at p (``stencil(p, h)``: p itself, then the
 four offsets along each coordinate) and applies one array formula to
 those values, so a Nijenhuis evaluation calls J, Y and Z 1 + 4n times
-each however many brackets it takes.  Fields given as callables are
-called one point at a time.  A caller that computes its fields in a
-batch takes the points from ``stencil`` and hands the values to
-``nijenhuis_values``, the array core that ``nijenhuis_field`` wraps.
+each however many brackets it takes; one derivative pass covers the
+fields and the pairings its brackets read, stacked along columns.
+Fields given as callables are called one point at a time.  A caller
+that computes its fields in a batch takes the points from ``stencil``
+and hands the values to ``nijenhuis_values``, the array core that
+``nijenhuis_field`` wraps.
 
 Bracket conventions:
 
@@ -64,13 +66,7 @@ def _fd(values, h: float) -> np.ndarray:
 
 def partial(f: FieldFn, p: np.ndarray, i: int, h: float = DEFAULT_STEP) -> np.ndarray:
     """4th-order partial derivative of an array-valued function."""
-    p = np.asarray(p, dtype=float)
-    values = []
-    for off in _OFFSETS:
-        q = p.copy()
-        q[i] += off * h
-        values.append(np.asarray(f(q), dtype=float))
-    return _fd(values, h)
+    return _fd([np.asarray(f(q), dtype=float) for q in stencil(p, h)[1 + 4 * i : 5 + 4 * i]], h)
 
 
 def stencil(p: np.ndarray, h: float) -> np.ndarray:
@@ -101,52 +97,62 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sa->s", a, b)
 
 
-def _lie(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    return _d(y, h) @ x[0] - _d(x, h) @ y[0]
+def _lie(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    return dy @ x - dx @ y
 
 
-def _exterior_d(xi: np.ndarray, h: float) -> np.ndarray:
-    d = _d(xi, h)  # d[j, i] = d_i xi_j
-    return d.T - d
+def _exterior_d(d: np.ndarray) -> np.ndarray:
+    return d.T - d  # d[j, i] = d_i xi_j
 
 
-def _lie_derivative(x: np.ndarray, xi: np.ndarray, h: float) -> np.ndarray:
-    # i_X w = W^T X for the X^T W Y convention
-    return _exterior_d(xi, h).T @ x[0] + _d(_dot(xi, x), h)
+def _lie_derivative(x: np.ndarray, dxi: np.ndarray, dpair: np.ndarray) -> np.ndarray:
+    # i_X w = W^T X for the X^T W Y convention; dpair = d( xi(X) )
+    return _exterior_d(dxi).T @ x + dpair
 
 
-def _courant(y: np.ndarray, z: np.ndarray, h: float) -> np.ndarray:
-    """The Courant bracket from stacked (vector, form) stencil values."""
-    n = y.shape[1] // 2
-    yv, yf, zv, zf = y[:, :n], y[:, n:], z[:, :n], z[:, n:]
-    form = _lie_derivative(yv, zf, h) - _lie_derivative(zv, yf, h)
-    form = form - _d(0.5 * (_dot(zf, yv) - _dot(yf, zv)), h)
-    return np.concatenate([_lie(yv, zv, h), form])
+def _courant(y: np.ndarray, z: np.ndarray, dy: np.ndarray, dz: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """The Courant bracket from stacked (vector, form) values y, z at a point,
+    their derivatives dy, dz (2n, n) and those of their pairings dp (3, n)."""
+    n = y.size // 2
+    form = _lie_derivative(y[:n], dz[n:], dp[0]) - _lie_derivative(z[:n], dy[n:], dp[1])
+    return np.concatenate([_lie(y[:n], z[:n], dy[:n], dz[:n]), form - dp[2]])
+
+
+def _brackets(fields: tuple, pairs: tuple, h: float) -> list:
+    """Courant brackets [fields[a], fields[b]] at the stencil centre, one per
+    (a, b) in pairs, from one derivative pass over the fields (1 + 4n, 2n)
+    and the pairings eta(X), xi(Y) and their half difference of each pair."""
+    n, cols = fields[0].shape[1] // 2, []
+    for y, z in ((fields[a], fields[b]) for a, b in pairs):
+        u, v = _dot(z[:, n:], y[:, :n]), _dot(y[:, n:], z[:, :n])
+        cols.append(np.stack([u, v, 0.5 * (u - v)], axis=1))
+    d, k = _d(np.concatenate(fields + tuple(cols), axis=1), h), 2 * n * len(fields)
+    df, dp = d[:k].reshape(len(fields), 2 * n, -1), d[k:].reshape(len(pairs), 3, -1)
+    return [_courant(fields[a][0], fields[b][0], df[a], df[b], dp[k]) for k, (a, b) in enumerate(pairs)]
 
 
 def lie_bracket(x: FieldFn, y: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """[X, Y](p) = DY(p) X(p) - DX(p) Y(p)."""
-    pts = stencil(p, h)
-    return _lie(_values(x, pts), _values(y, pts), h)
+    x, y = (_values(f, stencil(p, h)) for f in (x, y))
+    return _lie(x[0], y[0], _d(x, h), _d(y, h))
 
 
 def exterior_d(xi: FieldFn, p: np.ndarray) -> np.ndarray:
     """(d xi)_{ij} = d_i xi_j - d_j xi_i, as an antisymmetric matrix."""
-    return _exterior_d(_values(xi, stencil(p, DEFAULT_STEP)), DEFAULT_STEP)
+    return _exterior_d(_d(_values(xi, stencil(p, DEFAULT_STEP)), DEFAULT_STEP))
 
 
 def lie_derivative_one_form(x: FieldFn, xi: FieldFn, p: np.ndarray) -> np.ndarray:
     """L_X xi = i_X d xi + d( xi(X) )."""
-    pts = stencil(p, DEFAULT_STEP)
-    return _lie_derivative(_values(x, pts), _values(xi, pts), DEFAULT_STEP)
+    x, xi = (_values(f, stencil(p, DEFAULT_STEP)) for f in (x, xi))
+    return _lie_derivative(x[0], _d(xi, DEFAULT_STEP), _d(_dot(xi, x), DEFAULT_STEP))
 
 
 class GenField:
     """Generalized field: a vector field paired with a one-form field."""
 
     def __init__(self, vec: FieldFn, form: FieldFn):
-        self.vec = vec
-        self.form = form
+        self.vec, self.form = vec, form
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(self.vec(p), float), np.asarray(self.form(p), float)])
@@ -158,16 +164,12 @@ def courant_bracket(y: GenField, z: GenField, p: np.ndarray, h: float = DEFAULT_
     The skew-symmetrized bracket: antisymmetric in (Y, Z) exactly, at the
     price of failing the Jacobi identity by an exact term.
     """
-    pts = stencil(p, h)
-    return _courant(_values(y, pts), _values(z, pts), h)
+    return _brackets(tuple(_values(f, stencil(p, h)) for f in (y, z)), ((0, 1),), h)[0]
 
 
 def pairing(y: GenField, z: GenField, p: np.ndarray) -> float:
     """<Y, Z> = ( eta(X) + xi(Y) ) / 2 evaluated pointwise."""
-    return 0.5 * (
-        float(np.dot(np.asarray(y.form(p), float), np.asarray(z.vec(p), float)))
-        + float(np.dot(np.asarray(z.form(p), float), np.asarray(y.vec(p), float)))
-    )
+    return 0.5 * float(np.dot(y.form(p), z.vec(p)) + np.dot(z.form(p), y.vec(p)))
 
 
 def nijenhuis_values(j: np.ndarray, ys: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
@@ -179,11 +181,9 @@ def nijenhuis_values(j: np.ndarray, ys: np.ndarray, zs: np.ndarray, h: float) ->
     """
     jy = np.einsum("sab,sb->sa", j, ys)
     jz = np.einsum("sab,sb->sa", j, zs)
-    t1 = _courant(jy, jz, h)
-    t2 = j[0] @ _courant(jy, zs, h)
-    t3 = j[0] @ _courant(ys, jz, h)
-    t4 = _courant(ys, zs, h)
-    return t1 - t2 - t3 - t4
+    # [JY, JZ], [JY, Z], [Y, JZ] and [Y, Z] from one derivative pass
+    t1, t2, t3, t4 = _brackets((jy, jz, ys, zs), ((0, 1), (0, 3), (2, 1), (2, 3)), h)
+    return t1 - j[0] @ t2 - j[0] @ t3 - t4
 
 
 def nijenhuis_field(

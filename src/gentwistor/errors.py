@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the argument checks that raise UsageError.
 
 Numerical geometry code fails in qualitatively different ways: the caller
 passed something malformed (UsageError), the data violates a mathematical
@@ -7,6 +7,9 @@ precondition (InvalidInputError), two redundant computation paths disagree
 (DomainError).  Keeping them distinct lets the CLI map them to exit codes
 and lets tests assert on the failure mode rather than on message text.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class GentwistorError(Exception):
@@ -68,3 +71,27 @@ class EvalError(GentwistorError):
 class ConfigError(GentwistorError):
     """A metric definition file is malformed or defines a degenerate
     metric."""
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as an int; UsageError unless it is an integer in [lo, hi] (a bool is not)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if int(value) < lo:
+        raise UsageError(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and int(value) > hi:
+        raise UsageError(f"{name} must be at most {hi}, got {value}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """value as a float; UsageError unless it is a positive finite real (a bool is not)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise UsageError(f"{name} must be positive and finite, got {value}")
+    return x

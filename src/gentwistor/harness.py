@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _check_int, _check_real
 from .gca import ComponentTag
 from .metrics import MetricSpec
 # curvature_operator, constraints_genJ, constraints_J1 and
@@ -74,18 +74,6 @@ VERDICT_OBSTRUCTED = "obstructed"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 _UINT64_MAX = 2**64 - 1
-
-
-def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    """value as a Python int; UsageError unless it is an integer (a bool is
-    not) in [lo, hi]."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    if int(value) < lo:
-        raise UsageError(f"{name} must be at least {lo}, got {value}")
-    if hi is not None and int(value) > hi:
-        raise UsageError(f"{name} must be at most {hi}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -217,8 +205,7 @@ def check(
     points the residuals are measured at."""
     base_samples = _check_int("base_samples", base_samples, 1)
     fiber_samples = _check_int("fiber_samples", fiber_samples, 1)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"tolerance must be positive and finite, got {tol}")
+    tol = _check_real("tolerance", tol)
     seed = _check_int("seed", seed, 0, _UINT64_MAX)
     if kind is StructureKind.SEMI and not component.mixed:
         raise UsageError("semi-integrability is defined on the mixed components only")

@@ -60,7 +60,7 @@ from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
 # nijenhuis_field is not called here; it stays importable from oracle
 # because bench/run.py's traced run rebinds it on this module.
 from .calculus import nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_real
 from .gca import S_MATRIX
 from .metrics import MetricSpec
 from .riemann import christoffel, generalized_curvature, orthonormal_frame
@@ -324,8 +324,7 @@ def nijenhuis_numeric(
     ``chart_data`` pass covers the 66 rows of both stencils."""
     if len(selectors) != 2:
         raise UsageError("selectors must be a pair of (family, index) tuples")
-    if not (np.isfinite(step) and step > 0.0):
-        raise UsageError(f"step must be positive and finite, got {step}")
+    step = _check_real("step", step)
     if isinstance(poles, str) and poles == "auto":
         chart = TwistorChart.for_point(metric, tp, kind)
     else:

@@ -32,13 +32,17 @@ single-point shapes and harness.check's 4 points are one pass:
    L L^T, dL = L Phi(L^{-1} dA L^{-T}) with dA = -g^{-1} dg g^{-1} and Phi
    the lower triangle with halved diagonal (I. Murray, "Differentiation
    of the Cholesky decomposition", arXiv:1602.07527).  Gamma and dL come
-   from the same dg, so Upsilon is antisymmetric up to roundoff.
+   from the same dg, so Upsilon is antisymmetric up to roundoff.  Each
+   contraction is a matrix product over flattened index pairs: dA, Gamma
+   = y g^{-T} / 2 over (ij, l), e^T de and e^T Gamma_k e.
 4. riemann, rf, operator: the coordinate curvature tensor from dg and
-   d2g (no nested differencing), pushed into the frame as one so(4)
-   element per wedge pair and stored once, as the six slices
-   rf[k] = R(theta_a, theta_b) for (a, b) = WEDGE_PAIRS[k]; the 6x6
-   matrix over the orthonormal bivector basis (I+, J+, K+, I-, J-, K-)
-   / sqrt(2) is read from it.
+   d2g (no nested differencing) as R = T - T^(ij), T[l,k,i,j] =
+   d_j Gamma^l_{ik} + Gamma^l_{jm} Gamma^m_{ik}, by matrix products
+   (Gamma Gamma is one (16 x 4)(4 x 16) product), pushed into the frame
+   by one (16 x 16)(16 x 6) product and stored once, as the six so(4)
+   slices rf[k] = R(theta_a, theta_b) for (a, b) = WEDGE_PAIRS[k]; the
+   6x6 matrix over the orthonormal bivector basis (I+, J+, K+, I-, J-,
+   K-) / sqrt(2) is read from it.
 5. decompose: block splitting
 
        R = [[ W+ + s/12 Id,  B        ],
@@ -117,7 +121,8 @@ class CurvatureBlocks:
 
 def _frame(p: np.ndarray, g: np.ndarray) -> tuple[FrameData, np.ndarray]:
     """Frame at points p (..., 4), and the g^{-1} it factors; errors name the first bad point."""
-    sym = np.isclose(g, np.swapaxes(g, -1, -2), atol=1e-12).all(axis=(-2, -1))
+    gt = np.swapaxes(g, -1, -2)
+    sym = (np.abs(g - gt) <= 1e-12 + 1e-5 * np.abs(gt)).all(axis=(-2, -1))  # np.isclose's rule
     if not sym.all():
         raise InvalidInputError(f"metric at {np.reshape(p, (-1, 4))[np.argmin(sym)].tolist()} is not symmetric")
     try:
@@ -157,8 +162,7 @@ class PointGeometry:
 
     def __init__(self, metric: MetricSpec, p: np.ndarray, h: float | None = None):
         p = np.asarray(p, dtype=float)
-        if h is None:
-            h = metric.fd_step
+        h = metric.fd_step if h is None else h
         metric.require_interior(p, 2.0 * h)
         self._metric, self.point, self.h = metric, p, h
         near = _evaluate(metric, p[..., None, :] + _NEAR * h)
@@ -170,10 +174,12 @@ class PointGeometry:
         self.dg = dg = (a0 - 8 * a1 + 8 * a2 - a3) / (12.0 * h)
         self._pure = (-a3 + 16 * a2 - 30 * g[..., None, :, :] + 16 * a1 - a0) / (12 * h * h)
         # d_m g^{kl} = -g^{ka} dg[m,a,b] g^{bl}
-        self.dginv = -np.einsum("...ka,...mab,...bl->...mkl", self.ginv, dg, self.ginv)
-        # Gamma^k_{ij} = g^{kl} ( d_i g_{jl} + d_j g_{il} - d_l g_{ij} ) / 2
-        self._y = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-        self.gamma = 0.5 * np.einsum("...kl,...ijl->...kij", self.ginv, self._y)
+        self.dginv = -(self.ginv[..., None, :, :] @ dg @ self.ginv[..., None, :, :])
+        # Gamma^k_{ij} = g^{kl} y[i,j,l] / 2, y[i,j,l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}:
+        # over (ij, l), Gamma = y g^{-T} / 2, moved to [k, i, j]
+        self._y = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+        gamma = 0.5 * (self._y.reshape(p.shape[:-1] + (16, 4)) @ np.swapaxes(self.ginv, -1, -2))
+        self.gamma = np.moveaxis(gamma.reshape(dg.shape), -1, -3)
 
     @cached_property
     def frame_derivative(self) -> np.ndarray:
@@ -187,15 +193,14 @@ class PointGeometry:
     def connection(self) -> ConnectionData:
         """The frame connection Upsilon_a[c, b] =
         theta*_c( nabla_{theta_a} theta_b )."""
-        e, einv = self.frame.e, self.frame.einv
-        cov = np.einsum("...ia,...ikb->...akb", e, self.frame_derivative)
-        cov += np.einsum("...kij,...ia,...jb->...akb", self.gamma, e, e)
+        e, einv, lead = self.frame.e, self.frame.einv, self.point.shape[:-1]
+        et = np.swapaxes(e, -1, -2)
+        # cov[a, k, b] = e_ia d_i e_kb + e_ia Gamma^k_ij e_jb: e^T de, then e^T Gamma_k e
+        cov = (et @ self.frame_derivative.reshape(lead + (4, 16))).reshape(lead + (4, 4, 4))
+        cov += np.swapaxes(et[..., None, :, :] @ self.gamma @ e[..., None, :, :], -3, -2)
         ups = einv[..., None, :, :] @ cov
         skew = np.swapaxes(ups, -1, -2)
-        return ConnectionData(
-            upsilon=0.5 * (ups - skew),
-            antisymmetry_defect=float(np.abs(ups + skew).max()),
-        )
+        return ConnectionData(upsilon=0.5 * (ups - skew), antisymmetry_defect=float(np.abs(ups + skew).max()))
 
     @cached_property
     def d2g(self) -> np.ndarray:
@@ -216,19 +221,17 @@ class PointGeometry:
         Uses the sign convention of the module docstring.  The derivative
         of Gamma is expanded through dg and d2g, so only the metric itself
         is ever finite-differenced."""
-        d2g, gamma = self.d2g, self.gamma
-        # d_m Gamma^k_{ij}, with the Gamma derivative expanded over dg and d2g
-        z = d2g + np.einsum("...mjil->...mijl", d2g) - np.einsum("...mlij->...mijl", d2g)
-        dgamma = np.einsum("...mkl,...ijl->...mkij", self.dginv, self._y)
-        dgamma = 0.5 * (dgamma + np.einsum("...kl,...mijl->...mkij", self.ginv, z))
-        # R[l,k,i,j] = d_j Gamma^l_{ik} - d_i Gamma^l_{jk}
-        #            + Gamma^l_{jm} Gamma^m_{ik} - Gamma^l_{im} Gamma^m_{jk}
-        return (
-            np.einsum("...jlik->...lkij", dgamma)
-            - np.einsum("...iljk->...lkij", dgamma)
-            + np.einsum("...ljm,...mik->...lkij", gamma, gamma)
-            - np.einsum("...lim,...mjk->...lkij", gamma, gamma)
-        )
+        d2g, lead = self.d2g, self.point.shape[:-1]
+        # dgamma[m,i,j,k] = d_m Gamma^k_ij = (d_m g^kl y[i,j,l] + g^kl z[m,i,j,l]) / 2, products over (ij, l)
+        z = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
+        dgamma = (z.reshape(lead + (64, 4)) @ np.swapaxes(self.ginv, -1, -2)).reshape(d2g.shape)
+        dgamma += (self._y.reshape(lead + (1, 16, 4)) @ np.swapaxes(self.dginv, -1, -2)).reshape(d2g.shape)
+        dgamma *= 0.5
+        # t[l, j, i, k] = d_j Gamma^l_{ik} + Gamma^l_{jm} Gamma^m_{ik}, the
+        # quadratic term one (16 x 4)(4 x 16) product; R[l,k,i,j] = t[l,j,i,k] - t[l,i,j,k]
+        t = (self.gamma.reshape(lead + (16, 4)) @ self.gamma.reshape(lead + (4, 16))).reshape(d2g.shape)
+        t += np.moveaxis(dgamma, -1, -4)
+        return np.swapaxes(t - np.swapaxes(t, -3, -2), -3, -1)
 
     @cached_property
     def rf(self) -> np.ndarray:
@@ -239,8 +242,11 @@ class PointGeometry:
         Each R(theta_a, theta_b) is antisymmetric (an so(4) element) up to
         finite-difference error; the exact antisymmetrization is applied so
         that downstream bivector algebra sees honest Lie algebra elements."""
-        e, einv = self.frame.e, self.frame.einv
-        mats = np.einsum("...lkij,...ip,...jp->...plk", self.riemann, e[..., WEDGE_I], e[..., WEDGE_J])
+        e, einv, lead = self.frame.e, self.frame.einv, self.point.shape[:-1]
+        # R(theta_a, theta_b)[l, k] = R[l,k,i,j] e_ia e_jb: (lk, ij) by (ij, pair)
+        curvature = self.riemann.reshape(lead + (16, 16))
+        wedges = (e[..., :, None, WEDGE_I] * e[..., None, :, WEDGE_J]).reshape(lead + (16, 6))
+        mats = np.moveaxis((curvature @ wedges).reshape(lead + (4, 4, 6)), -1, -3)
         f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
         return 0.5 * (f - np.swapaxes(f, -1, -2))
 

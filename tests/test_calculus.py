@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gentwistor import calculus
 from gentwistor.calculus import (
     DEFAULT_STEP,
     GenField,
@@ -369,6 +370,55 @@ def test_nijenhuis_values_equal_nijenhuis_field():
         # J, Y and Z each once at each of the 33 stencil points, however
         # many brackets the formula takes
         assert np.array_equal(np.array(seen), np.tile(stencil(z0, h), (3, 1)))
+
+
+def _courant_per_bracket(y, z, h):
+    """One Courant bracket from stacked stencil values, each term taking its
+    own derivative pass: the per-bracket arithmetic that nijenhuis_values
+    replaces with one pass over all four brackets."""
+    d, dot = calculus._d, calculus._dot
+    n = y.shape[1] // 2
+    yv, yf, zv, zf = y[:, :n], y[:, n:], z[:, :n], z[:, n:]
+
+    def lie_d(x, xi):
+        e = d(xi, h)
+        return (e.T - e).T @ x[0] + d(dot(xi, x), h)
+
+    form = lie_d(yv, zf) - lie_d(zv, yf) - d(0.5 * (dot(zf, yv) - dot(yf, zv)), h)
+    return np.concatenate([d(zv, h) @ yv[0] - d(yv, h) @ zv[0], form])
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_nijenhuis_values_equal_per_bracket_reference(n):
+    # the stencil sum works entry by entry, so differencing the stacked
+    # fields and pairings once gives the four brackets bit for bit
+    rng = np.random.default_rng(20 + n)
+    for h in (1e-3, 1e-2):
+        for _ in range(3):
+            j = rng.normal(size=(1 + 4 * n, 2 * n, 2 * n))
+            ys, zs = rng.normal(size=(2, 1 + 4 * n, 2 * n))
+            jy, jz = np.einsum("sab,sb->sa", j, ys), np.einsum("sab,sb->sa", j, zs)
+            expect = (
+                _courant_per_bracket(jy, jz, h)
+                - j[0] @ _courant_per_bracket(jy, zs, h)
+                - j[0] @ _courant_per_bracket(ys, jz, h)
+                - _courant_per_bracket(ys, zs, h)
+            )
+            assert np.array_equal(nijenhuis_values(j, ys, zs, h), expect)
+
+
+def test_one_derivative_pass_per_stencil(monkeypatch):
+    # one nijenhuis_numeric call differences each of its two stencils once
+    # (the four brackets took 56 passes when each term made its own)
+    passes = []
+    d = calculus._d
+    monkeypatch.setattr(calculus, "_d", lambda values, h: passes.append(values.shape) or d(values, h))
+    f = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PM)
+    tp = TwistorPoint(np.array([0.12, -0.07, 0.2, 0.05]), f)
+    nijenhuis_numeric(metric_by_name("s4"), tp, (("h+", 0), ("v*", 2)), StructureKind.GENJ)
+    assert len(passes) <= 2
+    # each pass covers 33 rows: four 16-component fields and 4 x 3 pairings
+    assert passes == [(33, 4 * 16 + 12)] * 2
 
 
 def test_domain_guard():

@@ -196,6 +196,19 @@ def test_check_rejects_non_finite_tolerance():
             check(m, ComponentTag.PM, StructureKind.GENJ, tol=tol)
 
 
+def test_check_rejects_a_tolerance_that_is_not_a_real_number():
+    # a string, None or a complex number used to raise a bare TypeError,
+    # and True was taken as a tolerance of 1.0
+    m = metric_by_name("s4")
+    for tol in ("a", None, 1e-4 + 0j, True, np.bool_(True)):
+        with pytest.raises(UsageError, match="tolerance must be a real number"):
+            check(m, ComponentTag.PM, StructureKind.GENJ, tol=tol)
+    with pytest.raises(UsageError, match="positive and finite"):
+        check(m, ComponentTag.PM, StructureKind.GENJ, tol=10**400)
+    for tol in (np.float32(1e-4), 1):
+        assert check(m, ComponentTag.PM, StructureKind.GENJ, tol=tol).tolerance == float(tol)
+
+
 def test_report_fields_and_verdict():
     r = check(metric_by_name("s4"), ComponentTag.PP, StructureKind.GENJ,
               base_samples=2, fiber_samples=4, seed=SEED)

@@ -126,6 +126,10 @@ def test_selector_and_argument_validation():
     for bad_step in (float("nan"), float("inf")):
         with pytest.raises(UsageError, match="positive and finite"):
             nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=bad_step)
+    # a string or None used to raise a bare TypeError, and True was taken as a step of 1.0
+    for bad_step in ("a", None, True, 0.01j):
+        with pytest.raises(UsageError, match="step must be a real number"):
+            nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=bad_step)
     edge = TwistorPoint(np.array([0.99, 0.0, 0.0, 0.0]), tp.f)
     with pytest.raises(DomainError):
         nijenhuis_numeric(m, edge, (("h+", 0), ("h+", 1)), StructureKind.GENJ)

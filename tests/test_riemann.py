@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gentwistor.bivector import WEDGE_PAIRS, basis_wedge
+from gentwistor.bivector import U6, WEDGE_I, WEDGE_J, WEDGE_PAIRS, basis_wedge, pair_coords
 from gentwistor.calculus import partial
 from gentwistor.dsl import load_metric_file
 from gentwistor.errors import DecompositionError, DomainError, InvalidInputError
@@ -179,6 +179,59 @@ def test_batched_geometry_equals_per_point(metric):
     grid = generalized_curvature(metric, points.reshape(2, 2, 4))
     assert grid.rf.shape == (2, 2, 6, 4, 4)
     assert np.array_equal(grid.rf.reshape(batch.rf.shape), batch.rf)
+
+
+DSL_DIR = Path(__file__).resolve().parents[1] / "bench" / "dsl"
+REFERENCE_METRICS = [CATALOG[name] for name in sorted(CATALOG)] + [
+    load_metric_file(str(DSL_DIR / f"{name}.cfg")) for name in ("s4", "schwarzschild", "eguchi-hanson")
+]
+
+
+def _einsum_geometry(geo):
+    """gamma, dginv, upsilon, rf and operator from the geometry's own g^-1,
+    dg, d2g and frame, each contraction written as one einsum over the
+    index formula; also d Gamma, the largest term the curvature sums."""
+    ginv, dg, d2g, e, einv = geo.ginv, geo.dg, geo.d2g, geo.frame.e, geo.frame.einv
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    y = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, y)
+    phi = np.tril(np.einsum("...ab,...mbc,...dc->...mad", einv, dginv, einv))
+    phi[..., range(4), range(4)] *= 0.5
+    de = np.einsum("...ab,...mbc->...mac", e, phi)
+    cov = np.einsum("...ia,...ikb->...akb", e, de) + np.einsum("...kij,...ia,...jb->...akb", gamma, e, e)
+    ups = np.einsum("...ck,...akb->...acb", einv, cov)
+    z = d2g + np.einsum("...mjil->...mijl", d2g) - np.einsum("...mlij->...mijl", d2g)
+    dgamma = 0.5 * (np.einsum("...mkl,...ijl->...mkij", dginv, y) + np.einsum("...kl,...mijl->...mkij", ginv, z))
+    riemann = (
+        np.einsum("...jlik->...lkij", dgamma)
+        - np.einsum("...iljk->...lkij", dgamma)
+        + np.einsum("...ljm,...mik->...lkij", gamma, gamma)
+        - np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+    )
+    mats = np.einsum("...lkij,...ip,...jp->...plk", riemann, e[..., WEDGE_I], e[..., WEDGE_J])
+    f = np.einsum("...ck,...pkl,...lb->...pcb", einv, mats, e)
+    rf = 0.5 * (f - np.swapaxes(f, -1, -2))
+    operator = U6 @ np.swapaxes(pair_coords(rf), -1, -2) @ U6.T
+    return {"gamma": gamma, "dginv": dginv, "upsilon": 0.5 * (ups - np.swapaxes(ups, -1, -2)),
+            "rf": rf, "operator": operator}, dgamma
+
+
+@pytest.mark.parametrize("metric", REFERENCE_METRICS, ids=lambda m: f"{m.name}")
+def test_matrix_products_match_the_einsum_formulas(metric):
+    # the geometry's matrix products agree with the index formulas to
+    # roundoff: 1e-12 of each array's max-abs.  The curvature is a sum of
+    # d Gamma terms that cancel to finite-difference noise on a flat metric
+    # (rf about 7e-11 on flat-perturbed), so for rf and the operator the
+    # scale is the larger of the array and d Gamma.
+    geo = generalized_curvature(metric, metric.interior_points(4, np.random.default_rng(31)))
+    ref, dgamma = _einsum_geometry(geo)
+    got = {"gamma": geo.gamma, "dginv": geo.dginv, "upsilon": geo.connection.upsilon,
+           "rf": geo.rf, "operator": geo.operator}
+    for name, want in ref.items():
+        scale = np.abs(want).max()
+        if name in ("rf", "operator"):
+            scale = max(scale, np.abs(dgamma).max())
+        assert np.abs(got[name] - want).max() <= 1e-12 * scale, name
 
 
 def test_batched_errors_name_the_offending_point():
