@@ -48,9 +48,9 @@ from typing import Callable
 
 import numpy as np
 
-FieldFn = Callable[[np.ndarray], np.ndarray]
+from .numerics import DEFAULT_STEP
 
-DEFAULT_STEP = 1e-3
+FieldFn = Callable[[np.ndarray], np.ndarray]
 
 _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _WEIGHTS = (1.0, -8.0, 8.0, -1.0)

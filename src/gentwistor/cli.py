@@ -36,14 +36,9 @@ import numpy as np
 
 from .errors import ConfigError, GentwistorError
 from .gca import ComponentTag
-from .harness import (
-    DEFAULT_TOL,
-    _dump,
-    check,
-    classify_metric,
-    report_json,
-)
-from .metrics import CATALOG, SAMPLE_MARGIN, MetricSpec, metric_by_name
+from .harness import _dump, check, classify_metric, report_json
+from .metrics import CATALOG, MetricSpec, metric_by_name
+from .numerics import DEFAULT_TOL, SAMPLE_MARGIN
 from .oracle import nijenhuis_numeric, oracle_margin
 from .riemann import curvature_operator, decompose
 from .twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber, type_of_genJ

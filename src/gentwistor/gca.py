@@ -37,15 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, UsageError
+from .numerics import ALGEBRA_TOL, RANK_RTOL
 
 _ID4 = np.eye(4)
 _ID8 = np.eye(8)
 
 #: PM -> TT change of basis; its inverse is S / 2.
 S_MATRIX: np.ndarray = np.block([[_ID4, _ID4], [_ID4, -_ID4]])
-
-_ALGEBRA_TOL = 1e-10
-_RANK_RTOL = 1e-8
 
 
 class BasisTag(enum.Enum):
@@ -88,7 +86,7 @@ class GenStructure:
     """Generalized almost complex structure as an 8x8 matrix in a tagged basis.
 
     Construction validates the two defining identities, m @ m = -Id and
-    m^T Q m = Q, to 1e-10.
+    m^T Q m = Q, by np.allclose with atol ALGEBRA_TOL.
     """
 
     m: np.ndarray
@@ -99,10 +97,10 @@ class GenStructure:
         if m.shape != (8, 8):
             raise UsageError(f"generalized structure needs an 8x8 matrix, got {m.shape}")
         object.__setattr__(self, "m", m)
-        if not np.allclose(m @ m, -_ID8, atol=_ALGEBRA_TOL):
+        if not np.allclose(m @ m, -_ID8, atol=ALGEBRA_TOL):
             raise InvalidInputError("matrix does not square to -Id")
         q = pseudo_metric_matrix(self.basis)
-        if not np.allclose(m.T @ q @ m, q, atol=_ALGEBRA_TOL):
+        if not np.allclose(m.T @ q @ m, q, atol=ALGEBRA_TOL):
             raise InvalidInputError("matrix does not preserve the split pairing")
 
 
@@ -120,7 +118,7 @@ def change_basis(u: GenStructure, to: BasisTag) -> GenStructure:
 def from_complex(j: np.ndarray) -> GenStructure:
     """Structure induced by an almost complex structure J: diag(J, -J^T)."""
     j = np.asarray(j, dtype=float)
-    if not np.allclose(j @ j, -_ID4, atol=_ALGEBRA_TOL):
+    if not np.allclose(j @ j, -_ID4, atol=ALGEBRA_TOL):
         raise InvalidInputError("J does not square to -Id")
     z = np.zeros((4, 4))
     return GenStructure(np.block([[j, z], [z, -j.T]]), BasisTag.TT)
@@ -129,7 +127,7 @@ def from_complex(j: np.ndarray) -> GenStructure:
 def from_symplectic(w: np.ndarray) -> GenStructure:
     """Structure induced by a non-degenerate 2-form: [[0, -w^{-1}], [w, 0]]."""
     w = np.asarray(w, dtype=float)
-    if not np.allclose(w, -w.T, atol=_ALGEBRA_TOL):
+    if not np.allclose(w, -w.T, atol=ALGEBRA_TOL):
         raise InvalidInputError("symplectic matrix must be antisymmetric")
     try:
         winv = np.linalg.inv(w)
@@ -147,7 +145,7 @@ def b_transform(u: GenStructure, b: np.ndarray) -> GenStructure:
     type) exactly unchanged.
     """
     b = np.asarray(b, dtype=float)
-    if not np.allclose(b, -b.T, atol=_ALGEBRA_TOL):
+    if not np.allclose(b, -b.T, atol=ALGEBRA_TOL):
         raise InvalidInputError("B-field must be antisymmetric")
     u_tt = change_basis(u, BasisTag.TT)
     z = np.zeros((4, 4))
@@ -164,7 +162,7 @@ def _rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > _RANK_RTOL * max(s[0], 1.0)))
+    return int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
 
 
 def _type_from_block(u_tt: np.ndarray) -> int:

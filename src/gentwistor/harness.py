@@ -46,6 +46,7 @@ import numpy as np
 from .errors import UsageError, _check_int, _check_real
 from .gca import ComponentTag
 from .metrics import MetricSpec
+from .numerics import DEFAULT_FLAG_THRESHOLD, DEFAULT_TOL, OBSTRUCTION_FLOOR
 # curvature_operator, constraints_genJ, constraints_J1 and
 # semi_integrability_residual are not called here; they stay importable from
 # harness because bench/run.py's traced run rebinds them on this module.
@@ -58,16 +59,6 @@ from .twistor import (  # noqa: F401
     fiber_residuals,
     semi_integrability_residual,
 )
-
-#: Curvature sup-norm under which a flag counts as "zero".
-DEFAULT_FLAG_THRESHOLD = 1e-4
-
-#: Residual bound for an "integrable" verdict.
-DEFAULT_TOL = 1e-4
-
-#: Residuals above this are called "obstructed"; the band between the
-#: two bounds is reported as "inconclusive", never silently classified.
-OBSTRUCTION_FLOOR = 1e-3
 
 VERDICT_INTEGRABLE = "integrable"
 VERDICT_OBSTRUCTED = "obstructed"

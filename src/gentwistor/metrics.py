@@ -45,12 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UsageError
-
-#: relative finite-difference step: h = FD_STEP_FACTOR * (hi - lo) / 2
-FD_STEP_FACTOR = 1e-3
-
-#: default sampling margin, as a fraction of the box edge per side
-SAMPLE_MARGIN = 0.05
+from .numerics import FD_STEP_FACTOR, SAMPLE_MARGIN
 
 
 @dataclass(frozen=True)

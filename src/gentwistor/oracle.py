@@ -63,15 +63,9 @@ from .calculus import nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
 from .errors import DomainError, UsageError, _check_real
 from .gca import S_MATRIX
 from .metrics import MetricSpec
+from .numerics import DEFAULT_ORACLE_STEP, POLE_MARGIN
 from .riemann import christoffel, generalized_curvature, orthonormal_frame
 from .twistor import StructureKind, TwistorPoint, _constraint_block, fiber_to_structures
-
-#: Minimum allowed value of 1 + pole * a3 before embedding refuses and
-#: asks for the opposite pole.
-POLE_MARGIN = 0.1
-
-#: Default outer finite difference step on the chart.
-DEFAULT_ORACLE_STEP = 1e-2
 
 # Orientation of the fiber rotation in the vertical block, j(x) = s (a x x)
 # with s = _VERTICAL_ORIENTATION * handedness.  Pinned by the flat-metric
@@ -303,8 +297,9 @@ class TwistorChart:
 
 
 def oracle_margin(metric: MetricSpec, step: float = DEFAULT_ORACLE_STEP) -> float:
-    """Distance from the box edge that nijenhuis_numeric needs at this
-    step: the nested oracle stencil plus the Christoffel stencil inside it."""
+    """Distance from the box edge that nijenhuis_numeric requires at this
+    step.  Its metric points reach 2 step + 2 fd_step from tp.p (the chart
+    stencil, then the Christoffel stencil); the chart term is doubled."""
     return 4.0 * step + 2.0 * metric.fd_step
 
 

@@ -72,9 +72,7 @@ from .bivector import U6, WEDGE_I, WEDGE_J, WEDGE_PAIRS, pair_coords
 from .calculus import partial  # noqa: F401
 from .errors import DecompositionError, InvalidInputError
 from .metrics import MetricSpec
-
-_SYM_TOL = 1e-5
-_TRACE_TOL = 1e-5
+from .numerics import METRIC_SYMMETRY_ATOL, METRIC_SYMMETRY_RTOL, OPERATOR_TOL
 
 _STEPS = (-2.0, -1.0, 1.0, 2.0)
 # weights of the 4th-order first derivative at _STEPS, over 12 h; a mixed
@@ -122,7 +120,7 @@ class CurvatureBlocks:
 def _frame(p: np.ndarray, g: np.ndarray) -> tuple[FrameData, np.ndarray]:
     """Frame at points p (..., 4), and the g^{-1} it factors; errors name the first bad point."""
     gt = np.swapaxes(g, -1, -2)
-    sym = (np.abs(g - gt) <= 1e-12 + 1e-5 * np.abs(gt)).all(axis=(-2, -1))  # np.isclose's rule
+    sym = (np.abs(g - gt) <= METRIC_SYMMETRY_ATOL + METRIC_SYMMETRY_RTOL * np.abs(gt)).all(axis=(-2, -1))  # np.isclose's rule
     if not sym.all():
         raise InvalidInputError(f"metric at {np.reshape(p, (-1, 4))[np.argmin(sym)].tolist()} is not symmetric")
     try:
@@ -285,11 +283,11 @@ def curvature_operator(metric: MetricSpec, p: np.ndarray) -> np.ndarray:
 def decompose(m: np.ndarray) -> CurvatureBlocks:
     """Split (symmetric, trace-balanced) curvature operators (..., 6, 6).
 
-    Each operator is symmetrized after checking the defect is below 1e-5;
-    both Weyl blocks are centered by their own traces so they come out
-    exactly traceless, and the two scalar-curvature readings (4x either
-    diagonal trace) must agree within 1e-5.  An error names the readings
-    of the first operator that fails either check.
+    Each operator is symmetrized after checking the defect is below
+    OPERATOR_TOL; both Weyl blocks are centered by their own traces so they
+    come out exactly traceless, and the two scalar-curvature readings (4x
+    either diagonal trace) must agree within OPERATOR_TOL.  An error names
+    the readings of the first operator that fails either check.
     """
     mt = np.swapaxes(m, -1, -2)
     defect = np.abs(m - mt).max(axis=(-2, -1))
@@ -297,10 +295,10 @@ def decompose(m: np.ndarray) -> CurvatureBlocks:
     ul, lr, ur = ms[..., :3, :3], ms[..., 3:, 3:], ms[..., :3, 3:]
     t_plus, t_minus = np.trace(ul, axis1=-2, axis2=-1), np.trace(lr, axis1=-2, axis2=-1)
     s_plus, s_minus = 4.0 * t_plus, 4.0 * t_minus
-    bad = (defect > _SYM_TOL) | (abs(s_plus - s_minus) > _TRACE_TOL)
+    bad = (defect > OPERATOR_TOL) | (abs(s_plus - s_minus) > OPERATOR_TOL)
     if bad.any():
         k = np.argmax(bad)  # flat index of the first failing operator
-        if defect.flat[k] > _SYM_TOL:
+        if defect.flat[k] > OPERATOR_TOL:
             raise DecompositionError(f"curvature operator asymmetric beyond tolerance: defect {defect.flat[k]:.3e}")
         raise DecompositionError(f"scalar curvature mismatch between duality halves: "
                                  f"{s_plus.flat[k]:.6e} vs {s_minus.flat[k]:.6e}")

@@ -72,9 +72,8 @@ from .bivector import WEDGE_I, WEDGE_J, basis_wedge, unit_combination, wedge
 from .errors import InvalidInputError, UsageError
 from .gca import ComponentTag, GenStructure, structure_from_blocks, type_of
 from .metrics import MetricSpec
+from .numerics import UNIT_TOL
 from .riemann import PointGeometry, generalized_curvature
-
-_UNIT_TOL = 1e-12
 
 # All 16 ordered index pairs, i-major: for the mixed slot assignments (i, j)
 # and (j, i) are different constraints (swapping the indices swaps which slot
@@ -107,7 +106,7 @@ class FiberPoint:
         if a.shape != (3,) or b.shape != (3,):
             raise UsageError("fiber point needs two 3-vectors")
         for name, v in (("a", a), ("b", b)):
-            if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:  # NaN fails too
                 raise InvalidInputError(f"fiber vector {name} is not unit length")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

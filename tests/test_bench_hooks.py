@@ -1,6 +1,9 @@
-"""The traced benchmark run (bench/run.py --trace 1) rebinds module
-attributes of the package by name; every one of them must still exist."""
+"""The benchmark (bench/run.py) reads module attributes of the package by
+name: the traced run rebinds the HOOKS entries, and the workloads read
+constants and functions such as harness.DEFAULT_TOL directly.  Every one
+of them must still exist."""
 
+import ast
 import importlib.util
 import os
 import sys
@@ -9,7 +12,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_trace_hook_resolves(monkeypatch):
+def _load_run(monkeypatch):
     # run.py imports its sibling spans.py and pins the BLAS thread variables
     monkeypatch.setattr(sys, "path", [str(BENCH)] + sys.path)
     monkeypatch.setattr(os, "environ", dict(os.environ))
@@ -19,6 +22,37 @@ def test_every_trace_hook_resolves(monkeypatch):
         spec.loader.exec_module(run)
     finally:
         sys.modules.pop("spans", None)
+    return run
+
+
+def module_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, attribute) for each attribute loaded on a name that run.py
+    binds to the package or one of its modules at top level."""
+    modules = {
+        alias.asname or alias.name
+        for node in tree.body
+        for alias in getattr(node, "names", ())
+        if isinstance(node, ast.ImportFrom) and node.module == "gentwistor"
+        or isinstance(node, ast.Import) and alias.name == "gentwistor"
+    }
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+
+
+def test_every_trace_hook_resolves(monkeypatch):
+    run = _load_run(monkeypatch)
     assert run.HOOKS
     for module, attr, *_ in run.HOOKS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_every_direct_read_resolves(monkeypatch):
+    run = _load_run(monkeypatch)
+    reads = module_reads(ast.parse((BENCH / "run.py").read_text()))
+    assert {("harness", "DEFAULT_TOL"), ("harness", "predict"), ("oracle", "DEFAULT_ORACLE_STEP")} <= reads
+    missing = [f"{name}.{attr}" for name, attr in sorted(reads) if not hasattr(getattr(run, name), attr)]
+    assert not missing, f"bench/run.py reads attributes the package no longer has: {missing}"

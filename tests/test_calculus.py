@@ -3,7 +3,6 @@ import pytest
 
 from gentwistor import calculus
 from gentwistor.calculus import (
-    DEFAULT_STEP,
     GenField,
     courant_bracket,
     exterior_d,
@@ -18,6 +17,7 @@ from gentwistor.calculus import (
 from gentwistor.errors import DomainError
 from gentwistor.gca import ComponentTag, from_complex, from_symplectic
 from gentwistor.metrics import metric_by_name
+from gentwistor.numerics import DEFAULT_STEP
 from gentwistor.oracle import TwistorChart, nijenhuis_numeric, oracle_margin
 from gentwistor.twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber
 

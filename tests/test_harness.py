@@ -5,11 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gentwistor.errors import UsageError
+from gentwistor.errors import DecompositionError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.harness import (
-    DEFAULT_TOL,
-    OBSTRUCTION_FLOOR,
     CurvatureFlags,
     check,
     classify_metric,
@@ -18,6 +16,7 @@ from gentwistor.harness import (
     report_json,
 )
 from gentwistor.metrics import CATALOG, metric_by_name
+from gentwistor.numerics import DEFAULT_TOL, OBSTRUCTION_FLOOR
 from gentwistor.riemann import generalized_curvature
 from gentwistor import harness
 from gentwistor.riemann import decompose
@@ -150,6 +149,40 @@ def test_residuals_are_dichotomous():
                 if vals[-1] < DEFAULT_TOL:
                     continue  # integrable cell, checked by agreement test
                 assert vals[len(vals) // 2] > 10.0 * DEFAULT_TOL, (name, tag.value, kind.value, vals)
+
+
+# Verdicts under g -> lam^2 g, same chart and box.  The geometry is the same,
+# so every cell keeps its verdict; the curvature scales by lam^-2, while
+# the flag threshold, DEFAULT_TOL, OBSTRUCTION_FLOOR and OPERATOR_TOL are
+# absolute.  These stay red until the bounds are relative.
+
+
+def _rescaled(name: str, lam: float):
+    m = metric_by_name(name)
+    return dataclasses.replace(m, g=lambda p: lam**2 * m.g(p))
+
+
+@pytest.mark.xfail(strict=True, reason="absolute bounds: at lam = 1000 s4 reads integrable on ++ (residual 7.7e-6)")
+def test_large_sphere_stays_obstructed_on_pure_components():
+    # s4 is not scalar-flat at any scale; its curvature, 1e-6 here, sits
+    # under every absolute bound, so the flags call it flat and agree
+    r = check(_rescaled("s4", 1e3), ComponentTag.PP, StructureKind.GENJ)
+    assert r.verdict != "integrable", (r.max_residual, r.flags.scalar_zero)
+
+
+@pytest.mark.xfail(strict=True, reason="absolute bounds: at lam = 1e-3 s4 reads obstructed on +- (residual 3.3e-3)")
+def test_small_sphere_stays_integrable_on_mixed_components():
+    # s4 is conformally flat and Einstein at every scale, so J is integrable
+    # on the mixed components; scaled by 1e6, its roundoff crosses the floor
+    r = check(_rescaled("s4", 1e-3), ComponentTag.PM, StructureKind.GENJ)
+    assert r.verdict != "obstructed", (r.max_residual, r.prediction)
+
+
+@pytest.mark.xfail(strict=True, raises=DecompositionError,
+                   reason="absolute OPERATOR_TOL: at lam = 1e-3 the operator's defect is 7.1e-5")
+def test_small_fubini_study_decomposes():
+    r = check(_rescaled("fubini-study", 1e-3), ComponentTag.PM, StructureKind.GENJ)
+    assert r.verdict == "obstructed"
 
 
 # ---------------------------------------------------------------------------

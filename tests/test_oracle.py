@@ -9,9 +9,11 @@ from gentwistor import oracle, twistor
 from gentwistor.errors import DomainError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.metrics import metric_by_name
+from gentwistor.numerics import DEFAULT_ORACLE_STEP
 from gentwistor.oracle import (
     TwistorChart,
     nijenhuis_numeric,
+    oracle_margin,
     predicted_horizontal_value,
     stereo_from_sphere,
     stereo_jac_from_sphere,
@@ -221,6 +223,25 @@ def test_bad_arguments_cost_no_metric_evaluation():
     # connections' 17-point stencils, at the 25 base points
     nijenhuis_numeric(m, tp, good, StructureKind.GENJ)
     assert calls == [(25, 4), (25, 17, 4)]
+
+
+@pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("schwarzschild", P_EH), ("fubini-study", P_UNIT)])
+def test_metric_points_lie_within_the_oracle_margin(name, p):
+    # the guard asks for oracle_margin from the box edge, so every point the
+    # metric is evaluated at must lie within it of tp.p in each coordinate;
+    # the points reach 2 step + 2 fd_step, the margin is 4 step + 2 fd_step
+    m = metric_by_name(name)
+    points, rng = [], np.random.default_rng(5)
+    recorded = dataclasses.replace(m, g=lambda q: points.append(np.reshape(q, (-1, 4))) or m.g(q))
+    for tag in ComponentTag:
+        tp = _tp(p, tag, rng)
+        for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
+            for selectors in ALL_PAIR_TYPES:
+                nijenhuis_numeric(recorded, tp, selectors, kind)
+                reach = np.abs(np.vstack(points) - tp.p).max()
+                points.clear()
+                assert reach <= oracle_margin(m), (name, tag, kind, selectors, reach)
+    assert reach == pytest.approx(2.0 * DEFAULT_ORACLE_STEP + 2.0 * m.fd_step, rel=1e-9)
 
 
 @pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("eguchi-hanson", P_EH)])

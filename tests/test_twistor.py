@@ -9,7 +9,8 @@ from gentwistor.errors import InvalidInputError, UsageError
 from gentwistor.bivector import U6, WEDGE_PAIRS, basis_wedge, sd_asd_coords
 from gentwistor.gca import BasisTag, ComponentTag
 from gentwistor.metrics import CATALOG, MetricSpec, metric_by_name
-from gentwistor.harness import DEFAULT_FLAG_THRESHOLD, CurvatureFlags, predict
+from gentwistor.harness import CurvatureFlags, predict
+from gentwistor.numerics import DEFAULT_FLAG_THRESHOLD
 from gentwistor.riemann import PointGeometry, generalized_curvature
 from gentwistor.twistor import (
     J1_LABELS,
