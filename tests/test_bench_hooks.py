@@ -28,13 +28,12 @@ def _load_run(monkeypatch):
 def module_reads(tree: ast.Module) -> set[tuple[str, str]]:
     """(module, attribute) for each attribute loaded on a name that run.py
     binds to the package or one of its modules at top level."""
-    modules = {
-        alias.asname or alias.name
-        for node in tree.body
-        for alias in getattr(node, "names", ())
-        if isinstance(node, ast.ImportFrom) and node.module == "gentwistor"
-        or isinstance(node, ast.Import) and alias.name == "gentwistor"
-    }
+    modules = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "gentwistor":
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "gentwistor")
     return {
         (node.value.id, node.attr)
         for node in ast.walk(tree)
