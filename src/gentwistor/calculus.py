@@ -137,17 +137,6 @@ def lie_bracket(x: FieldFn, y: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) 
     return _lie(x[0], y[0], _d(x, h), _d(y, h))
 
 
-def exterior_d(xi: FieldFn, p: np.ndarray) -> np.ndarray:
-    """(d xi)_{ij} = d_i xi_j - d_j xi_i, as an antisymmetric matrix."""
-    return _exterior_d(_d(_values(xi, stencil(p, DEFAULT_STEP)), DEFAULT_STEP))
-
-
-def lie_derivative_one_form(x: FieldFn, xi: FieldFn, p: np.ndarray) -> np.ndarray:
-    """L_X xi = i_X d xi + d( xi(X) )."""
-    x, xi = (_values(f, stencil(p, DEFAULT_STEP)) for f in (x, xi))
-    return _lie_derivative(x[0], _d(xi, DEFAULT_STEP), _d(_dot(xi, x), DEFAULT_STEP))
-
-
 class GenField:
     """Generalized field: a vector field paired with a one-form field."""
 

@@ -10,13 +10,19 @@ Expression grammar (operator precedence from loosest to tightest):
              |  ('sin'|'cos'|'exp'|'sqrt'|'log') '(' expr ')'
              |  '(' expr ')'
 
-Unary minus binds looser than '^', so -2^2 evaluates to -4, while
-2^-3 parses (the exponent position accepts a signed factor).
+One regular expression reads the tokens: a NUMBER has ASCII digits only,
+and a name starts with a letter or '_'.  Unary minus binds looser than
+'^', so -2^2 evaluates to -4, while 2^-3 parses (the exponent position
+accepts a signed factor).  Signs, powers, parentheses and calls nest at
+most 100 deep, and deeper nesting is a ParseError at its offset; sums and
+products chain to any length.
 
 Evaluation is plain IEEE double arithmetic, but division by zero, log of
 a non-positive value, sqrt of a negative value, exp overflow, a
 non-finite power and a non-finite result raise EvalError carrying the
 source span of the offending subexpression instead of propagating NaN.
+Each operator is one row of the table _OPS: its numpy function and, if
+it is checked, the mask of its failing points and the message.
 
 Expressions are compiled once into numpy closures over arrays of points,
 with equal subexpressions computed once, so a loaded metric's g is
@@ -46,6 +52,8 @@ probed there for positive definiteness before a MetricSpec is returned.
 from __future__ import annotations
 
 import itertools
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -69,48 +77,26 @@ class Token:
     offset: int
 
 
-# ASCII digits only: str.isdigit also accepts superscripts, which float()
-# rejects, and the digits of other scripts, which it reads
-_DIGITS = frozenset("0123456789")
+# NUMBER takes [0-9], not \d: \d also matches the digits of other scripts,
+# which float() reads.  \w matches those too, and superscripts, so
+# _tokenize checks that a NAME starts with a letter or '_'.  BAD is any
+# other character, a newline included.
+_TOKEN = re.compile(
+    r"(?s)[ \t]*(?:(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<NAME>\w+)|(?P<OP>[-+*/^()])|(?P<END>\Z)|(?P<BAD>.))"
+)
 
 
 def _tokenize(src: str) -> Iterator[Token]:
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and src[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k] in _DIGITS:
-                    j = k
-                    while j < n and src[j] in _DIGITS:
-                        j += 1
-            yield Token("NUMBER", src[i:j], i)
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            yield Token("NAME", src[i:j], i)
-            i = j
-            continue
-        if c in "+-*/^()":
-            yield Token("OP", c, i)
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} at offset {i}", i, ("expression",))
-    yield Token("END", "", n)
+    # every character starts a match, so the matches tile the source
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text, offset = m.group(kind), m.start(kind)
+        if kind == "BAD" or kind == "NAME" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r} at offset {offset}", offset, ("expression",))
+        yield Token(kind, text, offset)
+        if kind == "END":
+            return
 
 
 # ------------------------------------------------------------------ AST
@@ -153,19 +139,18 @@ class Call(Expr):
     arg: Expr = None
 
 
+# signs, powers, parentheses and calls nest at most this deep; a level
+# costs the parser at most five Python frames
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = list(_tokenize(src))
-        self.pos = 0
+        self.pos = self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
 
     def fail(self, expected: tuple[str, ...]) -> ParseError:
         t = self.peek()
@@ -173,100 +158,88 @@ class _Parser:
         exp = ", ".join(expected)
         return ParseError(f"unexpected {what} at offset {t.offset}; expected {exp}", t.offset, expected)
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def _accept(self, ops: str) -> Token | None:
+        """The next token, consumed, if it is one of the operators in ops."""
         t = self.peek()
-        if t.kind != "END":
-            raise self.fail(("operator", "end of input"))
-        return e
+        if t.kind == "OP" and t.text in ops:
+            self.pos += 1
+            return t
+        return None
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            r = self.term()
-            e = BinOp(span=(e.span[0], r.span[1]), op=op, left=e, right=r)
-        return e
+    def _expect(self, op: str) -> Token:
+        t = self._accept(op)
+        if t is None:
+            raise self.fail((f"'{op}'",))
+        return t
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            r = self.factor()
-            e = BinOp(span=(e.span[0], r.span[1]), op=op, left=e, right=r)
+    def expr(self, level: int = 0) -> Expr:
+        """A left-associative chain: terms of a sum (level 0) or factors of a product."""
+        e = self.factor() if level else self.expr(1)
+        while (t := self._accept("*/" if level else "+-")) is not None:
+            r = self.factor() if level else self.expr(1)
+            e = BinOp(span=(e.span[0], r.span[1]), op=t.text, left=e, right=r)
         return e
 
     def factor(self) -> Expr:
         t = self.peek()
-        if t.kind == "OP" and t.text == "-":
-            self.advance()
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep at offset {t.offset}", t.offset)
+        self.depth += 1
+        if self._accept("-"):
             arg = self.factor()
-            return Neg(span=(t.offset, arg.span[1]), arg=arg)
-        return self.power()
+            e = Neg(span=(t.offset, arg.span[1]), arg=arg)
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
-        t = self.peek()
-        if t.kind == "OP" and t.text == "^":
-            self.advance()
+        if self._accept("^"):
             exp = self.factor()  # right associative, signed exponents allowed
             return BinOp(span=(base.span[0], exp.span[1]), op="^", left=base, right=exp)
         return base
 
     def atom(self) -> Expr:
         t = self.peek()
-        if t.kind == "NUMBER":
-            self.advance()
-            return Num(span=(t.offset, t.offset + len(t.text)), value=float(t.text))
-        if t.kind == "NAME":
-            self.advance()
-            end = t.offset + len(t.text)
-            if t.text in VARIABLES:
-                return Var(span=(t.offset, end), index=int(t.text[1]) - 1)
-            if t.text == "pi":
-                return Const(span=(t.offset, end), name="pi")
-            if t.text in FUNCTIONS:
-                o = self.peek()
-                if not (o.kind == "OP" and o.text == "("):
-                    raise self.fail(("'('",))
-                self.advance()
-                arg = self.expr()
-                c = self.peek()
-                if not (c.kind == "OP" and c.text == ")"):
-                    raise self.fail(("')'",))
-                close = self.advance()
-                return Call(span=(t.offset, close.offset + 1), func=t.text, arg=arg)
-            known = ", ".join(VARIABLES + ("pi",) + FUNCTIONS)
-            raise ParseError(
-                f"unknown identifier {t.text!r} at offset {t.offset}; known names: {known}",
-                t.offset,
-                ("x1..x4", "pi", "function"),
-            )
-        if t.kind == "OP" and t.text == "(":
-            self.advance()
+        if self._accept("("):
             e = self.expr()
-            c = self.peek()
-            if not (c.kind == "OP" and c.text == ")"):
-                raise self.fail(("')'",))
-            self.advance()
+            self._expect(")")
             return e
-        raise self.fail(("number", "name", "'('", "'-'"))
+        if t.kind not in ("NUMBER", "NAME"):
+            raise self.fail(("number", "name", "'('", "'-'"))
+        self.pos += 1
+        span = (t.offset, t.offset + len(t.text))
+        if t.kind == "NUMBER":
+            return Num(span=span, value=float(t.text))
+        if t.text in VARIABLES:
+            return Var(span=span, index=int(t.text[1]) - 1)
+        if t.text == "pi":
+            return Const(span=span, name="pi")
+        if t.text in FUNCTIONS:
+            self._expect("(")
+            arg = self.expr()
+            return Call(span=(t.offset, self._expect(")").offset + 1), func=t.text, arg=arg)
+        known = ", ".join(VARIABLES + ("pi",) + FUNCTIONS)
+        raise ParseError(f"unknown identifier {t.text!r} at offset {t.offset}; known names: {known}",
+                         t.offset, ("x1..x4", "pi", "function"))
 
 
 def parse(src: str) -> Expr:
     """Parse an expression; ParseError carries byte offset and expected set."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    e = parser.expr()
+    if parser.peek().kind != "END":
+        raise parser.fail(("operator", "end of input"))
+    return e
 
 
 # ------------------------------------------------------------ evaluation
 #
-# Expressions are compiled once into a straight-line program of numpy
-# steps over the transposed points xt (4, n).  Each step yields an (n,)
-# array, or a scalar for a constant subtree.  A step whose domain check
-# fails at some points records (mask, span, message template, operands) in
-# `fails` and the run carries on; it then reports the error that
-# evaluating the points one by one would raise first: the lowest failing
-# point, at its first failing node.
+# A program is a straight-line list of numpy steps over the transposed
+# points xt (4, n), each yielding an (n,) array, or a scalar for a constant
+# subtree.  A checked step records (mask, span, message template,
+# operands) in `fails` where it fails, and the run carries on.
 
 _Step = Callable[[list, np.ndarray, list], np.ndarray]
 
@@ -276,54 +249,52 @@ def _flag(fails: list, bad, span, template: str, *operands) -> None:
         fails.append((bad, span, template, operands))
 
 
-def _at(v, i: int) -> float:
-    return float(v) if np.ndim(v) == 0 else float(v[i])
-
-
-# per checked function: the mask of failing points from (argument, value)
-_DOMAIN = {
-    "exp": (lambda v, out: ~np.isfinite(out), "exp overflow for argument {0!r}"),
-    "sqrt": (lambda v, out: v < 0.0, "sqrt of negative value {0!r}"),
-    "log": (lambda v, out: v <= 0.0, "log of non-positive value {0!r}"),
+# per operator: its function and, if checked, the mask of failing points
+# from (operands..., value) and the message, formatted with the operands
+_OPS: dict[str, tuple] = {
+    "neg": (operator.neg,),
+    "+": (operator.add,),
+    "-": (operator.sub,),
+    "*": (operator.mul,),
+    "/": (operator.truediv, lambda x, y, out: y == 0.0, "division by zero"),
+    "^": (np.power, lambda x, y, out: ~np.isfinite(out), "power {0!r} ^ {1!r} is not finite"),
+    "sin": (np.sin,),
+    "cos": (np.cos,),
+    "exp": (np.exp, lambda v, out: ~np.isfinite(out), "exp overflow for argument {0!r}"),
+    "sqrt": (np.sqrt, lambda v, out: v < 0.0, "sqrt of negative value {0!r}"),
+    "log": (np.log, lambda v, out: v <= 0.0, "log of non-positive value {0!r}"),
 }
 
 
-def _call(func: str, a: int, span) -> _Step:
-    f = getattr(np, func)
-    if func not in _DOMAIN:
-        return lambda vals, xt, fails: f(vals[a])
-    failing, template = _DOMAIN[func]
+def _step(op: str, args: tuple[int, ...], span) -> _Step:
+    """The step of the _OPS row op on the values in slots args, as a
+    closure of its arity: a generic f(*operands) one is slower."""
+    f, *check = _OPS[op]
+    if len(args) == 1:
+        (a,) = args
+        if not check:
+            return lambda vals, xt, fails: f(vals[a])
+        failing, template = check
 
-    def checked(vals, xt, fails):
-        v = vals[a]
-        out = f(v)
-        _flag(fails, failing(v, out), span, template, v)
+        def unary(vals, xt, fails):
+            v = vals[a]
+            out = f(v)
+            _flag(fails, failing(v, out), span, template, v)
+            return out
+
+        return unary
+    a, b = args
+    if not check:
+        return lambda vals, xt, fails: f(vals[a], vals[b])
+    failing, template = check
+
+    def binary(vals, xt, fails):
+        x, y = vals[a], vals[b]
+        out = f(x, y)
+        _flag(fails, failing(x, y, out), span, template, x, y)
         return out
 
-    return checked
-
-
-def _binop(op: str, a: int, b: int, span) -> _Step:
-    if op == "+":
-        return lambda vals, xt, fails: vals[a] + vals[b]
-    if op == "-":
-        return lambda vals, xt, fails: vals[a] - vals[b]
-    if op == "*":
-        return lambda vals, xt, fails: vals[a] * vals[b]
-    if op == "/":
-
-        def divide(vals, xt, fails):
-            _flag(fails, vals[b] == 0.0, span, "division by zero")
-            return vals[a] / vals[b]
-
-        return divide
-
-    def power(vals, xt, fails):
-        out = np.power(vals[a], vals[b])
-        _flag(fails, ~np.isfinite(out), span, "power {0!r} ^ {1!r} is not finite", vals[a], vals[b])
-        return out
-
-    return power
+    return binary
 
 
 class _Program:
@@ -339,28 +310,41 @@ class _Program:
         self._slots: dict[tuple, int] = {}
         self.outputs = [(self._slot(e), e.span) for e in exprs]
 
-    def _slot(self, e: Expr) -> int:
-        if isinstance(e, (Num, Const)):
-            v = np.float64(e.value if isinstance(e, Num) else np.pi)
-            key, step = ("num", float(v).hex()), lambda vals, xt, fails: v
-        elif isinstance(e, Var):
-            i = e.index
-            key, step = ("var", i), lambda vals, xt, fails: xt[i]
-        elif isinstance(e, Neg):
-            a = self._slot(e.arg)
-            key, step = ("neg", a), lambda vals, xt, fails: -vals[a]
-        elif isinstance(e, Call) and e.func in FUNCTIONS:
-            a = self._slot(e.arg)
-            key, step = (e.func, a), _call(e.func, a, e.span)
-        elif isinstance(e, BinOp) and e.op in "+-*/^":
-            a, b = self._slot(e.left), self._slot(e.right)
-            key, step = (e.op, a, b), _binop(e.op, a, b, e.span)
-        else:
-            raise EvalError(f"malformed expression node {e!r}", getattr(e, "span", None))
-        if key not in self._slots:
-            self._slots[key] = len(self.steps)
-            self.steps.append(step)
-        return self._slots[key]
+    def _slot(self, root: Expr) -> int:
+        """The slot of root's value.  Nodes compile in post-order, left
+        operand first, from an explicit stack, so a chain of any length
+        compiles; an operator waits there as (row, arity, span) until its
+        operands' slots are the last of `done`."""
+        todo: list = [root]
+        done: list[int] = []
+        while todo:
+            e = todo.pop()
+            if isinstance(e, Neg):
+                todo += [("neg", 1, e.span), e.arg]
+                continue
+            if isinstance(e, Call) and e.func in FUNCTIONS:
+                todo += [(e.func, 1, e.span), e.arg]
+                continue
+            if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/", "^"):
+                todo += [(e.op, 2, e.span), e.right, e.left]
+                continue
+            if isinstance(e, tuple):
+                op, n, span = e
+                args = tuple(done[-n:])
+                del done[-n:]
+                key, step = (op, *args), _step(op, args, span)
+            elif isinstance(e, Var):
+                key, step = ("var", e.index), lambda vals, xt, fails, i=e.index: xt[i]
+            elif isinstance(e, (Num, Const)):
+                v = np.float64(e.value if isinstance(e, Num) else np.pi)
+                key, step = ("num", float(v).hex()), lambda vals, xt, fails, v=v: v
+            else:
+                raise EvalError(f"malformed expression node {e!r}", getattr(e, "span", None))
+            if key not in self._slots:
+                self._slots[key] = len(self.steps)
+                self.steps.append(step)
+            done.append(self._slots[key])
+        return done[0]
 
     def run(self, points: np.ndarray) -> tuple[np.ndarray, EvalError | None]:
         """Values (len(exprs), n) at points (n, 4), and the EvalError of the
@@ -381,7 +365,7 @@ class _Program:
             return out, None
         i = min(0 if np.ndim(bad) == 0 else int(np.argmax(bad)) for bad, *_ in fails)
         _, span, template, operands = next(f for f in fails if np.ndim(f[0]) == 0 or f[0][i])
-        return out, EvalError(template.format(*(_at(v, i) for v in operands)), span, index=i)
+        return out, EvalError(template.format(*(float(v if np.ndim(v) == 0 else v[i]) for v in operands)), span, index=i)
 
 
 def evaluate(expr: Expr, p: np.ndarray) -> float:
@@ -390,26 +374,6 @@ def evaluate(expr: Expr, p: np.ndarray) -> float:
     if err is not None:
         raise err
     return float(values[0, 0])
-
-
-def to_source(expr: Expr) -> str:
-    """Fully parenthesized source for the expression; parses back to an
-    equal tree (spans excluded from equality) for any parser-producible
-    tree.  Negative literals never come out of the parser (unary minus
-    becomes Neg), but are still printed unambiguously."""
-    if isinstance(expr, Num):
-        return repr(expr.value) if expr.value >= 0 else f"(-{abs(expr.value)!r})"
-    if isinstance(expr, Var):
-        return f"x{expr.index + 1}"
-    if isinstance(expr, Const):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{to_source(expr.arg)})"
-    if isinstance(expr, Call):
-        return f"{expr.func}({to_source(expr.arg)})"
-    if isinstance(expr, BinOp):
-        return f"({to_source(expr.left)}{expr.op}{to_source(expr.right)})"
-    raise EvalError(f"malformed expression node {expr!r}", None)
 
 
 # ---------------------------------------------------------------- config
@@ -431,7 +395,6 @@ def parse_config(text: str) -> MetricConfig:
     lo = hi = None
     exprs: dict[str, Expr] = {}
     key_lines: dict[str, int] = {}
-    in_table = False
     seen_table = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -443,9 +406,9 @@ def parse_config(text: str) -> MetricConfig:
                 raise ConfigError(f"{line_no}:1: unknown section {stripped!r}, expected [metric]")
             if seen_table:
                 raise ConfigError(f"{line_no}:1: duplicate [metric] section")
-            seen_table = in_table = True
+            seen_table = True
             continue
-        if not in_table:
+        if not seen_table:
             raise ConfigError(f"{line_no}:1: key outside a [metric] section")
         if "=" not in line:
             raise ConfigError(f"{line_no}:1: expected 'key = value', got {stripped!r}")

@@ -181,7 +181,13 @@ def _type_from_eigenspace(u_tt: np.ndarray) -> int:
     if cols.shape[1] != 4:
         raise ConsistencyError(f"+i eigenspace has dimension {cols.shape[1]}, expected 4")
     basis, _ = np.linalg.qr(cols)  # well-conditioned basis of the eigenspace
-    return 4 - _rank(basis[:4, :])
+    # Next to a = b on a pure component, where the type jumps from 0 to 2,
+    # the small singular values of this projection are |a - b| / 4 whatever
+    # the B-field, half the bivector block's.  Doubled, they pass the rank
+    # cut at the same fiber points as the block's.  The basis is
+    # orthonormal, so no singular value exceeds 1 and the cut is RANK_RTOL.
+    s = np.linalg.svd(basis[:4, :], compute_uv=False)
+    return 4 - int(np.sum(2.0 * s > RANK_RTOL))
 
 
 def type_of(u: GenStructure) -> int:

@@ -135,7 +135,7 @@ def _frame(p: np.ndarray, g: np.ndarray) -> tuple[FrameData, np.ndarray]:
 def orthonormal_frame(metric: MetricSpec, p: np.ndarray) -> FrameData:
     """Deterministic smooth orthonormal frame from the Cholesky factor."""
     p = np.asarray(p, dtype=float)
-    return _frame(p, np.asarray(metric.g(p), dtype=float))[0]
+    return _frame(p, _evaluate(metric, p))[0]
 
 
 def _evaluate(metric: MetricSpec, points: np.ndarray) -> np.ndarray:
@@ -158,9 +158,9 @@ class PointGeometry:
     needs it are computed on first use, from one more call on 96 points
     per base point.  See the module docstring for the steps."""
 
-    def __init__(self, metric: MetricSpec, p: np.ndarray, h: float | None = None):
+    def __init__(self, metric: MetricSpec, p: np.ndarray):
         p = np.asarray(p, dtype=float)
-        h = metric.fd_step if h is None else h
+        h = metric.fd_step
         metric.require_interior(p, 2.0 * h)
         self._metric, self.point, self.h = metric, p, h
         near = _evaluate(metric, p[..., None, :] + _NEAR * h)

@@ -154,6 +154,21 @@ def test_non_ascii_digits_in_metric_file_exit_one(tmp_path):
         assert proc.stderr.count("\n") == 1
 
 
+def test_deeply_nested_metric_file_exits_one(tmp_path):
+    # nesting past the parser's depth is one error line, not a traceback
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(FLAT_CONFIG.replace("g11 = 1", "g11 = " + "(" * 3000 + "1" + ")" * 3000))
+    proc = run("classify", "--metric-file", str(cfg), expect=1)
+    assert proc.stderr == f"error: {cfg}: 5:108: expression nested more than 100 deep at offset 101\n"
+
+
+def test_long_flat_chain_in_metric_file_loads(tmp_path):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(FLAT_CONFIG.replace("g11 = 1", "g11 = " + "+".join(["0.0002"] * 5000)))
+    proc = run("classify", "--metric-file", str(cfg), "--samples", "2")
+    assert "flat:        true" in proc.stdout and proc.stderr == ""
+
+
 def test_non_finite_domain_exits_one(tmp_path):
     cfg = tmp_path / "wide.cfg"
     for domain in ("[0, inf]", "[-1e308, 1e308]"):

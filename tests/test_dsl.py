@@ -17,7 +17,6 @@ from gentwistor.dsl import (
     parse,
     parse_config,
     probe_points,
-    to_source,
 )
 from gentwistor.errors import ConfigError, EvalError, ParseError
 from gentwistor.metrics import CATALOG, metric_by_name
@@ -28,6 +27,26 @@ ORIGIN = np.zeros(4)
 
 def ev(src, p=ORIGIN):
     return evaluate(parse(src), p)
+
+
+def to_source(expr):
+    """Fully parenthesized source for the expression; parses back to an
+    equal tree (spans excluded from equality) for any parser-producible
+    tree.  Negative literals never come out of the parser (unary minus
+    becomes Neg), but are still printed unambiguously."""
+    if isinstance(expr, Num):
+        return repr(expr.value) if expr.value >= 0 else f"(-{abs(expr.value)!r})"
+    if isinstance(expr, Var):
+        return f"x{expr.index + 1}"
+    if isinstance(expr, Const):
+        return expr.name
+    if isinstance(expr, Neg):
+        return f"(-{to_source(expr.arg)})"
+    if isinstance(expr, Call):
+        return f"{expr.func}({to_source(expr.arg)})"
+    if isinstance(expr, BinOp):
+        return f"({to_source(expr.left)}{expr.op}{to_source(expr.right)})"
+    raise EvalError(f"malformed expression node {expr!r}", None)
 
 
 def test_precedence_and_unary_minus():
@@ -88,6 +107,78 @@ def test_numbers_take_ascii_digits_only():
         parse("1e\u00b3")
     assert e.value.offset == 1
     assert ev("10.5e+1") == 105.0
+
+
+KNOWN = "; known names: x1, x2, x3, x4, pi, sin, cos, exp, sqrt, log"
+AFTER = ("operator", "end of input")
+OPERAND = ("number", "name", "'('", "'-'")
+NAMES = ("x1..x4", "pi", "function")
+CHAR = ("expression",)
+
+# each input's outcome: the printed tree and every node's span in
+# pre-order, or the ParseError's message, offset and expected set
+EDGE_CASES = [
+    ("1.", ("1.0", [(0, 2)])),
+    (".5.3", ("unexpected '.3' at offset 2; expected operator, end of input", 2, AFTER)),
+    ("1e", ("unexpected 'e' at offset 1; expected operator, end of input", 1, AFTER)),
+    ("1e+", ("unexpected 'e' at offset 1; expected operator, end of input", 1, AFTER)),
+    ("1e-3", ("0.001", [(0, 4)])),
+    ("2\xb2", ("unexpected character '\xb2' at offset 1", 1, CHAR)),
+    ("\u0663*x1", ("unexpected character '\u0663' at offset 0", 0, CHAR)),
+    (".\u0663", ("unexpected character '.' at offset 0", 0, CHAR)),
+    ("1e\xb3", ("unexpected 'e\xb3' at offset 1; expected operator, end of input", 1, AFTER)),
+    ("\xe91", ("unknown identifier '\xe91' at offset 0" + KNOWN, 0, NAMES)),
+    ("_a", ("unknown identifier '_a' at offset 0" + KNOWN, 0, NAMES)),
+    ("x5", ("unknown identifier 'x5' at offset 0" + KNOWN, 0, NAMES)),
+    ("sin", ("unexpected end of input at offset 3; expected '('", 3, ("'('",))),
+    ("sin(", ("unexpected end of input at offset 4; expected number, name, '(', '-'", 4, OPERAND)),
+    ("sin()", ("unexpected ')' at offset 4; expected number, name, '(', '-'", 4, OPERAND)),
+    ("()", ("unexpected ')' at offset 1; expected number, name, '(', '-'", 1, OPERAND)),
+    ("2^-3", ("(2.0^(-3.0))", [(0, 4), (0, 1), (2, 4), (3, 4)])),
+    ("--1", ("(-(-1.0))", [(0, 3), (1, 3), (2, 3)])),
+    ("-2^2", ("(-(2.0^2.0))", [(0, 4), (1, 4), (1, 2), (3, 4)])),
+    ("1\t+ 2", ("(1.0+2.0)", [(0, 5), (0, 1), (4, 5)])),
+    ("1\n+2", ("unexpected character '\\n' at offset 1", 1, CHAR)),
+    ("pi2", ("unknown identifier 'pi2' at offset 0" + KNOWN, 0, NAMES)),
+    ("1 2", ("unexpected '2' at offset 2; expected operator, end of input", 2, AFTER)),
+    ("", ("unexpected end of input at offset 0; expected number, name, '(', '-'", 0, OPERAND)),
+    (" \t", ("unexpected end of input at offset 2; expected number, name, '(', '-'", 2, OPERAND)),
+    ("\xbd", ("unexpected character '\xbd' at offset 0", 0, CHAR)),
+    ("1..2", ("unexpected '.2' at offset 2; expected operator, end of input", 2, AFTER)),
+    ("x1x2", ("unknown identifier 'x1x2' at offset 0" + KNOWN, 0, NAMES)),
+    ("sin (x1)", ("sin(x1)", [(0, 8), (5, 7)])),
+    ("(1", ("unexpected end of input at offset 2; expected ')'", 2, ("')'",))),
+    ("1)", ("unexpected ')' at offset 1; expected operator, end of input", 1, AFTER)),
+    ("1+*2", ("unexpected '*' at offset 2; expected number, name, '(', '-'", 2, OPERAND)),
+    ("$", ("unexpected character '$' at offset 0", 0, CHAR)),
+    ("2^3^2", ("(2.0^(3.0^2.0))", [(0, 5), (0, 1), (2, 5), (2, 3), (4, 5)])),
+    ("1.5E+2*x4", ("(150.0*x4)", [(0, 9), (0, 6), (7, 9)])),
+    ("Sin(1)", ("unknown identifier 'Sin' at offset 0" + KNOWN, 0, NAMES)),
+    ("-(-x1)", ("(-(-x1))", [(0, 5), (2, 5), (3, 5)])),
+    ("exp(x1)/sqrt(x2)-log(pi)", ("((exp(x1)/sqrt(x2))-log(pi))", [(0, 24), (0, 16), (0, 7), (4, 6), (8, 16), (13, 15), (17, 24), (21, 23)])),
+    ("1e5.5", ("unexpected '.5' at offset 3; expected operator, end of input", 3, AFTER)),
+    ("3x1", ("unexpected 'x1' at offset 1; expected operator, end of input", 1, AFTER)),
+    ("x1 ^ -x2 ^ 2", ("(x1^(-(x2^2.0)))", [(0, 12), (0, 2), (5, 12), (6, 12), (6, 8), (11, 12)])),
+    ("\r1", ("unexpected character '\\r' at offset 0", 0, CHAR)),
+    ("6/3/2", ("((6.0/3.0)/2.0)", [(0, 5), (0, 3), (0, 1), (2, 3), (4, 5)])),
+    ("1-2-3", ("((1.0-2.0)-3.0)", [(0, 5), (0, 3), (0, 1), (2, 3), (4, 5)])),
+]
+
+
+def _spans(e):
+    kids = [getattr(e, k) for k in ("arg", "left", "right") if hasattr(e, k)]
+    return [e.span] + [s for k in kids for s in _spans(k)]
+
+
+def test_edge_inputs_keep_their_outcome():
+    for src, outcome in EDGE_CASES:
+        try:
+            e = parse(src)
+        except ParseError as err:
+            got = (str(err), err.offset, err.expected)
+        else:
+            got = (to_source(e), _spans(e))
+        assert got == outcome, src
 
 
 def test_eval_errors_not_nan():
@@ -257,6 +348,39 @@ def test_config_rejects_non_finite_domain():
             parse_config(GOOD_CONFIG.replace("domain = [-1, 1]", f"domain = {domain}"))
         assert str(e.value).startswith("5:10:")  # line of domain, column of its value
     assert parse_config(GOOD_CONFIG.replace("domain = [-1, 1]", "domain = [-1e307, 1e307]")).hi == 1e307
+
+
+def test_deep_nesting_is_a_parse_error():
+    # signs, powers, parentheses and calls nest 100 deep; deeper input
+    # stops at the offset where it goes too deep, not in a RecursionError
+    for src in ("(" * 100 + "x1" + ")" * 100, "-" * 100 + "1", "2" + "^2" * 100, "sin(" * 100 + "1" + ")" * 100):
+        parse(src)
+    for src, offset in (("(" * 3000 + "1", 101), ("-" * 3000 + "1", 101), ("2" + "^2" * 3000, 202), ("sin(" * 3000, 404)):
+        with pytest.raises(ParseError, match=f"^expression nested more than 100 deep at offset {offset}$") as e:
+            parse(src)
+        assert e.value.offset == offset
+    deep = GOOD_CONFIG.replace("g12 = 0", "g12 = " + "(" * 3000 + "0" + ")" * 3000)
+    with pytest.raises(ConfigError, match="^7:108: expression nested more than 100 deep at offset 101$"):
+        load_metric(deep)
+
+
+def test_flat_chains_of_any_length_load_and_evaluate():
+    # 5000 terms compile without recursion, in the order a point-by-point
+    # evaluation meets them, so of two failing terms the first is reported
+    terms = ["0.0002*(1+x1^2)"] * 5000
+    terms[10], terms[4990] = "0*sqrt(x2+1)", "0*log(x2+1)"
+    sphere = "4/(1+x1^2+x2^2+x3^2+x4^2)^2"
+    cfg = GOOD_CONFIG.replace(f"g11 = {sphere}", "g11 = " + "+".join(terms))
+    cfg = cfg.replace(f"g22 = {sphere}", "g22 = " + "*".join(["1.0001"] * 5000))
+    spec = load_metric(cfg)
+    p = np.array([0.5, 0.25, 0.0, 0.0])
+    total = 0.0
+    for k, term in enumerate(terms):
+        total += 0.0 if k in (10, 4990) else 0.0002 * 1.25
+    assert spec.g(p)[0, 0] == pytest.approx(total, rel=1e-12)
+    assert spec.g(p)[1, 1] == pytest.approx(1.0001**5000, rel=1e-12)
+    with pytest.raises(EvalError, match="^sqrt of negative value -0.5$"):
+        spec.g(np.array([0.5, -1.5, 0.0, 0.0]))
 
 
 def test_probe_points_are_interior_grid():

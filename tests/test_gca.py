@@ -143,6 +143,21 @@ def test_type_consistency_error_surfaces(monkeypatch):
         type_of(u)
 
 
+def test_type_paths_agree_next_to_the_diagonal():
+    # the bivector block's singular values are |a - b| / 2 there and the
+    # projected eigenspace's |a - b| / 4; both paths must read the same type
+    a = np.array([0.0, 0.0, -1.0])
+    u = structure_from_blocks(unit_combination(a, 1), unit_combination(np.array([0.0, 3e-8, -1.0]), 1))
+    assert type_of(u) == 0
+    bfield = np.array([[0.0, 1.0, -2.0, 0.5], [-1.0, 0.0, 3.0, 4.0], [2.0, -3.0, 0.0, -1.5], [-0.5, -4.0, 1.5, 0.0]])
+    for sign in (1, -1):
+        for d in np.logspace(-9, -6, 61):
+            b = np.array([0.0, d, -1.0]) / np.hypot(d, 1.0)
+            u = structure_from_blocks(unit_combination(a, sign), unit_combination(b, sign))
+            expect = 2 if np.linalg.norm(a - b) < 2e-8 else 0
+            assert type_of(u) == type_of(b_transform(u, bfield)) == expect, (sign, d)
+
+
 def test_component_tag_signs():
     assert ComponentTag.PP.signs == (1, 1)
     assert ComponentTag.MP.signs == (-1, 1)

@@ -27,9 +27,6 @@ SRC = ROOT / "src" / "gentwistor"
 
 ALLOWED = {
     "harness.report_from_json": "the JSON report round-trip is a kept feature (ROADMAP item 1)",
-    "dsl.to_source": "the printer behind the parser's round-trip tests",
-    "calculus.exterior_d": "its symbolic test pins the terms of the Courant formula",
-    "calculus.lie_derivative_one_form": "its symbolic test pins the terms of the Courant formula",
     "riemann.ConnectionData.antisymmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
 }
 

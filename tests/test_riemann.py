@@ -45,10 +45,13 @@ def test_orthonormal_frame_properties():
 
 
 def test_unbatched_metric_is_rejected():
-    # g must map points (n, 4) to (n, 4, 4); a per-point g breaks the contract
+    # g must map points (n, 4) to (n, 4, 4); a per-point g breaks the
+    # contract, and so does a 3 x 3 one, for the frame as for the connection
     one_point = MetricSpec("one-point", -1.0, 1.0, lambda p: np.eye(4), "")
-    with pytest.raises(InvalidInputError, match=r"\(\.\.\., 4\) to metrics of shape \(\.\.\., 4, 4\)"):
-        christoffel(one_point, np.zeros(4))
+    three = MetricSpec("three", -1.0, 1.0, lambda p: np.broadcast_to(np.eye(3), np.shape(p)[:-1] + (3, 3)), "")
+    for metric, entry in ((one_point, christoffel), (three, orthonormal_frame)):
+        with pytest.raises(InvalidInputError, match=r"\(\.\.\., 4\) to metrics of shape \(\.\.\., 4, 4\)"):
+            entry(metric, np.zeros(4))
 
 
 def test_orthonormal_frame_rejects_indefinite():
@@ -296,11 +299,19 @@ def test_curvature_s4_is_plus_identity():
         assert bl.scalar == pytest.approx(12.0, abs=1e-3)
 
 
+class _HalfStep(MetricSpec):
+    """The same metric, differentiated with half its step."""
+
+    @property
+    def fd_step(self) -> float:
+        return super().fd_step / 2
+
+
 def test_curvature_step_halving_stability():
     m = metric_by_name("eguchi-hanson")
     p = np.array([2.3, 2.4, 2.5, 2.2])
-    a = PointGeometry(m, p, m.fd_step).operator
-    b = PointGeometry(m, p, m.fd_step / 2).operator
+    a = PointGeometry(m, p).operator
+    b = PointGeometry(_HalfStep(m.name, m.lo, m.hi, m.g), p).operator
     assert np.abs(a - b).max() < 1e-6
 
 
