@@ -34,14 +34,14 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GentwistorError
+from .errors import ConfigError, GentwistorError, _check_int
 from .gca import ComponentTag
 from .harness import _dump, check, classify_metric, report_json
 from .metrics import CATALOG, MetricSpec, metric_by_name
 from .numerics import DEFAULT_TOL, SAMPLE_MARGIN
 from .oracle import nijenhuis_numeric, oracle_margin
 from .riemann import curvature_operator, decompose
-from .twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber, type_of_genJ
+from .twistor import FiberPoint, StructureKind, TwistorPoint, random_fibers, type_of_genJ
 
 _COMPONENT_ALIASES = {
     "++": "++", "--": "--", "+-": "+-", "-+": "-+",
@@ -236,18 +236,17 @@ def _run_type(args) -> int:
 
 def _run_oracle(args) -> int:
     metric = _resolve_metric(args)
-    if args.points < 1:
-        raise GentwistorError(f"--points must be at least 1, got {args.points}")
+    n = _check_int("--points", args.points, 1)
     kind = StructureKind(args.structure)
     # 5% of the width on boxes at least about 0.82 wide, the oracle's own margin on narrower ones
     margin_frac = max(SAMPLE_MARGIN, oracle_margin(metric) / (metric.hi - metric.lo))
-    points = metric.interior_points(args.points, np.random.default_rng([args.seed, 0]), margin_frac)
-    rng_fiber = np.random.default_rng([args.seed, 1])
+    points = metric.interior_points(n, np.random.default_rng([args.seed, 0]), margin_frac)
+    fibers = random_fibers(n, np.random.default_rng([args.seed, 1]))
     tags = tuple(ComponentTag)
     worst = 0.0
-    for k, p in enumerate(points):
+    for k, (p, ab) in enumerate(zip(points, fibers)):
         tag = tags[k % len(tags)]
-        tp = TwistorPoint(p, random_fiber(tag, rng_fiber))
+        tp = TwistorPoint(p, FiberPoint(*ab, tag))
         value = noise = 0.0
         for sel in _ORACLE_PAIRS:
             r = nijenhuis_numeric(metric, tp, sel, kind)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -105,35 +105,55 @@ def _tokenize(src: str) -> Iterator[Token]:
 class Expr:
     span: tuple[int, int] = field(compare=False, repr=False)
 
+    def _tokens(self) -> Iterator:
+        """The dataclass repr's pieces, a field value v as (v,), from a stack: ==, hash and repr take any depth."""
+        todo: list = [self]
+        while todo:
+            if isinstance(e := todo.pop(), Expr):
+                shown = [(f.name, getattr(e, f.name)) for f in fields(e)[1:]]  # every field but the span
+                pieces = [(f"{', ' if k else ''}{n}=", v if isinstance(v, Expr) else (v,)) for k, (n, v) in enumerate(shown)]
+                todo += reversed([f"{type(e).__qualname__}(", *itertools.chain(*pieces), ")"])
+            else:
+                yield e
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        return tuple(self._tokens()) == tuple(other._tokens()) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._tokens()))
+
+    def __repr__(self):
+        return "".join(t if isinstance(t, str) else repr(t[0]) for t in self._tokens())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     index: int = 0  # 0-based coordinate index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     name: str = "pi"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str = "+"
     left: Expr = None
     right: Expr = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     func: str = "sin"
     arg: Expr = None

@@ -73,9 +73,14 @@ class ConfigError(GentwistorError):
     metric."""
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer, which a bool is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    """value as an int; UsageError unless it is an integer in [lo, hi] (a bool is not)."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
+    """value as an int; UsageError unless it is an integer in [lo, hi]."""
+    if not _is_int(value):
         raise UsageError(f"{name} must be an integer, got {value!r}")
     if int(value) < lo:
         raise UsageError(f"{name} must be at least {lo}, got {value}")

@@ -8,16 +8,10 @@ component of the twistor space and every structure kind.  check measures
 the actual constraint residuals on a sample grid and reports whether
 measurement and prediction agree.
 
-Prediction rules, one line per cell (component, structure):
-
-    J  on ++ : wplus_zero  and einstein and scalar_zero
-    J  on -- : wminus_zero and einstein and scalar_zero
-    J  on +- or -+ : wplus_zero and wminus_zero and einstein
-    J1 on ++ : wplus_zero  and scalar_zero
-    J1 on -- : wminus_zero and scalar_zero
-    J1 on +- : wplus_zero  and einstein
-    J1 on -+ : wminus_zero and einstein
-    semi on mixed : einstein
+The prediction rule is the table _RULES: a cell (component, structure)
+is predicted integrable exactly when every flag that its row names
+holds.  J1 and J are defined on all four components, semi on the mixed
+ones only.
 
 The mixed-component rule for the generalized structure deserves a note:
 the scalar curvature drops out of all four residual families there (the
@@ -28,18 +22,18 @@ come out integrable both here and under the independent finite
 difference referee in the oracle module, with scalar curvature 12.
 
 Determinism: all sampling is driven by two stable streams derived from
-the seed, one for base points and one for fibers, so reports for a fixed
-seed are reproducible and sample sets grow by prefixes as the sample
-counts increase.  The JSON serializer is deterministic (fixed key order,
-17 significant digit floats); the wall time is kept out of it on purpose
-and reported as null.
+the seed, [seed, 0] for base points and [seed, 1] for fibers, so reports
+for a fixed seed are reproducible and sample sets grow by prefixes as
+the sample counts increase.  The JSON serializer is deterministic (fixed
+key order, 17 significant digit floats); the wall time is kept out of it
+on purpose and reported as null.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +51,7 @@ from .twistor import (  # noqa: F401
     constraints_genJ,
     fiber_blocks,
     fiber_residuals,
+    random_fibers,
     semi_integrability_residual,
 )
 
@@ -85,13 +80,13 @@ class CurvatureFlags:
     scalar_norm: float
     threshold: float
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def _flags_over(matrices: np.ndarray) -> CurvatureFlags:
-    """Flags from the sup over a stack of operator matrices (n, 6, 6)."""
-    blocks = decompose(matrices)
+def _sampled(metric: MetricSpec, n: int, seed: int):
+    """n base points from the stream [seed, 0], one geometry over all of
+    them, and the curvature flags from the sup over its operators."""
+    points = metric.interior_points(n, np.random.default_rng([seed, 0]))
+    geometry = generalized_curvature(metric, points)
+    blocks = decompose(geometry.operator)
     # np.linalg.norm of a block is the sqrt of vecdot's dot product of its
     # flattened entries, and the sqrt of the largest is the largest norm
     flat = [x.reshape(-1, 9) for x in (blocks.wplus, blocks.wminus, blocks.b)]
@@ -99,7 +94,7 @@ def _flags_over(matrices: np.ndarray) -> CurvatureFlags:
     sn = float(np.abs(blocks.scalar).max())
     threshold = DEFAULT_FLAG_THRESHOLD
     zeros = (wp < threshold, wm < threshold, bn < threshold, sn < threshold)
-    return CurvatureFlags(
+    return points, geometry, CurvatureFlags(
         wplus_zero=zeros[0],
         wminus_zero=zeros[1],
         einstein=zeros[2],
@@ -117,9 +112,22 @@ def classify_metric(metric: MetricSpec, n_points: int = 8, seed: int = 0) -> Cur
     """Curvature flags from the sup over n_points interior samples."""
     n_points = _check_int("n_points", n_points, 1)
     seed = _check_int("seed", seed, 0, _UINT64_MAX)
-    rng = np.random.default_rng([seed, 0])
-    points = metric.interior_points(n_points, rng)
-    return _flags_over(generalized_curvature(metric, points).operator)
+    return _sampled(metric, n_points, seed)[2]
+
+
+# the flags whose conjunction predicts a cell integrable, in table order
+_RULES: dict[tuple[ComponentTag, StructureKind], tuple[str, ...]] = {
+    (ComponentTag.PP, StructureKind.GENJ): ("wplus_zero", "einstein", "scalar_zero"),
+    (ComponentTag.PP, StructureKind.ALMOST_J1): ("wplus_zero", "scalar_zero"),
+    (ComponentTag.MM, StructureKind.GENJ): ("wminus_zero", "einstein", "scalar_zero"),
+    (ComponentTag.MM, StructureKind.ALMOST_J1): ("wminus_zero", "scalar_zero"),
+    (ComponentTag.PM, StructureKind.GENJ): ("wplus_zero", "wminus_zero", "einstein"),
+    (ComponentTag.PM, StructureKind.ALMOST_J1): ("wplus_zero", "einstein"),
+    (ComponentTag.PM, StructureKind.SEMI): ("einstein",),
+    (ComponentTag.MP, StructureKind.GENJ): ("wplus_zero", "wminus_zero", "einstein"),
+    (ComponentTag.MP, StructureKind.ALMOST_J1): ("wminus_zero", "einstein"),
+    (ComponentTag.MP, StructureKind.SEMI): ("einstein",),
+}
 
 
 @dataclass(frozen=True)
@@ -136,27 +144,8 @@ class PredictionTable:
 
 
 def predict(flags: CurvatureFlags) -> PredictionTable:
-    """Expected verdicts from the curvature flags; see the module docstring
-    for the cell-by-cell rules."""
-    genj = {
-        ComponentTag.PP: flags.wplus_zero and flags.einstein and flags.scalar_zero,
-        ComponentTag.MM: flags.wminus_zero and flags.einstein and flags.scalar_zero,
-        ComponentTag.PM: flags.wplus_zero and flags.wminus_zero and flags.einstein,
-        ComponentTag.MP: flags.wplus_zero and flags.wminus_zero and flags.einstein,
-    }
-    j1 = {
-        ComponentTag.PP: flags.wplus_zero and flags.scalar_zero,
-        ComponentTag.MM: flags.wminus_zero and flags.scalar_zero,
-        ComponentTag.PM: flags.wplus_zero and flags.einstein,
-        ComponentTag.MP: flags.wminus_zero and flags.einstein,
-    }
-    cells: dict[tuple[ComponentTag, StructureKind], bool] = {}
-    for tag in ComponentTag:
-        cells[(tag, StructureKind.GENJ)] = genj[tag]
-        cells[(tag, StructureKind.ALMOST_J1)] = j1[tag]
-        if tag.mixed:
-            cells[(tag, StructureKind.SEMI)] = flags.einstein
-    return PredictionTable(cells)
+    """Expected verdicts from the curvature flags, by the rules of _RULES."""
+    return PredictionTable({cell: all(getattr(flags, c) for c in rule) for cell, rule in _RULES.items()})
 
 
 @dataclass(frozen=True)
@@ -198,20 +187,15 @@ def check(
     fiber_samples = _check_int("fiber_samples", fiber_samples, 1)
     tol = _check_real("tolerance", tol)
     seed = _check_int("seed", seed, 0, _UINT64_MAX)
-    if kind is StructureKind.SEMI and not component.mixed:
+    if (component, kind) not in _RULES:
         raise UsageError("semi-integrability is defined on the mixed components only")
 
     t0 = time.perf_counter()
-    points = metric.interior_points(base_samples, np.random.default_rng([seed, 0]))
-    # fiber_samples random_fiber draws, bit for bit: vecdot is np.linalg.norm's dot
-    fibers = np.random.default_rng([seed, 1]).normal(size=(fiber_samples, 2, 3))
-    fibers /= np.sqrt(np.vecdot(fibers, fibers))[..., None]
-
     # one geometry over all points: the flags read its operators, the
     # residual kernel its frame curvature
-    geometry = generalized_curvature(metric, points)
-    flags = _flags_over(geometry.operator)
+    points, geometry, flags = _sampled(metric, base_samples, seed)
     predicted = predict(flags).expected(component, kind)
+    fibers = random_fibers(fiber_samples, np.random.default_rng([seed, 1]))
 
     # one kernel call; the first strict maximum in (point, fiber, family)
     # order names the worst point, fiber and constraint
@@ -219,7 +203,6 @@ def check(
     norms = result.norms  # (point, fiber, family)
     ip, jf, kf = np.unravel_index(np.argmax(norms), norms.shape)
     max_residual = float(norms[ip, jf, kf])
-    worst_point, worst_fiber, worst_label = points[ip], fibers[jf], result.labels[kf]
 
     if max_residual < tol:
         verdict = VERDICT_INTEGRABLE
@@ -235,11 +218,11 @@ def check(
         seed=seed,
         base_samples=base_samples,
         fiber_samples=fiber_samples,
-        tolerance=float(tol),
-        max_residual=float(max_residual),
-        worst_point=tuple(float(x) for x in worst_point),
-        worst_fiber=tuple(float(x) for x in worst_fiber.ravel()),
-        worst_constraint=worst_label,
+        tolerance=tol,
+        max_residual=max_residual,
+        worst_point=tuple(points[ip].tolist()),
+        worst_fiber=tuple(fibers[jf].ravel().tolist()),
+        worst_constraint=result.labels[kf],
         flags=flags,
         prediction=predicted,
         verdict=verdict,
@@ -279,7 +262,7 @@ def report_json(report: RunReport) -> str:
         if f.name == "wall_time_s":
             value = None
         elif f.name == "flags":
-            value = value.as_dict()
+            value = asdict(value)
         payload[f.name] = value
     return _dump(payload) + "\n"
 

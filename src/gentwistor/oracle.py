@@ -60,7 +60,7 @@ from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
 # nijenhuis_field is not called here; it stays importable from oracle
 # because bench/run.py's traced run rebinds it on this module.
 from .calculus import nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
-from .errors import DomainError, UsageError, _check_real
+from .errors import DomainError, UsageError, _check_real, _is_int
 from .gca import S_MATRIX
 from .metrics import MetricSpec
 from .numerics import DEFAULT_ORACLE_STEP, POLE_MARGIN
@@ -132,10 +132,6 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
     out[..., [2, 0, 1], [1, 2, 0]] = v
     out[..., [1, 2, 0], [2, 0, 1]] = -v
     return out
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
 def _validate_selector(sel) -> tuple[str, int]:

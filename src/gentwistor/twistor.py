@@ -135,12 +135,17 @@ class TwistorPoint:
         object.__setattr__(self, "p", p)
 
 
+def random_fibers(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform fiber samples as unit pairs (n, 2, 3).  Each draws exactly
+    six normals, so samples from one generator are prefix stable, drawn
+    at once or one by one."""
+    ab = rng.normal(size=(n, 2, 3))
+    return ab / np.sqrt(np.vecdot(ab, ab))[..., None]
+
+
 def random_fiber(tag: ComponentTag, rng: np.random.Generator) -> FiberPoint:
-    """Uniform fiber sample; draws exactly six normals, so sequences of
-    samples from one generator are prefix stable."""
-    a = rng.normal(size=3)
-    b = rng.normal(size=3)
-    return FiberPoint(a / np.linalg.norm(a), b / np.linalg.norm(b), tag)
+    """One uniform fiber sample of the tag's component."""
+    return FiberPoint(*random_fibers(1, rng)[0], tag)
 
 
 def sphere_directions(n: int) -> np.ndarray:

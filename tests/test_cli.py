@@ -213,6 +213,12 @@ def test_oracle_verb_flat():
     assert "max over 1 points" in proc.stdout
 
 
+def test_oracle_verb_needs_a_point():
+    for n in ("0", "-1"):
+        proc = run("oracle", "--metric", "flat", "--points", n, expect=1)
+        assert proc.stdout == "" and proc.stderr == f"error: --points must be at least 1, got {n}\n"
+
+
 def test_oracle_verb_samples_inside_the_oracle_margin():
     # the schwarzschild box is 0.8 wide: 5% of it is 0.04, less than the
     # 0.0408 that the oracle stencils need.  Point 2 of this seed lies

@@ -383,6 +383,19 @@ def test_flat_chains_of_any_length_load_and_evaluate():
         spec.g(np.array([0.5, -1.5, 0.0, 0.0]))
 
 
+def test_deep_trees_compare_hash_and_print():
+    # a 5000-term sum is a tree 5000 deep; ==, hash and repr walk it
+    # without recursion, spans stay out of equality, and the repr is the
+    # dataclass one
+    src = "+".join(["1"] * 5000)
+    a, b = parse(src), parse(src.replace("+", " + "))
+    assert a.span != b.span and a == b and hash(a) == hash(b)
+    assert a != parse(src[:-1] + "2") and a != parse(src[:-2])
+    assert repr(a) == "BinOp(op='+', left=" * 4999 + "Num(value=1.0)" + ", right=Num(value=1.0))" * 4999
+    cfg = GOOD_CONFIG.replace("g12 = 0", "g12 = " + "+".join(["0"] * 5000))
+    assert parse_config(cfg) == parse_config(cfg)
+
+
 def test_probe_points_are_interior_grid():
     pts = probe_points(-1.0, 1.0)
     assert pts.shape == (16, 4)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gentwistor.errors import DecompositionError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.harness import (
+    _RULES,
     CurvatureFlags,
     check,
     classify_metric,
@@ -30,6 +32,7 @@ from gentwistor.twistor import (
 )
 
 SEED = 20240818
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _kinds(tag):
@@ -374,3 +377,23 @@ def test_check_stage_counts(tag, kind, monkeypatch):
     monkeypatch.setattr(harness, "decompose", counted("decompose", harness.decompose))
     check(dataclasses.replace(s4, g=counted("g", s4.g)), tag, kind)
     assert calls == {"g": 2, "fiber_residuals": 1, "decompose": 1}
+
+
+def test_readme_verdict_algebra_is_the_rule():
+    # README's table names exactly the flags of each cell of the rule:
+    # "+- , -+" is two cells and "W+ = W- = 0" two conjuncts
+    flag = {"W+": "wplus_zero", "W-": "wminus_zero", "B": "einstein", "s": "scalar_zero"}
+    section = README.read_text().split("## Verdict algebra\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cols = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cols) != 3 or cols[0] not in [k.value for k in StructureKind]:
+            continue
+        structure, components, rule = cols
+        conjuncts = [part.split("=") for part in rule.split(" and ")]
+        assert all(c[-1].strip() == "0" for c in conjuncts), line
+        for tag in components.split(","):
+            cell = (ComponentTag(tag.strip()), StructureKind(structure))
+            assert cell not in table, line
+            table[cell] = {flag[name.strip()] for c in conjuncts for name in c[:-1]}
+    assert table == {cell: set(rule) for cell, rule in _RULES.items()}

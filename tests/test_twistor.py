@@ -23,6 +23,7 @@ from gentwistor.twistor import (
     fiber_residuals,
     fiber_to_structures,
     random_fiber,
+    random_fibers,
     semi_integrability_residual,
     sphere_directions,
     structure_from_fiber,
@@ -134,6 +135,19 @@ def test_random_fiber_prefix_stable():
     again = [random_fiber(ComponentTag.PP, r2) for _ in range(5)]
     for f, g in zip(first, again):
         assert np.array_equal(f.a, g.a) and np.array_equal(f.b, g.b)
+
+
+def test_random_fibers_are_random_fiber_draws():
+    # one batch of n draws is n random_fiber draws, bit for bit, and leaves
+    # the generator where they leave it
+    for n in (1, 2, 7):
+        r1, r2 = np.random.default_rng(98), np.random.default_rng(98)
+        ab = random_fibers(n, r1)
+        assert ab.shape == (n, 2, 3)
+        for pair in ab:
+            f = random_fiber(ComponentTag.MP, r2)
+            assert np.array_equal(pair[0], f.a) and np.array_equal(pair[1], f.b)
+        assert r1.normal() == r2.normal()
 
 
 def test_sphere_directions():
