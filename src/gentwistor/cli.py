@@ -30,13 +30,14 @@ disagrees with the prediction, 1 any error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, GentwistorError, _check_int
 from .gca import ComponentTag
-from .harness import _dump, check, classify_metric, report_json
+from .harness import check, classify_metric, report_json
 from .metrics import CATALOG, MetricSpec, metric_by_name
 from .numerics import DEFAULT_TOL, SAMPLE_MARGIN
 from .oracle import nijenhuis_numeric, oracle_margin
@@ -172,19 +173,14 @@ def _run_curvature(args) -> int:
     wm = float(np.linalg.norm(blocks.wminus))
     bn = float(np.linalg.norm(blocks.b))
     if args.json:
-        sys.stdout.write(
-            _dump(
-                {
-                    "metric": metric.name,
-                    "point": [float(x) for x in args.point],
-                    "wplus_norm": wp,
-                    "wminus_norm": wm,
-                    "b_norm": bn,
-                    "scalar": float(blocks.scalar),
-                }
-            )
-            + "\n"
-        )
+        print(json.dumps({
+            "metric": metric.name,
+            "point": args.point.tolist(),
+            "wplus_norm": wp,
+            "wminus_norm": wm,
+            "b_norm": bn,
+            "scalar": float(blocks.scalar),
+        }))
     else:
         print(f"metric {metric.name} at {args.point.tolist()}")
         print(f"|W+| = {wp:.6e}  |W-| = {wm:.6e}  |B| = {bn:.6e}  s = {blocks.scalar:.6f}")

@@ -24,9 +24,9 @@ difference referee in the oracle module, with scalar curvature 12.
 Determinism: all sampling is driven by two stable streams derived from
 the seed, [seed, 0] for base points and [seed, 1] for fibers, so reports
 for a fixed seed are reproducible and sample sets grow by prefixes as
-the sample counts increase.  The JSON serializer is deterministic (fixed
-key order, 17 significant digit floats); the wall time is kept out of it
-on purpose and reported as null.
+the sample counts increase.  The JSON report is json.dumps of the fields
+in declaration order, so floats are written by repr, which round-trips
+exactly; the wall time is kept out of it on purpose and reported as null.
 """
 
 from __future__ import annotations
@@ -130,6 +130,18 @@ _RULES: dict[tuple[ComponentTag, StructureKind], tuple[str, ...]] = {
 }
 
 
+def _cell(component, kind) -> tuple[ComponentTag, StructureKind]:
+    """(component, kind) as a key of _RULES; a UsageError names a bad argument or cell."""
+    if not isinstance(component, ComponentTag):
+        raise UsageError(f"component must be a ComponentTag, got {component!r}")
+    if not isinstance(kind, StructureKind):
+        raise UsageError(f"kind must be a StructureKind, got {kind!r}")
+    if (component, kind) not in _RULES:
+        raise UsageError(f"no cell ({component.value}, {kind.value}): "
+                         "semi-integrability is defined on the mixed components only")
+    return component, kind
+
+
 @dataclass(frozen=True)
 class PredictionTable:
     """Expected integrability verdict per (component, structure) cell."""
@@ -137,10 +149,7 @@ class PredictionTable:
     cells: dict[tuple[ComponentTag, StructureKind], bool]
 
     def expected(self, tag: ComponentTag, kind: StructureKind) -> bool:
-        try:
-            return self.cells[(tag, kind)]
-        except KeyError:
-            raise UsageError(f"no prediction for component {tag.value} and kind {kind.value}") from None
+        return self.cells[_cell(tag, kind)]
 
 
 def predict(flags: CurvatureFlags) -> PredictionTable:
@@ -187,8 +196,7 @@ def check(
     fiber_samples = _check_int("fiber_samples", fiber_samples, 1)
     tol = _check_real("tolerance", tol)
     seed = _check_int("seed", seed, 0, _UINT64_MAX)
-    if (component, kind) not in _RULES:
-        raise UsageError("semi-integrability is defined on the mixed components only")
+    _cell(component, kind)
 
     t0 = time.perf_counter()
     # one geometry over all points: the flags read its operators, the
@@ -234,37 +242,13 @@ def check(
 # -- deterministic JSON ------------------------------------------------
 
 
-def _dump(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}: {_dump(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_dump(v) for v in value) + "]"
-    raise UsageError(f"cannot serialize {type(value).__name__}")
-
-
 def report_json(report: RunReport) -> str:
-    """Single JSON object, keys in declaration order, floats with 17
-    significant digits, wall time nulled for byte-stable output."""
-    payload = {}
-    for f in fields(RunReport):
-        value = getattr(report, f.name)
-        if f.name == "wall_time_s":
-            value = None
-        elif f.name == "flags":
-            value = asdict(value)
-        payload[f.name] = value
-    return _dump(payload) + "\n"
+    """Single JSON object, keys in declaration order, floats by repr,
+    wall time nulled for byte-stable output."""
+    payload = {f.name: getattr(report, f.name) for f in fields(RunReport)}
+    payload["flags"] = asdict(report.flags)
+    payload["wall_time_s"] = None
+    return json.dumps(payload) + "\n"
 
 
 def report_from_json(text: str) -> RunReport:

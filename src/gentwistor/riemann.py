@@ -35,14 +35,14 @@ single-point shapes and harness.check's 4 points are one pass:
    from the same dg, so Upsilon is antisymmetric up to roundoff.  Each
    contraction is a matrix product over flattened index pairs: dA, Gamma
    = y g^{-T} / 2 over (ij, l), e^T de and e^T Gamma_k e.
-4. riemann, rf, operator: the coordinate curvature tensor from dg and
-   d2g (no nested differencing) as R = T - T^(ij), T[l,k,i,j] =
-   d_j Gamma^l_{ik} + Gamma^l_{jm} Gamma^m_{ik}, by matrix products
-   (Gamma Gamma is one (16 x 4)(4 x 16) product), pushed into the frame
-   by one (16 x 16)(16 x 6) product and stored once, as the six so(4)
-   slices rf[k] = R(theta_a, theta_b) for (a, b) = WEDGE_PAIRS[k]; the
-   6x6 matrix over the orthonormal bivector basis (I+, J+, K+, I-, J-,
-   K-) / sqrt(2) is read from it.
+4. rf, operator: the coordinate curvature tensor from dg and d2g (no
+   nested differencing) as R = T - T^(ij), T[l,k,i,j] = d_j Gamma^l_{ik}
+   + Gamma^l_{jm} Gamma^m_{ik}, by matrix products (Gamma Gamma is one
+   (16 x 4)(4 x 16) product), pushed into the frame by one
+   (16 x 16)(16 x 6) product; only the six so(4) slices rf[k] =
+   R(theta_a, theta_b), (a, b) = WEDGE_PAIRS[k], are stored, and the 6x6
+   matrix over the orthonormal bivector basis (I+, J+, K+, I-, J-, K-) /
+   sqrt(2) is read from them.
 5. decompose: block splitting
 
        R = [[ W+ + s/12 Id,  B        ],
@@ -213,13 +213,16 @@ class PointGeometry:
         return d2g
 
     @cached_property
-    def riemann(self) -> np.ndarray:
-        """Coordinate curvature R[..., l, k, i, j]: R(d_i, d_j) d_k = R[l,k,i,j] d_l.
+    def rf(self) -> np.ndarray:
+        """Frame curvature on the six basis wedges, rf[..., k, :, :] =
+        R(theta_a, theta_b) as a 4x4 endomorphism for (a, b) =
+        WEDGE_PAIRS[k], so that rc(w) = pair_coords(w) . rf.
 
-        Uses the sign convention of the module docstring.  The derivative
-        of Gamma is expanded through dg and d2g, so only the metric itself
-        is ever finite-differenced."""
-        d2g, lead = self.d2g, self.point.shape[:-1]
+        The coordinate tensor R(d_i, d_j) d_k = R[l,k,i,j] d_l (the module
+        docstring's sign) comes from dg and d2g, so only the metric is ever
+        finite-differenced.  Each R(theta_a, theta_b) is in so(4) up to that
+        error and is antisymmetrized exactly for the bivector algebra downstream."""
+        d2g, e, einv, lead = self.d2g, self.frame.e, self.frame.einv, self.point.shape[:-1]
         # dgamma[m,i,j,k] = d_m Gamma^k_ij = (d_m g^kl y[i,j,l] + g^kl z[m,i,j,l]) / 2, products over (ij, l)
         z = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
         dgamma = (z.reshape(lead + (64, 4)) @ np.swapaxes(self.ginv, -1, -2)).reshape(d2g.shape)
@@ -229,22 +232,10 @@ class PointGeometry:
         # quadratic term one (16 x 4)(4 x 16) product; R[l,k,i,j] = t[l,j,i,k] - t[l,i,j,k]
         t = (self.gamma.reshape(lead + (16, 4)) @ self.gamma.reshape(lead + (4, 16))).reshape(d2g.shape)
         t += np.moveaxis(dgamma, -1, -4)
-        return np.swapaxes(t - np.swapaxes(t, -3, -2), -3, -1)
-
-    @cached_property
-    def rf(self) -> np.ndarray:
-        """Frame curvature on the six basis wedges, rf[..., k, :, :] =
-        R(theta_a, theta_b) as a 4x4 endomorphism for (a, b) =
-        WEDGE_PAIRS[k], so that rc(w) = pair_coords(w) . rf.
-
-        Each R(theta_a, theta_b) is antisymmetric (an so(4) element) up to
-        finite-difference error; the exact antisymmetrization is applied so
-        that downstream bivector algebra sees honest Lie algebra elements."""
-        e, einv, lead = self.frame.e, self.frame.einv, self.point.shape[:-1]
+        riemann = np.swapaxes(t - np.swapaxes(t, -3, -2), -3, -1)
         # R(theta_a, theta_b)[l, k] = R[l,k,i,j] e_ia e_jb: (lk, ij) by (ij, pair)
-        curvature = self.riemann.reshape(lead + (16, 16))
         wedges = (e[..., :, None, WEDGE_I] * e[..., None, :, WEDGE_J]).reshape(lead + (16, 6))
-        mats = np.moveaxis((curvature @ wedges).reshape(lead + (4, 4, 6)), -1, -3)
+        mats = np.moveaxis((riemann.reshape(lead + (16, 16)) @ wedges).reshape(lead + (4, 4, 6)), -1, -3)
         f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
         return 0.5 * (f - np.swapaxes(f, -1, -2))
 

@@ -1,4 +1,5 @@
 import math
+import re
 import textwrap
 from pathlib import Path
 
@@ -329,6 +330,18 @@ def test_config_structural_errors():
         parse_config("[metric]\nbogus = 1\n")
     with pytest.raises(ConfigError):
         parse_config(GOOD_CONFIG + "\nextra = 2\n")
+    # each message pinned, with its line:col where it has one
+    for text, message in (
+        ("[metrc]\n", "1:1: unknown section '[metrc]', expected [metric]"),
+        ("[metric]\nname\n", "2:1: expected 'key = value', got 'name'"),
+        ("[metric]\nname = a\ndomain = -1, 1\n", "3:10: domain must look like [lo, hi]"),
+        ("[metric]\nname = a\ndomain = [a, 1]\n", "3:10: domain bounds must be numbers"),
+        ("# a comment only\n", "no [metric] section found"),
+        ("[metric]\ndomain = [-1, 1]\n", "missing 'name' key"),
+        ("[metric]\nname = a\n", "missing 'domain' key"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
 
 def test_config_rejects_duplicate_keys():
