@@ -40,14 +40,14 @@ evaluated at the requested step and at half the step, the difference
 bounds the discretization error, and the half-step value is reported.
 
 Chart data comes from one batched pass per evaluation.
-``nijenhuis_numeric`` checks all its arguments first, then stacks the 66
-rows of its two stencils (``calculus.stencil`` at h and h/2).
+``nijenhuis_numeric`` checks all its arguments first; then
 ``TwistorChart.chart_data`` computes the frames, the structure matrices
-and the fiber velocity maps at all of them at once, the metric data once
-per distinct base point and the fiber data once per distinct fiber
-point; ``TwistorChart.field_values`` reads a test field's values off
-that data, and ``calculus.nijenhuis_values`` takes the arrays of each
-stencil.  Nothing is shared between evaluations.
+and the fiber velocity maps at the 66 rows of its two stencils
+(``calculus.stencil`` at h and h/2), whose 25 base and 25 fiber points
+the layout fixes: metric data once per base point, fiber data once per
+fiber point.  ``TwistorChart.field_values`` reads a test field's values
+off that data, and ``calculus.nijenhuis_values`` takes the arrays of
+each stencil.  Nothing is shared between evaluations.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
 # because bench/run.py's traced run rebinds it on this module.
 from .calculus import nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
 from .errors import DomainError, UsageError, _check_real, _is_int
-from .gca import S_MATRIX
+from .gca import S_MATRIX, ComponentTag
 from .metrics import MetricSpec
 from .numerics import DEFAULT_ORACLE_STEP, POLE_MARGIN
 from .riemann import christoffel, generalized_curvature, orthonormal_frame
@@ -175,29 +175,39 @@ def _t(m: np.ndarray) -> np.ndarray:
 # of adapted 16x16 matrices
 _HORIZONTAL = (slice(None),) + np.ix_(np.r_[0:4, 8:12], np.r_[0:4, 8:12])
 _EYE4 = np.eye(4)
+# nijenhuis_numeric's 66 chart rows in units of its step (stencils at 1 and
+# 1/2: z0 + step * row is a stencil row bit for bit), their distinct base and
+# fiber offsets in np.unique's order, and each row's index into both
+_ROWS = np.vstack([stencil(np.zeros(8), 1.0), stencil(np.zeros(8), 0.5)])
+_BASE_OFFSETS, _AT_BASE = np.unique(_ROWS[:, :4], axis=0, return_inverse=True)
+_FIBER_OFFSETS, _AT_FIBER = np.unique(_ROWS[:, 4:], axis=0, return_inverse=True)
 
 
 class TwistorChart:
     """Chart data for one metric, component tag, structure kind and pole
     choice.
 
-    ``chart_data`` computes the data at a batch of chart points z in one
-    pass, each quantity once per point it depends on:
+    ``chart_data`` computes the data at nijenhuis_numeric's 66 chart rows
+    in one pass, each quantity once per point it depends on:
 
-    * per distinct base point z[:4]: the orthonormal frame and the frame
+    * per distinct base point (25): the orthonormal frame and the frame
       connection's Upsilon_i in SD/ASD coordinates, from one
       ``orthonormal_frame`` and one ``christoffel`` call on all of them;
-    * per distinct fiber point z[4:8]: the velocity maps of the two
+    * per distinct fiber point (25): the velocity maps of the two
       spheres and the structure matrix in the adapted frame
       (``_fiber_blocks``);
-    * per row of z: the adapted frame, its inverse and the structure
-      matrix in chart components, as stacked matrix products.
+    * per row: the adapted frame, its inverse and the structure matrix in
+      chart components, as stacked matrix products.
 
     ``field_values`` turns that data into a test field's values."""
 
-    def __init__(self, metric: MetricSpec, tag, kind: StructureKind, poles: tuple[int, int]):
+    def __init__(self, metric: MetricSpec, tag: ComponentTag, kind: StructureKind, poles: tuple[int, int]):
+        if not isinstance(tag, ComponentTag):
+            raise UsageError(f"tag must be a ComponentTag, got {tag!r}")
         if kind is StructureKind.SEMI:
             raise UsageError("semi-integrability has no pointwise structure matrix")
+        if not isinstance(kind, StructureKind):
+            raise UsageError(f"kind must be a StructureKind, got {kind!r}")
         if not (isinstance(poles, (tuple, list)) and len(poles) == 2 and all(_is_int(s) and s in (-1, 1) for s in poles)):
             raise UsageError(f"poles must be a pair of integers +-1, got {poles!r}")
         self.metric = metric
@@ -248,31 +258,29 @@ class TwistorChart:
         adapted[:, 12:16, 12:16] = -_t(adapted[:, 4:8, 4:8])
         return velocity, adapted
 
-    def chart_data(self, z: np.ndarray):
-        """(e8, e8inv, structure matrices, velocity maps) at chart points
-        z (n, 8): the adapted frames (n, 8, 8) and their inverses, the
-        structure's chart matrices (n, 16, 16), and the velocity maps of
-        both spheres, (n, 2, 3) each.
+    def chart_data(self, z0: np.ndarray, step: float):
+        """(e8, e8inv, structure matrices, velocity maps) at the 66 rows of
+        the stencils at step and step / 2 about the chart point z0 (8,): the
+        adapted frames (66, 8, 8) and their inverses, the structure's chart
+        matrices (66, 16, 16), and both spheres' velocity maps, (66, 2, 3).
 
         Columns 0..3 of the adapted frame e8 are horizontal lifts (base
         frame over the fiber velocity of parallel transport), columns
         4..7 the coordinate fiber directions."""
-        z = np.asarray(z, dtype=float)
-        base, at_base = np.unique(z[:, :4], axis=0, return_inverse=True)
-        fiber, at_fiber = np.unique(z[:, 4:], axis=0, return_inverse=True)
+        base = z0[:4] + step * _BASE_OFFSETS
         frame = orthonormal_frame(self.metric, base)
         ups = sd_asd_coords(christoffel(self.metric, base).upsilon)
-        velocity, adapted = self._fiber_blocks(fiber)
-        velocity = [v[at_fiber] for v in velocity]
-        lift = np.concatenate([v @ _t(ups[s][at_base]) for v, s in zip(velocity, self.tag.signs)], axis=-2)
-        e, einv = frame.e[at_base], frame.einv[at_base]
-        e8, e8inv = np.zeros((2, len(z), 8, 8))
+        velocity, adapted = self._fiber_blocks(z0[4:] + step * _FIBER_OFFSETS)
+        velocity = [v[_AT_FIBER] for v in velocity]
+        lift = np.concatenate([v @ _t(ups[s][_AT_BASE]) for v, s in zip(velocity, self.tag.signs)], axis=-2)
+        e, einv = frame.e[_AT_BASE], frame.einv[_AT_BASE]
+        e8, e8inv = np.zeros((2, len(_ROWS), 8, 8))
         e8[:, :4, :4], e8[:, 4:, :4], e8[:, 4:, 4:] = e, lift, _EYE4
         e8inv[:, :4, :4], e8inv[:, 4:, :4], e8inv[:, 4:, 4:] = einv, -lift @ einv, _EYE4
-        e16, e16inv = np.zeros((2, len(z), 16, 16))
+        e16, e16inv = np.zeros((2, len(_ROWS), 16, 16))
         e16[:, :8, :8], e16[:, 8:, 8:] = e8, _t(e8inv)
         e16inv[:, :8, :8], e16inv[:, 8:, 8:] = e8inv, _t(e8)
-        return e8, e8inv, e16 @ adapted[at_fiber] @ e16inv, velocity
+        return e8, e8inv, e16 @ adapted[_AT_FIBER] @ e16inv, velocity
 
     # -- test fields ---------------------------------------------------
 
@@ -313,8 +321,8 @@ def nijenhuis_numeric(
     the half-step one, the noise their sup-norm difference.  Every
     argument is checked before any metric evaluation; then one
     ``chart_data`` pass covers the 66 rows of both stencils."""
-    if len(selectors) != 2:
-        raise UsageError("selectors must be a pair of (family, index) tuples")
+    if not (isinstance(selectors, (tuple, list)) and len(selectors) == 2):
+        raise UsageError(f"selectors must be a pair of (family, index) tuples, got {selectors!r}")
     step = _check_real("step", step)
     if isinstance(poles, str) and poles == "auto":
         chart = TwistorChart.for_point(metric, tp, kind)
@@ -323,8 +331,7 @@ def nijenhuis_numeric(
     for sel in selectors:
         _validate_selector(sel)
     metric.require_interior(tp.p, oracle_margin(metric, step))
-    z0 = chart.embed(tp)
-    e8, e8inv, j, velocity = chart.chart_data(np.vstack([stencil(z0, step), stencil(z0, 0.5 * step)]))
+    e8, e8inv, j, velocity = chart.chart_data(chart.embed(tp), step)
     y, zf = (chart.field_values(sel, e8, e8inv, velocity) for sel in selectors)
     n = len(j) // 2
     full = nijenhuis_values(j[:n], y[:n], zf[:n], step)

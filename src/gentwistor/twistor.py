@@ -54,7 +54,7 @@ family).  Blocks of at most _BLOCK (point, fiber) pairs, whole fibers
 or else one fiber's points, bound memory; a value depends neither on
 its block nor on the other points.  J1 is the (C1, C2) columns and semi
 the C2 column alone; constraints_genJ, constraints_J1 and
-semi_integrability_residual are one-fiber calls into it.
+semi_integrability_residual each build a geometry and call it once.
 _constraint_block evaluates one family at one pair through
 PointGeometry.rc, the contraction of Rf with one bivector, and is the
 reference the kernel is tested against; the 8x8 obstruction matrices
@@ -217,6 +217,11 @@ def _constraint_block(
     return u_c @ inner - inner @ u_c
 
 
+def _wedge_coords(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of x ^ y over the basis wedges t_a ^ t_b (a < b), for vectors (..., 4)."""
+    return x[..., WEDGE_I] * y[..., WEDGE_J] - x[..., WEDGE_J] * y[..., WEDGE_I]
+
+
 # Blocks feeding each family, as indices into (u1, u2): first wedge slot,
 # second wedge slot, commutator.  Per kind: the labels, the distinct slot
 # pairs and commutators, and each family's index into each.
@@ -231,15 +236,13 @@ _KIND_PLANS = {
     )
 }
 _EYE = np.eye(4)
+# t_i, t_j and the coordinates of t_i ^ t_j, per ordered pair (i, j)
+_TI, _TJ = _EYE[_PAIR_I], _EYE[_PAIR_J]
+_BASIS_COORDS = _wedge_coords(_TI, _TJ)
 # R -> [u, R] = (u kron Id - Id kron u^T) R on row-major R, linear in u's 16 entries
 _COMMUTATOR = np.array([np.kron(e, _EYE) - np.kron(_EYE, e.T) for e in np.eye(16).reshape(16, 4, 4)]).reshape(16, 256)
 # most (point, fiber) pairs per kernel block
 _BLOCK = 256
-
-
-def _wedge_coords(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinates of x ^ y over the basis wedges t_a ^ t_b (a < b), for vectors (..., 4)."""
-    return x[..., WEDGE_I] * y[..., WEDGE_J] - x[..., WEDGE_J] * y[..., WEDGE_I]
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,7 @@ def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = Stru
         # x = u_a t_i and y = u_b t_j, per slot pair and ordered pair (i, j)
         x = np.swapaxes(ux[:, slot_pairs[:, 0]], -1, -2)[:, :, _PAIR_I]
         y = np.swapaxes(ux[:, slot_pairs[:, 1]], -1, -2)[:, :, _PAIR_J]
-        ti, tj = _EYE[_PAIR_I], _EYE[_PAIR_J]
-        w1, w2 = _wedge_coords(ti, tj) - _wedge_coords(x, y), _wedge_coords(x, tj) + _wedge_coords(ti, y)
+        w1, w2 = _BASIS_COORDS - _wedge_coords(x, y), _wedge_coords(x, _TJ) + _wedge_coords(_TI, y)
         coords = np.concatenate([w1, w2], axis=-1).reshape(n, 1, 1, -1, 12)
         # [u_c, R] and [u_c, u_c R] = u_c [u_c, R] for every wedge slice R of
         # rf, the first as one GEMM: (fiber, commutator, t, p, q, point, wedge)
@@ -289,34 +291,28 @@ def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = Stru
     return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-3] + (len(u), len(labels))))
 
 
-def _one_fiber(metric: MetricSpec, p: np.ndarray, f: FiberPoint, gc: PointGeometry | None,
-               kind: StructureKind) -> dict[str, float]:
+def _one_fiber(metric: MetricSpec, p: np.ndarray, f: FiberPoint, kind: StructureKind) -> dict[str, float]:
     """The kind's residual families at one fiber over one base point, by label."""
     if kind is StructureKind.SEMI and not f.tag.mixed:
         raise UsageError("semi-integrability is defined on the mixed components only")
-    if gc is None:
-        gc = generalized_curvature(metric, p)
-    result = fiber_residuals(gc, fiber_to_structures(f)[None], kind)
+    result = fiber_residuals(generalized_curvature(metric, p), fiber_to_structures(f)[None], kind)
     return dict(zip(result.labels, result.norms[0].tolist()))
 
 
-def constraints_genJ(metric: MetricSpec, p: np.ndarray, f: FiberPoint,
-                     gc: PointGeometry | None = None) -> ConstraintResiduals:
+def constraints_genJ(metric: MetricSpec, p: np.ndarray, f: FiberPoint) -> ConstraintResiduals:
     """All six residual families of the generalized structure."""
-    return ConstraintResiduals(_one_fiber(metric, p, f, gc, StructureKind.GENJ))
+    return ConstraintResiduals(_one_fiber(metric, p, f, StructureKind.GENJ))
 
 
-def constraints_J1(metric: MetricSpec, p: np.ndarray, f: FiberPoint,
-                   gc: PointGeometry | None = None) -> ConstraintResiduals:
+def constraints_J1(metric: MetricSpec, p: np.ndarray, f: FiberPoint) -> ConstraintResiduals:
     """The two residual families of the ordinary almost complex structure."""
-    return ConstraintResiduals(_one_fiber(metric, p, f, gc, StructureKind.ALMOST_J1))
+    return ConstraintResiduals(_one_fiber(metric, p, f, StructureKind.ALMOST_J1))
 
 
-def semi_integrability_residual(metric: MetricSpec, p: np.ndarray, f: FiberPoint,
-                                gc: PointGeometry | None = None) -> float:
+def semi_integrability_residual(metric: MetricSpec, p: np.ndarray, f: FiberPoint) -> float:
     """Residual of the projected (semi-integrability) condition: the C2'
     family alone.  Only meaningful on mixed components."""
-    return _one_fiber(metric, p, f, gc, StructureKind.SEMI)["C2'"]
+    return _one_fiber(metric, p, f, StructureKind.SEMI)["C2'"]
 
 
 def _slot_blocks(u: np.ndarray, args: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +329,6 @@ def doubled_obstruction_matrix(
     i: int,
     j: int,
     args: tuple[int, int] = (1, 1),
-    gc: PointGeometry | None = None,
 ) -> np.ndarray:
     """8x8 obstruction matrix computed through the full doubled path.
 
@@ -341,8 +336,7 @@ def doubled_obstruction_matrix(
     J = diag(u1, u2); args selects which block (1 or 2) feeds each slot
     of the wedges.  Must equal the blockwise assembly exactly (up to
     roundoff); see the companion test."""
-    if gc is None:
-        gc = generalized_curvature(metric, p)
+    gc = generalized_curvature(metric, p)
     u = fiber_to_structures(f)
     w1, w2 = _omega_pair(*_slot_blocks(u, args), i, j)
     z = np.zeros((4, 4))
@@ -361,11 +355,9 @@ def blockwise_obstruction_matrix(
     i: int,
     j: int,
     args: tuple[int, int] = (1, 1),
-    gc: PointGeometry | None = None,
 ) -> np.ndarray:
     """Same 8x8 obstruction assembled from the two 4x4 commutator blocks."""
-    if gc is None:
-        gc = generalized_curvature(metric, p)
+    gc = generalized_curvature(metric, p)
     u = fiber_to_structures(f)
     ua, ub = _slot_blocks(u, args)
     top = _constraint_block(gc, ua, ub, u[0], i, j)

@@ -349,23 +349,25 @@ def test_nijenhuis_values_equal_nijenhuis_field():
         pts = stencil(p, DEFAULT_STEP)
         j, ys, zs = (np.stack([np.asarray(f(q), float) for q in pts]) for f in (jfield, y, z))
         assert np.array_equal(nijenhuis_values(j, ys, zs, DEFAULT_STEP), nijenhuis_field(jfield, y, z, p))
-    # ... and on an oracle chart of s4, where the values come from one
-    # chart_data pass over the stencil and the callables make one pass each
+    # ... and on an oracle chart of s4, where the values are the first 33
+    # rows of one chart_data pass (the stencil at h) and the callables read
+    # row 0 of a pass about each point
     f = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PP)
     tp = TwistorPoint(np.array([0.12, -0.07, 0.2, 0.05]), f)
     chart = TwistorChart.for_point(metric_by_name("s4"), tp, StructureKind.GENJ)
     z0, h = chart.embed(tp), 1e-2
-    e8, e8inv, j, velocity = chart.chart_data(stencil(z0, h))
+    e8, e8inv, j, velocity = chart.chart_data(z0, h)
+    e8, e8inv, j, velocity = e8[:33], e8inv[:33], j[:33], [v[:33] for v in velocity]
 
     seen = []
 
     def one_point(read):
-        """A field that records its point and reads the chart data of its
-        own one-point pass."""
+        """A field that records its point and reads row 0 of the chart
+        data of a pass about it."""
 
         def field(q):
             seen.append(q)
-            return read(chart.chart_data(q[None]))[0]
+            return read(chart.chart_data(q, h))[0]
 
         return field
 

@@ -147,11 +147,10 @@ def test_residuals_are_dichotomous():
     for name in ("s4", "eguchi-hanson", "schwarzschild"):
         metric = CATALOG[name]
         p = metric.interior_points(1, rng)[0]
-        gc = generalized_curvature(metric, p)
         for tag in ComponentTag:
             for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
                 fn = constraints_genJ if kind is StructureKind.GENJ else constraints_J1
-                vals = sorted(max(fn(metric, p, random_fiber(tag, rng), gc=gc).norms.values()) for _ in range(12))
+                vals = sorted(max(fn(metric, p, random_fiber(tag, rng)).norms.values()) for _ in range(12))
                 if vals[-1] < DEFAULT_TOL:
                     continue  # integrable cell, checked by agreement test
                 assert vals[len(vals) // 2] > 10.0 * DEFAULT_TOL, (name, tag.value, kind.value, vals)

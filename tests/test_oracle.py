@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gentwistor import oracle, twistor
+from gentwistor.calculus import stencil
 from gentwistor.errors import DomainError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.metrics import metric_by_name
@@ -182,40 +183,90 @@ def _counted_metric(name):
 
 
 def test_each_quantity_evaluated_once_per_point(monkeypatch):
-    # one selector pair (two stencils, h and h / 2) is one chart_data call on
-    # their 66 rows, 49 of them distinct, over 25 distinct base points and 25
-    # distinct fiber points: one connection and one frame call on the base
-    # points and one fiber batch, each point once, and two metric calls
+    # one selector pair (two stencils, h and h / 2) is one chart_data call
+    # about the embedded point, whose data covers their 66 rows, 49 of them
+    # distinct, over 25 distinct base points and 25 distinct fiber points:
+    # one connection and one frame call on the base points and one fiber
+    # batch, each point once, two metric calls, and no sort of the points
     m, g_calls = _counted_metric("s4")
     tp = _tp(P_UNIT, ComponentTag.PM)
-    calls = {name: [] for name in ("christoffel", "frame", "fibers", "chart_data")}
+    calls = {name: [] for name in ("christoffel", "frame", "fibers")}
     monkeypatch.setattr(oracle, "christoffel", _recorded(oracle.christoffel, calls["christoffel"]))
     monkeypatch.setattr(oracle, "orthonormal_frame", _recorded(oracle.orthonormal_frame, calls["frame"]))
     monkeypatch.setattr(TwistorChart, "_fiber_blocks", _recorded(TwistorChart._fiber_blocks, calls["fibers"]))
-    monkeypatch.setattr(TwistorChart, "chart_data", _recorded(TwistorChart.chart_data, calls["chart_data"]))
+    chart_data, unique, passes = TwistorChart.chart_data, np.unique, []
+
+    def recorded(chart, z0, step):
+        passes.append((z0, step, chart_data(chart, z0, step)))
+        return passes[-1][2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle sorted its chart points")
+
+    monkeypatch.setattr(TwistorChart, "chart_data", recorded)
+    monkeypatch.setattr(np, "unique", refuse)
     nijenhuis_numeric(m, tp, (("h+", 0), ("v*", 3)), StructureKind.GENJ)
-    (rows,) = calls["chart_data"]
-    assert rows.shape == (66, 8) and len(np.unique(rows, axis=0)) == 49
+    monkeypatch.setattr(np, "unique", unique)
+    ((z0, step, (e8, e8inv, j, velocity)),) = passes
+    assert np.array_equal(z0, TwistorChart.for_point(m, tp, StructureKind.GENJ).embed(tp)) and step == DEFAULT_ORACLE_STEP
+    assert e8.shape == e8inv.shape == (66, 8, 8) and j.shape == (66, 16, 16)
+    assert all(v.shape == (66, 2, 3) for v in velocity)
+    assert len(np.unique(np.vstack([stencil(z0, step), stencil(z0, step / 2)]), axis=0)) == 49
     for name in ("christoffel", "frame", "fibers"):
         (points,) = calls[name]
         assert points.shape == (25, 4) and len(np.unique(points, axis=0)) == 25, name
     assert g_calls == [(25, 4), (25, 17, 4)]
 
 
+@pytest.mark.parametrize("step", [1e-2, 5e-3, 0.37])
+def test_chart_layout_constants_are_exact(step):
+    # z0 + step * offset rebuilds the 66 stencil rows bit for bit, since each
+    # offset is a power of two times the step, and the distinct base and
+    # fiber offsets give np.unique of the rows' base and fiber parts, in its
+    # order: negative and large chart coordinates included
+    rng, negative = np.random.default_rng(23), 0
+    for scale in (0.3, 40.0):
+        for tag in ComponentTag:
+            chart = TwistorChart(metric_by_name("flat"), tag, StructureKind.GENJ, (1, -1))
+            tp = TwistorPoint(scale * rng.normal(size=4), random_fiber(tag, rng))
+            try:
+                z0 = chart.embed(tp)
+            except DomainError:  # the fiber is near a pole of this chart
+                continue
+            base = z0[:4] + step * oracle._BASE_OFFSETS
+            fiber = z0[4:] + step * oracle._FIBER_OFFSETS
+            rows = np.vstack([stencil(z0, step), stencil(z0, step / 2)])
+            rebuilt = np.hstack([base[oracle._AT_BASE], fiber[oracle._AT_FIBER]])
+            assert np.array_equal(rebuilt, rows)
+            assert np.array_equal(base, np.unique(rows[:, :4], axis=0))
+            assert np.array_equal(fiber, np.unique(rows[:, 4:], axis=0))
+            negative += int((z0 < 0).sum())
+    assert negative > 8
+
+
 def test_bad_arguments_cost_no_metric_evaluation():
     m, calls = _counted_metric("s4")
     tp = _tp(P_UNIT, ComponentTag.PP)
-    good = (("h+", 0), ("v", 1))
-    for selectors, poles, step in (
-        ((("h+", 0), ("v", 6)), "auto", 1e-2),
-        ((("x", 0), ("v", 1)), "auto", 1e-2),
-        ((("h+", 0), ("h-", 1.0)), "auto", 1e-2),
-        (good, (1, 0), 1e-2),
-        (good, "north", 1e-2),
-        (good, "auto", -1.0),
+    good, genj = (("h+", 0), ("v", 1)), StructureKind.GENJ
+    for selectors, poles, step, kind, message in (
+        ((("h+", 0), ("v", 6)), "auto", 1e-2, genj, "out of range"),
+        ((("x", 0), ("v", 1)), "auto", 1e-2, genj, "unknown selector family"),
+        ((("h+", 0), ("h-", 1.0)), "auto", 1e-2, genj, "must be an integer"),
+        (good, (1, 0), 1e-2, genj, "poles must be"),
+        (good, "north", 1e-2, genj, "poles must be"),
+        (good, "auto", -1.0, genj, "step must be positive"),
+        (None, "auto", 1e-2, genj, "selectors must be a pair"),
+        (good, "auto", 1e-2, "J", "kind must be a StructureKind, got 'J'"),
+        (good, (1, 1), 1e-2, "J1", "kind must be a StructureKind, got 'J1'"),
+        (good, "auto", 1e-2, "semi", "kind must be a StructureKind, got 'semi'"),
+        (good, "auto", 1e-2, StructureKind.SEMI, "semi-integrability has no pointwise"),
     ):
-        with pytest.raises(UsageError):
-            nijenhuis_numeric(m, tp, selectors, StructureKind.GENJ, step=step, poles=poles)
+        with pytest.raises(UsageError, match=message):
+            nijenhuis_numeric(m, tp, selectors, kind, step=step, poles=poles)
+    with pytest.raises(UsageError, match="kind must be a StructureKind, got 'J'"):
+        predicted_horizontal_value(m, tp, ("h+", 0), ("h+", 1), "J")
+    with pytest.raises(UsageError, match="tag must be a ComponentTag, got '[+]-'"):
+        TwistorChart(m, "+-", genj, (1, 1))
     with pytest.raises(DomainError):
         nijenhuis_numeric(m, TwistorPoint(np.array([0.99, 0.0, 0.0, 0.0]), tp.f), good, StructureKind.GENJ)
     assert calls == []
@@ -246,20 +297,23 @@ def test_metric_points_lie_within_the_oracle_margin(name, p):
 
 @pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("eguchi-hanson", P_EH)])
 def test_prepared_points_equal_points_prepared_one_by_one(name, p):
-    # chart_data on a stack of chart points and on each row alone give the
-    # same data, bit for bit, at two metric calls per pass
+    # row r of chart_data(z0, step) and row 0 of chart_data(z_r, step), with
+    # z_r the chart point of row r, give the same data, bit for bit, at two
+    # metric calls per pass
+    step = DEFAULT_ORACLE_STEP
     for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
         for poles in ((1, 1), (-1, -1)):
             m, calls = _counted_metric(name)
             tp = TwistorPoint(p, FiberPoint.normalized([0.3, -0.5, 0.2], [0.6, 0.1, -0.3], ComponentTag.PM))
             chart = TwistorChart(m, ComponentTag.PM, kind, poles)
-            points = chart.embed(tp) + 0.02 * RNG.normal(size=(8, 8))
-            e8, e8inv, j, (va, vb) = chart.chart_data(points)
+            z0 = chart.embed(tp) + 0.02 * RNG.normal(size=8)
+            points = np.vstack([stencil(z0, step), stencil(z0, step / 2)])
+            e8, e8inv, j, (va, vb) = chart.chart_data(z0, step)
             assert len(calls) == 2
             for k, z in enumerate(points):
-                one_e8, one_e8inv, one_j, (one_va, one_vb) = chart.chart_data(z[None])
+                one_e8, one_e8inv, one_j, (one_va, one_vb) = chart.chart_data(z, step)
                 for got, want in ((one_e8, e8), (one_e8inv, e8inv), (one_j, j), (one_va, va), (one_vb, vb)):
-                    assert got.shape == (1,) + want.shape[1:]
+                    assert got.shape == want.shape and len(want) == 66
                     assert np.array_equal(got[0], want[k]), (name, kind, poles)
             assert len(calls) == 2 + 2 * len(points)
 
@@ -310,7 +364,7 @@ def test_structure_field_is_an_almost_structure():
         for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
             chart = TwistorChart.for_point(m, tp, kind)
             z0 = chart.embed(tp)
-            for j in chart.chart_data(z0 + 0.02 * RNG.normal(size=(3, 8)))[2]:
+            for j in chart.chart_data(z0 + 0.02 * RNG.normal(size=8), DEFAULT_ORACLE_STEP)[2]:
                 np.testing.assert_allclose(j @ j, -np.eye(16), atol=1e-9)
                 np.testing.assert_allclose(j.T @ q16 @ j, q16, atol=1e-9)
 
@@ -335,7 +389,7 @@ def test_flat_perturbed_vanishes_with_nontrivial_lift():
     m = metric_by_name("flat-perturbed")
     tp = _tp(np.array([0.1, -0.15, 0.2, 0.05]), ComponentTag.PM)
     chart = TwistorChart.for_point(m, tp, StructureKind.GENJ)
-    e8 = chart.chart_data(chart.embed(tp)[None])[0][0]
+    e8 = chart.chart_data(chart.embed(tp), DEFAULT_ORACLE_STEP)[0][0]
     assert np.abs(e8[4:, :4]).max() > 1e-4
     for sel in [(("h+", 0), ("h+", 1)), (("h+", 2), ("h-", 3)), (("h-", 1), ("v", 3))]:
         r = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ)

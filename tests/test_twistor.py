@@ -226,23 +226,21 @@ def _blocks(fibers):
 def test_flat_residuals_vanish():
     m = metric_by_name("flat")
     p = np.array([0.2, -0.3, 0.1, 0.4])
-    gc = generalized_curvature(m, p)
     for tag in ComponentTag:
         for f in _fibers(tag, 4, 11):
-            assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-9
-            assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-9
+            assert _worst(constraints_genJ(m, p, f)) < 1e-9
+            assert _worst(constraints_J1(m, p, f)) < 1e-9
             if tag.mixed:
-                assert semi_integrability_residual(m, p, f, gc=gc) < 1e-9
+                assert semi_integrability_residual(m, p, f) < 1e-9
 
 
 def test_flat_perturbed_residuals_small():
     m = metric_by_name("flat-perturbed")
     p = np.array([0.3, -0.4, 0.2, 0.6])
-    gc = generalized_curvature(m, p)
     for tag in ComponentTag:
         for f in _fibers(tag, 3, 12):
-            assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
-            assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
+            assert _worst(constraints_genJ(m, p, f)) < 1e-6
+            assert _worst(constraints_J1(m, p, f)) < 1e-6
 
 
 def test_s4_matches_space_form_model():
@@ -250,12 +248,11 @@ def test_s4_matches_space_form_model():
     on bivectors, so every family must match the closed-form model."""
     m = metric_by_name("s4")
     p = np.array([0.05, -0.1, 0.2, 0.15])
-    gc = generalized_curvature(m, p)
     rng = np.random.default_rng(13)
     for tag in ComponentTag:
         for _ in range(3):
             f = random_fiber(tag, rng)
-            got = constraints_genJ(m, p, f, gc=gc)
+            got = constraints_genJ(m, p, f)
             want = _model_norms(f)
             for label in got.norms:
                 assert got.norms[label] == pytest.approx(want[label], abs=1e-3), (
@@ -283,68 +280,64 @@ def test_s4_component_profile():
     and Einstein is exactly what the six families detect there)."""
     m = metric_by_name("s4")
     p = np.array([0.05, -0.1, 0.2, 0.15])
-    gc = generalized_curvature(m, p)
     for tag in (ComponentTag.PP, ComponentTag.MM):
         for f in _fibers(tag, 3, 21):
-            r = constraints_genJ(m, p, f, gc=gc)
+            r = constraints_genJ(m, p, f)
             assert _worst(r) > 0.1
             assert r.norms["C2"] > 0.1
-            assert _worst(constraints_J1(m, p, f, gc=gc)) > 0.1
+            assert _worst(constraints_J1(m, p, f)) > 0.1
     for tag in (ComponentTag.PM, ComponentTag.MP):
         for f in _fibers(tag, 3, 22):
-            assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
-            assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
-            assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
+            assert _worst(constraints_genJ(m, p, f)) < 1e-6
+            assert _worst(constraints_J1(m, p, f)) < 1e-6
+            assert semi_integrability_residual(m, p, f) < 1e-6
 
 
 def test_eguchi_hanson_component_profile():
     m = metric_by_name("eguchi-hanson")
     p = np.array([2.3, 2.2, 2.5, 2.4])
-    gc = generalized_curvature(m, p)
     for f in _fibers(ComponentTag.MM, 4, 31):
-        assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
+        assert _worst(constraints_genJ(m, p, f)) < 1e-6
     for f in _fibers(ComponentTag.PP, 4, 32):
-        assert _worst(constraints_genJ(m, p, f, gc=gc)) > 1e-3
+        assert _worst(constraints_genJ(m, p, f)) > 1e-3
     for tag in (ComponentTag.PM, ComponentTag.MP):
         for f in _fibers(tag, 4, 33):
-            assert _worst(constraints_genJ(m, p, f, gc=gc)) > 1e-3
-            assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
+            assert _worst(constraints_genJ(m, p, f)) > 1e-3
+            assert semi_integrability_residual(m, p, f) < 1e-6
     for f in _fibers(ComponentTag.MP, 4, 34):
-        assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
+        assert _worst(constraints_J1(m, p, f)) < 1e-6
     for f in _fibers(ComponentTag.PM, 4, 35):
-        assert _worst(constraints_J1(m, p, f, gc=gc)) > 1e-3
+        assert _worst(constraints_J1(m, p, f)) > 1e-3
 
 
 def test_schwarzschild_component_profile():
     m = metric_by_name("schwarzschild")
     p = np.array([2.4, 2.2, 2.5, 2.4])
-    gc = generalized_curvature(m, p)
     for tag in ComponentTag:
         for f in _fibers(tag, 3, 41):
-            assert _worst(constraints_genJ(m, p, f, gc=gc)) > 0.01
-            assert _worst(constraints_J1(m, p, f, gc=gc)) > 0.01
+            assert _worst(constraints_genJ(m, p, f)) > 0.01
+            assert _worst(constraints_J1(m, p, f)) > 0.01
             if tag.mixed:
-                assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
+                assert semi_integrability_residual(m, p, f) < 1e-6
 
 
 def test_fubini_study_component_profile():
     m = metric_by_name("fubini-study")
     p = np.array([0.1, -0.2, 0.15, 0.05])
-    gc = generalized_curvature(m, p)
     for f in _fibers(ComponentTag.MP, 4, 51):
-        assert _worst(constraints_J1(m, p, f, gc=gc)) < 1e-6
-        assert semi_integrability_residual(m, p, f, gc=gc) < 1e-6
+        assert _worst(constraints_J1(m, p, f)) < 1e-6
+        assert semi_integrability_residual(m, p, f) < 1e-6
     for f in _fibers(ComponentTag.PM, 4, 52):
-        assert _worst(constraints_J1(m, p, f, gc=gc)) > 1e-3
+        assert _worst(constraints_J1(m, p, f)) > 1e-3
     # the self-dual Weyl part is clean, so the obstruction on the minus
     # pure component is pure scalar curvature
     for f in _fibers(ComponentTag.MM, 4, 53):
-        r = constraints_genJ(m, p, f, gc=gc)
+        r = constraints_genJ(m, p, f)
         assert _worst(r) > 0.1
         assert r.norms["C1"] < 1e-4  # wminus-family clean
     for tag in ComponentTag:
         for f in _fibers(tag, 2, 54):
-            assert _worst(constraints_genJ(m, p, f, gc=gc)) > 0.1
+            assert _worst(constraints_genJ(m, p, f)) > 0.1
 
 
 def test_orientation_swap_exchanges_pure_components():
@@ -364,11 +357,10 @@ def test_orientation_swap_exchanges_pure_components():
         provenance="orientation-reversed coordinate relabeling",
     )
     p = np.array([2.3, 2.2, 2.5, 2.4])
-    gc = generalized_curvature(m, p)
     for f in _fibers(ComponentTag.PP, 3, 61):
-        assert _worst(constraints_genJ(m, p, f, gc=gc)) < 1e-6
+        assert _worst(constraints_genJ(m, p, f)) < 1e-6
     for f in _fibers(ComponentTag.MM, 3, 62):
-        assert _worst(constraints_genJ(m, p, f, gc=gc)) > 1e-3
+        assert _worst(constraints_genJ(m, p, f)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +370,35 @@ def test_doubled_path_matches_block_assembly():
     mats = [metric_by_name("s4"), metric_by_name("eguchi-hanson")]
     points = [np.array([0.05, -0.1, 0.2, 0.15]), np.array([2.3, 2.2, 2.5, 2.4])]
     rng = np.random.default_rng(71)
-    cached = [generalized_curvature(m, p) for m, p in zip(mats, points)]
     for _ in range(100):
         k = int(rng.integers(2))
-        m, p, gc = mats[k], points[k], cached[k]
+        m, p = mats[k], points[k]
         tag = ComponentTag(rng.choice(["++", "--", "+-", "-+"]))
         f = random_fiber(tag, rng)
         i, j = rng.choice(4, size=2, replace=False)
         args = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        full = doubled_obstruction_matrix(m, p, f, int(i), int(j), args=args, gc=gc)
-        blocks = blockwise_obstruction_matrix(m, p, f, int(i), int(j), args=args, gc=gc)
+        full = doubled_obstruction_matrix(m, p, f, int(i), int(j), args=args)
+        blocks = blockwise_obstruction_matrix(m, p, f, int(i), int(j), args=args)
         assert np.allclose(full, blocks, atol=1e-10)
     for build in (doubled_obstruction_matrix, blockwise_obstruction_matrix):
         for args in ((0, 1), (1, 3)):
             with pytest.raises(UsageError, match="args must be 1 or 2"):
-                build(m, p, f, 0, 1, args=args, gc=gc)
+                build(m, p, f, 0, 1, args=args)
 
 
-def test_obstruction_linear_in_curvature():
+def test_obstruction_linear_in_curvature(monkeypatch):
     m = metric_by_name("s4")
     p = np.array([0.05, -0.1, 0.2, 0.15])
     gc = generalized_curvature(m, p)
     # a cached geometry attribute is a plain instance attribute, so the
-    # curvature of a fresh geometry can be set to twice the measured one
+    # curvature of a fresh geometry can be set to twice the measured one;
+    # the matrix builds its geometry through twistor.generalized_curvature
     doubled = generalized_curvature(m, p)
     doubled.rf = 2.0 * gc.rf
     f = random_fiber(ComponentTag.PP, np.random.default_rng(72))
-    r1 = doubled_obstruction_matrix(m, p, f, 0, 2, gc=gc)
-    r2 = doubled_obstruction_matrix(m, p, f, 0, 2, gc=doubled)
+    r1 = doubled_obstruction_matrix(m, p, f, 0, 2)
+    monkeypatch.setattr(twistor, "generalized_curvature", lambda metric, q: doubled)
+    r2 = doubled_obstruction_matrix(m, p, f, 0, 2)
     assert np.allclose(r2, 2.0 * r1, atol=1e-12)
 
 
@@ -461,14 +454,14 @@ def test_j1_and_semi_are_kernel_columns():
         assert j1.labels == J1_LABELS
         assert np.array_equal(j1.norms, full.norms[:, :2])
         for n, f in enumerate(fibers):
-            one = constraints_J1(m, p, f, gc=gc)
+            one = constraints_J1(m, p, f)
             assert [one.norms[label] for label in J1_LABELS] == full.norms[n, :2].tolist()
-            assert constraints_genJ(m, p, f, gc=gc).norms == dict(zip(full.labels, full.norms[n].tolist()))
+            assert constraints_genJ(m, p, f).norms == dict(zip(full.labels, full.norms[n].tolist()))
     full = fiber_residuals(gc, _blocks(mixed))
     semi = fiber_residuals(gc, _blocks(mixed), StructureKind.SEMI)
     assert semi.labels == ("C2'",)
     assert np.array_equal(semi.norms, full.norms[:, 1:2])
-    assert [semi_integrability_residual(m, p, f, gc=gc) for f in mixed] == full.norms[:, 1].tolist()
+    assert [semi_integrability_residual(m, p, f) for f in mixed] == full.norms[:, 1].tolist()
 
 
 @pytest.mark.parametrize("kind", list(StructureKind))
@@ -601,12 +594,11 @@ def test_kernel_validation():
 def test_semi_equals_second_family_on_mixed():
     m = metric_by_name("schwarzschild")
     p = np.array([2.4, 2.2, 2.5, 2.4])
-    gc = generalized_curvature(m, p)
     rng = np.random.default_rng(74)
     for tag in (ComponentTag.PM, ComponentTag.MP):
         f = random_fiber(tag, rng)
-        semi = semi_integrability_residual(m, p, f, gc=gc)
-        full = constraints_J1(m, p, f, gc=gc)
+        semi = semi_integrability_residual(m, p, f)
+        full = constraints_J1(m, p, f)
         assert semi == pytest.approx(full.norms["C2'"], rel=1e-12)
 
 
