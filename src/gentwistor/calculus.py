@@ -22,7 +22,8 @@ fields and the pairings its brackets read, stacked along columns.
 Fields given as callables are called one point at a time.  A caller
 that computes its fields in a batch takes the points from ``stencil``
 and hands the values to ``nijenhuis_values``, the array core that
-``nijenhuis_field`` wraps.
+``nijenhuis_field`` wraps; it takes several stencils along a leading
+axis, each with its own step, in one derivative pass.
 
 Bracket conventions:
 
@@ -85,16 +86,17 @@ def _values(f: FieldFn, pts: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(f(q), dtype=float) for q in pts])
 
 
-def _d(values: np.ndarray, h: float) -> np.ndarray:
-    """D[..., i] = d_i f from the values of f on the stencil."""
+def _d(values: np.ndarray, h) -> np.ndarray:
+    """D[..., i] = d_i f from the values of f on the stencil, stencil axis
+    first; h is the step, or steps that broadcast against values[0]."""
     n = (len(values) - 1) // 4
     by_offset = values[1:].reshape((n, 4) + values.shape[1:]).swapaxes(0, 1)
     return np.moveaxis(_fd(by_offset, h), 0, -1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise pairing of two stencil arrays of covectors and vectors."""
-    return np.einsum("sa,sa->s", a, b)
+    """Pointwise pairing of stencil arrays of covectors and vectors (last axis)."""
+    return np.einsum("...a,...a->...", a, b)
 
 
 def _lie(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -102,33 +104,35 @@ def _lie(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.nda
 
 
 def _exterior_d(d: np.ndarray) -> np.ndarray:
-    return d.T - d  # d[j, i] = d_i xi_j
+    return np.swapaxes(d, -1, -2) - d  # d[..., j, i] = d_i xi_j
 
 
 def _lie_derivative(x: np.ndarray, dxi: np.ndarray, dpair: np.ndarray) -> np.ndarray:
     # i_X w = W^T X for the X^T W Y convention; dpair = d( xi(X) )
-    return _exterior_d(dxi).T @ x + dpair
+    return (np.swapaxes(_exterior_d(dxi), -1, -2) @ x[..., None])[..., 0] + dpair
 
 
-def _courant(y: np.ndarray, z: np.ndarray, dy: np.ndarray, dz: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """The Courant bracket from stacked (vector, form) values y, z at a point,
-    their derivatives dy, dz (2n, n) and those of their pairings dp (3, n)."""
-    n = y.size // 2
-    form = _lie_derivative(y[:n], dz[n:], dp[0]) - _lie_derivative(z[:n], dy[n:], dp[1])
-    return np.concatenate([_lie(y[:n], z[:n], dy[:n], dz[:n]), form - dp[2]])
-
-
-def _brackets(fields: tuple, pairs: tuple, h: float) -> list:
+def _brackets(fields: np.ndarray, pairs: tuple, h) -> np.ndarray:
     """Courant brackets [fields[a], fields[b]] at the stencil centre, one per
-    (a, b) in pairs, from one derivative pass over the fields (1 + 4n, 2n)
-    and the pairings eta(X), xi(Y) and their half difference of each pair."""
-    n, cols = fields[0].shape[1] // 2, []
-    for y, z in ((fields[a], fields[b]) for a, b in pairs):
-        u, v = _dot(z[:, n:], y[:, :n]), _dot(y[:, n:], z[:, :n])
-        cols.append(np.stack([u, v, 0.5 * (u - v)], axis=1))
-    d, k = _d(np.concatenate(fields + tuple(cols), axis=1), h), 2 * n * len(fields)
-    df, dp = d[:k].reshape(len(fields), 2 * n, -1), d[k:].reshape(len(pairs), 3, -1)
-    return [_courant(fields[a][0], fields[b][0], df[a], df[b], dp[k]) for k, (a, b) in enumerate(pairs)]
+    (a, b) in pairs, (..., pair, 2n), from the stencil values of the fields
+    (..., 1 + 4n, field, 2n): one derivative pass over the fields and the
+    pairings eta(X), xi(Y) and their half difference of each pair, then the
+    bracket formula on all pairs at once.  Leading axes hold stencils, each
+    with its own step in h."""
+    n, lead = fields.shape[-1] // 2, fields.shape[:-3]
+    a, b = (list(side) for side in zip(*pairs))
+    y, z = fields[..., a, :], fields[..., b, :]
+    u, v = _dot(z[..., n:], y[..., :n]), _dot(y[..., n:], z[..., :n])
+    cols = np.concatenate([fields.reshape(fields.shape[:-2] + (-1,)), u, v, 0.5 * (u - v)], axis=-1)
+    d = _d(np.moveaxis(cols, -2, 0), np.asarray(h)[..., None])
+    k = fields.shape[-2] * fields.shape[-1]
+    df = d[..., :k, :].reshape(lead + fields.shape[-2:] + (n,))
+    dp = d[..., k:, :].reshape(lead + (3, len(pairs), n))
+    dy, dz = df[..., a, :, :], df[..., b, :, :]
+    y0, z0 = y[..., 0, :, :n], z[..., 0, :, :n]
+    vec = _lie(y0[..., None], z0[..., None], dy[..., :n, :], dz[..., :n, :])[..., 0]
+    form = _lie_derivative(y0, dz[..., n:, :], dp[..., 0, :, :]) - _lie_derivative(z0, dy[..., n:, :], dp[..., 1, :, :])
+    return np.concatenate([vec, form - dp[..., 2, :, :]], axis=-1)
 
 
 def lie_bracket(x: FieldFn, y: FieldFn, p: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -153,7 +157,7 @@ def courant_bracket(y: GenField, z: GenField, p: np.ndarray, h: float = DEFAULT_
     The skew-symmetrized bracket: antisymmetric in (Y, Z) exactly, at the
     price of failing the Jacobi identity by an exact term.
     """
-    return _brackets(tuple(_values(f, stencil(p, h)) for f in (y, z)), ((0, 1),), h)[0]
+    return _brackets(np.stack([_values(f, stencil(p, h)) for f in (y, z)], axis=1), ((0, 1),), h)[0]
 
 
 def pairing(y: GenField, z: GenField, p: np.ndarray) -> float:
@@ -161,18 +165,28 @@ def pairing(y: GenField, z: GenField, p: np.ndarray) -> float:
     return 0.5 * float(np.dot(y.form(p), z.vec(p)) + np.dot(z.form(p), y.vec(p)))
 
 
-def nijenhuis_values(j: np.ndarray, ys: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
+# the four brackets of the Nijenhuis tensor over the fields (JY, JZ, Y, Z):
+# [JY, JZ], [JY, Z], [Y, JZ] and [Y, Z]
+_NIJENHUIS_PAIRS = ((0, 1), (0, 3), (2, 1), (2, 3))
+
+
+def nijenhuis_values(j: np.ndarray, ys: np.ndarray, zs: np.ndarray, h) -> np.ndarray:
     """Nij(Y, Z) at the centre of a stencil, stacked components, from J
     (1 + 4n, 2n, 2n) and Y, Z (1 + 4n, 2n) at its rows (``stencil(p, h)``).
+
+    Leading axes hold several stencils, J (..., 1 + 4n, 2n, 2n) and Y, Z
+    (..., 1 + 4n, 2n), with h a step per stencil (an array of the leading
+    shape) or one for all; the result is (..., 2n), and one derivative pass
+    covers them all.
 
     Tensorial in Y and Z for an honest almost structure (J^2 = -Id,
     pairing-orthogonal), so test fields may be chosen freely.
     """
-    jy = np.einsum("sab,sb->sa", j, ys)
-    jz = np.einsum("sab,sb->sa", j, zs)
-    # [JY, JZ], [JY, Z], [Y, JZ] and [Y, Z] from one derivative pass
-    t1, t2, t3, t4 = _brackets((jy, jz, ys, zs), ((0, 1), (0, 3), (2, 1), (2, 3)), h)
-    return t1 - j[0] @ t2 - j[0] @ t3 - t4
+    jy = np.einsum("...sab,...sb->...sa", j, ys)
+    jz = np.einsum("...sab,...sb->...sa", j, zs)
+    t = _brackets(np.stack([jy, jz, ys, zs], axis=-2), _NIJENHUIS_PAIRS, h)
+    jt = (j[..., 0, None, :, :] @ t[..., 1:3, :, None])[..., 0]
+    return t[..., 0, :] - jt[..., 0, :] - jt[..., 1, :] - t[..., 3, :]
 
 
 def nijenhuis_field(

@@ -5,15 +5,20 @@ Independent cross-check for the curvature commutator residuals of
 over an eight dimensional chart of the twistor space (four base
 coordinates plus two stereographic coordinates per fiber sphere) and
 evaluate the generalized Nijenhuis tensor on explicit test fields with
-centered finite differences.  Nothing here reuses the constraint
-reduction, so agreement between the two paths is meaningful evidence.
+centered finite differences.  Nothing here reuses the closed-form path:
+neither twistor's constraint reduction nor riemann's frames and
+connections, which the chart computes from metric values itself.  Only
+predicted_horizontal_value, the closed form the oracle is compared with,
+reads them.  So agreement between the two paths is meaningful evidence.
 
 Chart conventions:
 
 * fiber sphere coordinates: w = (a1, a2) / (1 + pole * a3) with
   pole in {+1, -1}; the chart is singular at a3 = -pole, and embedding
   raises when 1 + pole * a3 falls under a safety margin, at which point
-  the caller should re-chart with the opposite pole.
+  the caller should re-chart with the opposite pole.  The chart maps take
+  one pole, or an array of poles that broadcasts against the leading axes
+  of their points (one per sphere, say).
 * adapted frame on the chart: horizontal lifts of the orthonormal base
   frame move the fiber with velocity [u, Upsilon_i] (the frame
   connection), vertical directions are fiber rotations; stacking the
@@ -44,10 +49,12 @@ Chart data comes from one batched pass per evaluation.
 ``TwistorChart.chart_data`` computes the frames, the structure matrices
 and the fiber velocity maps at the 66 rows of its two stencils
 (``calculus.stencil`` at h and h/2), whose 25 base and 25 fiber points
-the layout fixes: metric data once per base point, fiber data once per
-fiber point.  ``TwistorChart.field_values`` reads a test field's values
-off that data, and ``calculus.nijenhuis_values`` takes the arrays of
-each stencil.  Nothing is shared between evaluations.
+the layout fixes: metric data once per base point, from one ``g`` call
+on the 17-point stencil about each (``_frame_connection``), and fiber
+data once per fiber point, both spheres at once.
+``TwistorChart.field_values`` reads a test field's values off that data,
+and one ``calculus.nijenhuis_values`` call takes the arrays of both
+stencils.  Nothing is shared between evaluations.
 """
 
 from __future__ import annotations
@@ -56,15 +63,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivector import SIX_BASIS, sd_asd_coords, unit_combination
+from .bivector import SIX_BASIS, TRIPLES, sd_asd_coords
 # nijenhuis_field is not called here; it stays importable from oracle
 # because bench/run.py's traced run rebinds it on this module.
-from .calculus import nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
-from .errors import DomainError, UsageError, _check_real, _is_int
-from .gca import S_MATRIX, ComponentTag
+from .calculus import _d, nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
+from .errors import DomainError, InvalidInputError, UsageError, _check_real, _is_int
+from .gca import ComponentTag
 from .metrics import MetricSpec
-from .numerics import DEFAULT_ORACLE_STEP, POLE_MARGIN
-from .riemann import christoffel, generalized_curvature, orthonormal_frame
+from .numerics import DEFAULT_ORACLE_STEP, METRIC_SYMMETRY_ATOL, METRIC_SYMMETRY_RTOL, POLE_MARGIN
+# christoffel and orthonormal_frame are not called here either; bench/run.py's
+# traced run rebinds them on this module.  generalized_curvature serves only
+# predicted_horizontal_value, the closed form the oracle is compared with.
+from .riemann import christoffel, generalized_curvature, orthonormal_frame  # noqa: F401
 from .twistor import StructureKind, TwistorPoint, _constraint_block, fiber_to_structures
 
 # Orientation of the fiber rotation in the vertical block, j(x) = s (a x x)
@@ -110,19 +120,22 @@ def stereo_jac_to_sphere(w: np.ndarray, pole: int) -> np.ndarray:
     """(..., 3, 2) Jacobians of stereo_to_sphere at w (..., 2)."""
     w = np.asarray(w, dtype=float)
     d = _one_plus_sq(w)
-    v = np.stack([w[..., 0], w[..., 1], np.full_like(d, pole)], axis=-1)
+    v = np.stack([w[..., 0], w[..., 1], np.broadcast_to(pole, d.shape)], axis=-1)
     jac = -4.0 * w[..., None, :] * v[..., :, None] / (d * d)[..., None, None]
-    jac[..., [0, 1], [0, 1]] += 2.0 / d[..., None]
+    diagonal = 2.0 / d
+    jac[..., 0, 0] += diagonal
+    jac[..., 1, 1] += diagonal
     return jac
 
 
 def stereo_jac_from_sphere(a: np.ndarray, pole: int) -> np.ndarray:
     """(..., 2, 3) Jacobians of stereo_from_sphere at a (..., 3), restricted to the sphere."""
     a = np.asarray(a, dtype=float)
+    pole = np.asarray(pole)
     den = 1.0 + pole * a[..., 2]
     jac = np.zeros(a.shape[:-1] + (2, 3))
     jac[..., 0, 0] = jac[..., 1, 1] = 1.0 / den
-    jac[..., :, 2] = -pole * a[..., :2] / (den * den)[..., None]
+    jac[..., :, 2] = -pole[..., None] * a[..., :2] / (den * den)[..., None]
     return jac
 
 
@@ -171,9 +184,6 @@ def _t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
-# rows and columns of the horizontal (tangent, cotangent) block in a stack
-# of adapted 16x16 matrices
-_HORIZONTAL = (slice(None),) + np.ix_(np.r_[0:4, 8:12], np.r_[0:4, 8:12])
 _EYE4 = np.eye(4)
 # nijenhuis_numeric's 66 chart rows in units of its step (stencils at 1 and
 # 1/2: z0 + step * row is a stencil row bit for bit), their distinct base and
@@ -181,6 +191,60 @@ _EYE4 = np.eye(4)
 _ROWS = np.vstack([stencil(np.zeros(8), 1.0), stencil(np.zeros(8), 0.5)])
 _BASE_OFFSETS, _AT_BASE = np.unique(_ROWS[:, :4], axis=0, return_inverse=True)
 _FIBER_OFFSETS, _AT_FIBER = np.unique(_ROWS[:, 4:], axis=0, return_inverse=True)
+# the metric stencil about a base point in units of the metric step:
+# calculus.stencil's 17 rows, so base + fd_step * row is a stencil row bit for bit
+_METRIC_ROWS = stencil(np.zeros(4), 1.0)
+# flat indices of the entries (i, j) above the diagonal of a 4x4 matrix,
+# and of their transposes (j, i)
+_UPPER, _LOWER = (np.ravel_multi_index(ij, (4, 4)) for ij in (np.triu_indices(4, 1), np.triu_indices(4, 1)[::-1]))
+# the generators (I, J, K) of each sphere's sign, per ComponentTag, as rows
+# of 16 entries: c @ rows[k] is the flattened c1 I + c2 J + c3 K of sphere
+# k, and rows[k] @ a.flat / 4 are the bivector a's coordinates over them
+# (bivector.sd_asd_coords)
+_TRIPLE_ROWS = {tag: np.stack([np.stack(TRIPLES[sign]).reshape(3, 16) for sign in tag.signs]) for tag in ComponentTag}
+
+
+def _frame_connection(metric: MetricSpec, base: np.ndarray):
+    """(e, e^-1, Upsilon) at base points (n, 4), from one g call on the
+    17-point stencil at metric.fd_step about each of them.
+
+    riemann's convention, computed apart from it: e is the lower Cholesky
+    factor of g^-1 (det e > 0).  g with its index order reversed factors as
+    C C^T, so g = U U^T with U = C reversed, upper triangular, and e^-1 =
+    U^T; this needs no inverse of g.  e is inverted at the centres only.
+    Gamma^k_ij = g^kl y_ijl / 2 with y_ijl = d_i g_jl + d_j g_il - d_l g_ij
+    (Koszul), and since g^-1 = e e^T, e^-1 Gamma_i = e^T y_i^T / 2.  So the
+    frame connection, Upsilon_a = e_ia e^-1 (d_i e + Gamma_i e), is
+    e_ia (e^T y_i^T / 2 - d_i e^-1) e, antisymmetrized.  Both derivatives
+    come from calculus's difference table; an error names the first metric
+    point that is not symmetric or not positive definite."""
+    h = metric.fd_step
+    points = base + h * _METRIC_ROWS[:, None, :]  # (17, n, 4)
+    g = np.asarray(metric.g(points), dtype=float)
+    if g.shape != points.shape + (4,):
+        raise InvalidInputError(
+            f"oracle: metric {metric.name!r} returned shape {g.shape} for points of shape {points.shape}; "
+            f"MetricSpec.g must map points of shape (..., 4) to metrics of shape (..., 4, 4)"
+        )
+    # np.isclose's rule both ways, |g_ij - g_ji| <= atol + rtol min(|g_ij|, |g_ji|)
+    flat = g.reshape(-1, 16)
+    upper, lower = flat[:, _UPPER], flat[:, _LOWER]
+    bound = METRIC_SYMMETRY_ATOL + METRIC_SYMMETRY_RTOL * np.minimum(np.abs(upper), np.abs(lower))
+    sym = np.abs(upper - lower) <= bound
+    if not sym.all():
+        bad = points.reshape(-1, 4)[np.argmin(sym.all(axis=-1))]
+        raise InvalidInputError(f"oracle: metric {metric.name!r} is not symmetric at {bad.tolist()}")
+    try:
+        einv = _t(np.linalg.cholesky(g[..., ::-1, ::-1]))[..., ::-1, ::-1]
+    except np.linalg.LinAlgError as exc:
+        bad = points.reshape(-1, 4)[np.argmin(np.linalg.eigvalsh(g)[..., 0] > 0.0)]
+        raise InvalidInputError(f"oracle: metric {metric.name!r} is not positive definite at {bad.tolist()}") from exc
+    e = np.linalg.inv(einv[0])
+    # dg[b, i] = d_i g and deinv[b, i] = d_i e^-1 at base point b
+    dg, deinv = _d(np.stack([g, einv], axis=2), h).transpose(1, 0, 4, 2, 3)
+    y = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    ups = (_t(e) @ (0.5 * _t(y @ e[:, None]) - deinv).reshape(-1, 4, 16)).reshape(-1, 4, 4, 4) @ e[:, None]
+    return e, einv[0], 0.5 * (ups - _t(ups))
 
 
 class TwistorChart:
@@ -191,11 +255,12 @@ class TwistorChart:
     in one pass, each quantity once per point it depends on:
 
     * per distinct base point (25): the orthonormal frame and the frame
-      connection's Upsilon_i in SD/ASD coordinates, from one
-      ``orthonormal_frame`` and one ``christoffel`` call on all of them;
-    * per distinct fiber point (25): the velocity maps of the two
-      spheres and the structure matrix in the adapted frame
-      (``_fiber_blocks``);
+      connection's Upsilon_i in SD/ASD coordinates, the oracle's own, from
+      one ``g`` call on the 17-point stencil about each of them
+      (``_frame_connection``);
+    * per distinct fiber point (25): the velocity maps of both spheres
+      and the structure matrix in the adapted frame, in one batch over
+      the spheres (``_fiber_blocks``);
     * per row: the adapted frame, its inverse and the structure matrix in
       chart components, as stacked matrix products.
 
@@ -232,55 +297,58 @@ class TwistorChart:
     # -- chart data ----------------------------------------------------
 
     def _fiber_blocks(self, w: np.ndarray):
-        """(velocity maps, adapted) at fiber points w (n, 4).
+        """(velocity maps, adapted) at fiber points w (n, 4), both spheres
+        in one batch.
 
         The velocity map of sphere k sends the SD/ASD coordinates c of a
         bivector to the chart velocity 2 s_k x x c of the sphere point x
-        rotated by it: (n, 2, 3) for each sphere.  adapted (n, 16, 16) is
+        rotated by it: (n, 2, 2, 3), sphere second.  adapted (n, 16, 16) is
         the structure matrix in the adapted frame: its horizontal block is
-        S diag(u1, v) S / 2, the TT form of the PM matrix diag(u1, v) with
-        v = u2 for J and v = u1 for J1, and its vertical block is the 4x4
-        chart matrix of the fiber rotation on both spheres."""
-        adapted = np.zeros((len(w), 16, 16))
-        velocity, units = [], []
-        for k, (pole, sign) in enumerate(zip(self.poles, self.tag.signs)):
-            wk = w[:, 2 * k : 2 * k + 2]
-            x = stereo_to_sphere(wk, pole)
-            dw, cross = stereo_jac_from_sphere(x, pole), _cross_matrix(x)
-            rotation = _VERTICAL_ORIENTATION * sign * (dw @ cross @ stereo_jac_to_sphere(wk, pole))
-            adapted[:, 4 + 2 * k : 6 + 2 * k, 4 + 2 * k : 6 + 2 * k] = rotation
-            velocity.append(dw @ (2.0 * sign * cross))
-            units.append(unit_combination(x, sign))
-        pm = np.zeros((len(w), 8, 8))
-        pm[:, :4, :4] = units[0]
-        pm[:, 4:, 4:] = units[1] if self.kind is StructureKind.GENJ else units[0]
-        adapted[_HORIZONTAL] = S_MATRIX @ pm @ (0.5 * S_MATRIX)
+        S diag(u1, v) S / 2 = [[u1 + v, u1 - v], [u1 - v, u1 + v]] / 2, the
+        TT form of the PM matrix diag(u1, v) with v = u2 for J and v = u1
+        for J1, and its vertical block is the 4x4 chart matrix of the fiber
+        rotation on both spheres."""
+        n, poles, signs = len(w), np.array(self.poles), np.array(self.tag.signs)
+        wk = w.reshape(n, 2, 2)
+        x = stereo_to_sphere(wk, poles)
+        dw, cross = stereo_jac_from_sphere(x, poles), _cross_matrix(x)
+        s = signs[:, None, None]
+        rotation = _VERTICAL_ORIENTATION * s * (dw @ cross @ stereo_jac_to_sphere(wk, poles))
+        units = (x[..., None, :] @ _TRIPLE_ROWS[self.tag]).reshape(n, 2, 4, 4)
+        u1 = units[:, 0]
+        v = units[:, 1] if self.kind is StructureKind.GENJ else u1
+        adapted = np.zeros((n, 16, 16))
+        adapted[:, :4, :4] = adapted[:, 8:12, 8:12] = 0.5 * (u1 + v)
+        adapted[:, :4, 8:12] = adapted[:, 8:12, :4] = 0.5 * (u1 - v)
+        adapted[:, 4:6, 4:6], adapted[:, 6:8, 6:8] = rotation[:, 0], rotation[:, 1]
         adapted[:, 12:16, 12:16] = -_t(adapted[:, 4:8, 4:8])
-        return velocity, adapted
+        return dw @ (2.0 * s * cross), adapted
 
     def chart_data(self, z0: np.ndarray, step: float):
         """(e8, e8inv, structure matrices, velocity maps) at the 66 rows of
         the stencils at step and step / 2 about the chart point z0 (8,): the
         adapted frames (66, 8, 8) and their inverses, the structure's chart
-        matrices (66, 16, 16), and both spheres' velocity maps, (66, 2, 3).
+        matrices (66, 16, 16), and both spheres' velocity maps, (2, 66, 2,
+        3), sphere first.
 
         Columns 0..3 of the adapted frame e8 are horizontal lifts (base
         frame over the fiber velocity of parallel transport), columns
-        4..7 the coordinate fiber directions."""
-        base = z0[:4] + step * _BASE_OFFSETS
-        frame = orthonormal_frame(self.metric, base)
-        ups = sd_asd_coords(christoffel(self.metric, base).upsilon)
+        4..7 the coordinate fiber directions.  The metric is evaluated once,
+        at the 17-point metric stencil about each of the 25 base points."""
+        e, einv, ups = _frame_connection(self.metric, z0[:4] + step * _BASE_OFFSETS)
+        # Upsilon_a's coordinates over each sphere's triple, (base, sphere, 3, a)
+        coords = (_TRIPLE_ROWS[self.tag] @ _t(ups.reshape(-1, 1, 4, 16))) / 4.0
         velocity, adapted = self._fiber_blocks(z0[4:] + step * _FIBER_OFFSETS)
-        velocity = [v[_AT_FIBER] for v in velocity]
-        lift = np.concatenate([v @ _t(ups[s][_AT_BASE]) for v, s in zip(velocity, self.tag.signs)], axis=-2)
-        e, einv = frame.e[_AT_BASE], frame.einv[_AT_BASE]
+        velocity = velocity[_AT_FIBER]
+        lift = (velocity @ coords[_AT_BASE]).reshape(-1, 4, 4)
+        e, einv = e[_AT_BASE], einv[_AT_BASE]
         e8, e8inv = np.zeros((2, len(_ROWS), 8, 8))
         e8[:, :4, :4], e8[:, 4:, :4], e8[:, 4:, 4:] = e, lift, _EYE4
         e8inv[:, :4, :4], e8inv[:, 4:, :4], e8inv[:, 4:, 4:] = einv, -lift @ einv, _EYE4
         e16, e16inv = np.zeros((2, len(_ROWS), 16, 16))
         e16[:, :8, :8], e16[:, 8:, 8:] = e8, _t(e8inv)
         e16inv[:, :8, :8], e16inv[:, 8:, 8:] = e8inv, _t(e8)
-        return e8, e8inv, e16 @ adapted[_AT_FIBER] @ e16inv, velocity
+        return e8, e8inv, e16 @ adapted[_AT_FIBER] @ e16inv, np.moveaxis(velocity, 1, 0)
 
     # -- test fields ---------------------------------------------------
 
@@ -332,10 +400,8 @@ def nijenhuis_numeric(
         _validate_selector(sel)
     metric.require_interior(tp.p, oracle_margin(metric, step))
     e8, e8inv, j, velocity = chart.chart_data(chart.embed(tp), step)
-    y, zf = (chart.field_values(sel, e8, e8inv, velocity) for sel in selectors)
-    n = len(j) // 2
-    full = nijenhuis_values(j[:n], y[:n], zf[:n], step)
-    half = nijenhuis_values(j[n:], y[n:], zf[n:], 0.5 * step)
+    y, zf = (chart.field_values(sel, e8, e8inv, velocity).reshape(2, -1, 16) for sel in selectors)
+    full, half = nijenhuis_values(j.reshape(2, -1, 16, 16), y, zf, np.array([step, 0.5 * step]))
     return OracleResult(value=half, noise=float(np.abs(full - half).max()))
 
 

@@ -261,6 +261,10 @@ def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = Stru
     point of gc.  u holds the fibers' (u1, u2) blocks, (fiber, 2, 4, 4) as
     fiber_blocks builds them; they carry no component tag, so the caller
     owns the check that semi runs on the mixed components."""
+    if not isinstance(kind, StructureKind):
+        raise UsageError(f"kind must be a StructureKind, got {kind!r}")
+    if np.ndim(u) != 4 or np.shape(u)[1:] != (2, 4, 4):
+        raise UsageError(f"u must be fiber blocks of shape (fiber, 2, 4, 4), got shape {np.shape(u)}")
     if len(u) == 0:
         raise UsageError("need at least one fiber point")
     labels, slot_pairs, family_pair, commutators, family_commutator = _KIND_PLANS[kind]

@@ -420,17 +420,18 @@ def test_nijenhuis_values_equal_per_bracket_reference(n):
 
 
 def test_one_derivative_pass_per_stencil(monkeypatch):
-    # one nijenhuis_numeric call differences each of its two stencils once
-    # (the four brackets took 56 passes when each term made its own)
+    # one nijenhuis_numeric call differences its two stencils in one pass
+    # (the four brackets took 56 passes per stencil when each term made its
+    # own, and each stencil took its own pass before they were stacked)
     passes = []
     d = calculus._d
     monkeypatch.setattr(calculus, "_d", lambda values, h: passes.append(values.shape) or d(values, h))
     f = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PM)
     tp = TwistorPoint(np.array([0.12, -0.07, 0.2, 0.05]), f)
     nijenhuis_numeric(metric_by_name("s4"), tp, (("h+", 0), ("v*", 2)), StructureKind.GENJ)
-    assert len(passes) <= 2
-    # each pass covers 33 rows: four 16-component fields and 4 x 3 pairings
-    assert passes == [(33, 4 * 16 + 12)] * 2
+    # the pass covers 33 rows of both stencils: four 16-component fields
+    # and 4 x 3 pairings each
+    assert passes == [(33, 2, 4 * 16 + 12)]
 
 
 def test_domain_guard():

@@ -208,6 +208,22 @@ def test_permission_error_on_metric_file_exits_one(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: locked.cfg: cannot read file: Permission denied\n"
 
 
+def test_main_calls_in_one_process_print_what_separate_calls_print(capsys):
+    # the parser is built once per process and reused: a usage error leaves
+    # nothing behind that changes the next call's output
+    from gentwistor import cli
+
+    usage = ["check", "--metric", "s4", "--structure", "J"]
+    good = ["type", "--fiber", "1,0,0,0,1,0", "--component=+-"]
+    separate = [run(*usage, expect=1), run(*good)]
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(usage)
+        assert stop.value.code == 1 and capsys.readouterr() == (separate[0].stdout, separate[0].stderr)
+        assert cli.main(good) == 0 and capsys.readouterr() == (separate[1].stdout, separate[1].stderr)
+
+
 def test_oracle_verb_flat():
     proc = run("oracle", "--metric", "flat", "--points", "1", "--seed", "2")
     assert "max over 1 points" in proc.stdout

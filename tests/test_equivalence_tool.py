@@ -33,8 +33,10 @@ def test_groups_on_a_reduced_set(tmp_path):
         "nijenhuis": eq.nijenhuis(eq.sweep_metrics(("s4",), ()), points=2, pairs=eq.PAIRS[:2]),
         "predict": eq.predictions(("s4", "eguchi-hanson"), seeds=(0,)),
         "fibers": eq.fibers(8),
+        "curvature": eq.curvature(("s4", "schwarzschild"), points=eq.CURVATURE_POINTS[:2]),
     }
-    assert all(text.endswith("exit=0") for _, text in groups["oracle"])
+    assert all(text.endswith("exit=0") for _, text in groups["oracle"] + groups["curvature"])
+    assert len(groups["curvature"]) == 4 and '"metric": "schwarzschild"' in groups["curvature"][-1][1]
     for group, cases in groups.items():
         assert cases and all(case and text for case, text in cases), group
         digest = eq.write_group(tmp_path, group, cases)

@@ -1,15 +1,18 @@
 import dataclasses
 import inspect
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gentwistor import oracle, twistor
+from gentwistor import oracle, riemann, twistor
 from gentwistor.calculus import stencil
-from gentwistor.errors import DomainError, UsageError
+from gentwistor.dsl import load_metric_file
+from gentwistor.errors import DomainError, InvalidInputError, UsageError
 from gentwistor.gca import ComponentTag
-from gentwistor.metrics import metric_by_name
+from gentwistor.metrics import CATALOG, metric_by_name
 from gentwistor.numerics import DEFAULT_ORACLE_STEP
 from gentwistor.oracle import (
     TwistorChart,
@@ -21,8 +24,10 @@ from gentwistor.oracle import (
     stereo_jac_to_sphere,
     stereo_to_sphere,
 )
+from gentwistor.riemann import PointGeometry
 from gentwistor.twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber
 
+DSL_DIR = Path(__file__).resolve().parents[1] / "bench" / "dsl"
 RNG = np.random.default_rng(20240818)
 
 # interior probe points, well away from box boundaries
@@ -86,6 +91,15 @@ def test_chart_maps_over_leading_axes():
         near_pole[2, 1] = [0.0, 0.03, -pole]
         with pytest.raises(DomainError, match="re-chart"):
             stereo_from_sphere(near_pole, pole)
+    # an array of poles, one per sphere along the last leading axis, gives
+    # each sphere's scalar-pole results bit for bit (the fiber pass charts
+    # both spheres at once)
+    w, poles = RNG.uniform(-1.5, 1.5, size=(5, 2, 2)), np.array([1, -1])
+    a = stereo_to_sphere(w, poles)
+    for fn, x in ((stereo_to_sphere, w), (stereo_jac_to_sphere, w), (stereo_from_sphere, a), (stereo_jac_from_sphere, a)):
+        stack = fn(x, poles)
+        for k, pole in enumerate((1, -1)):
+            assert np.array_equal(stack[:, k], fn(x[:, k], pole))
 
 
 def test_chart_embed_roundtrip():
@@ -186,13 +200,13 @@ def test_each_quantity_evaluated_once_per_point(monkeypatch):
     # one selector pair (two stencils, h and h / 2) is one chart_data call
     # about the embedded point, whose data covers their 66 rows, 49 of them
     # distinct, over 25 distinct base points and 25 distinct fiber points:
-    # one connection and one frame call on the base points and one fiber
-    # batch, each point once, two metric calls, and no sort of the points
+    # one frame-and-connection pass on the base points and one fiber batch,
+    # each point once, one metric call on the 17-point stencil about each
+    # base point, and no sort of the points
     m, g_calls = _counted_metric("s4")
     tp = _tp(P_UNIT, ComponentTag.PM)
-    calls = {name: [] for name in ("christoffel", "frame", "fibers")}
-    monkeypatch.setattr(oracle, "christoffel", _recorded(oracle.christoffel, calls["christoffel"]))
-    monkeypatch.setattr(oracle, "orthonormal_frame", _recorded(oracle.orthonormal_frame, calls["frame"]))
+    calls = {name: [] for name in ("frame_connection", "fibers")}
+    monkeypatch.setattr(oracle, "_frame_connection", _recorded(oracle._frame_connection, calls["frame_connection"]))
     monkeypatch.setattr(TwistorChart, "_fiber_blocks", _recorded(TwistorChart._fiber_blocks, calls["fibers"]))
     chart_data, unique, passes = TwistorChart.chart_data, np.unique, []
 
@@ -212,10 +226,10 @@ def test_each_quantity_evaluated_once_per_point(monkeypatch):
     assert e8.shape == e8inv.shape == (66, 8, 8) and j.shape == (66, 16, 16)
     assert all(v.shape == (66, 2, 3) for v in velocity)
     assert len(np.unique(np.vstack([stencil(z0, step), stencil(z0, step / 2)]), axis=0)) == 49
-    for name in ("christoffel", "frame", "fibers"):
+    for name in ("frame_connection", "fibers"):
         (points,) = calls[name]
         assert points.shape == (25, 4) and len(np.unique(points, axis=0)) == 25, name
-    assert g_calls == [(25, 4), (25, 17, 4)]
+    assert g_calls == [(17, 25, 4)]
 
 
 @pytest.mark.parametrize("step", [1e-2, 5e-3, 0.37])
@@ -270,10 +284,10 @@ def test_bad_arguments_cost_no_metric_evaluation():
     with pytest.raises(DomainError):
         nijenhuis_numeric(m, TwistorPoint(np.array([0.99, 0.0, 0.0, 0.0]), tp.f), good, StructureKind.GENJ)
     assert calls == []
-    # a good call evaluates the metric twice: the frames, then the
-    # connections' 17-point stencils, at the 25 base points
+    # a good call evaluates the metric once: the 17-point stencil about
+    # each of the 25 base points
     nijenhuis_numeric(m, tp, good, StructureKind.GENJ)
-    assert calls == [(25, 4), (25, 17, 4)]
+    assert calls == [(17, 25, 4)]
 
 
 @pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("schwarzschild", P_EH), ("fubini-study", P_UNIT)])
@@ -298,8 +312,8 @@ def test_metric_points_lie_within_the_oracle_margin(name, p):
 @pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("eguchi-hanson", P_EH)])
 def test_prepared_points_equal_points_prepared_one_by_one(name, p):
     # row r of chart_data(z0, step) and row 0 of chart_data(z_r, step), with
-    # z_r the chart point of row r, give the same data, bit for bit, at two
-    # metric calls per pass
+    # z_r the chart point of row r, give the same data, bit for bit, at one
+    # metric call per pass
     step = DEFAULT_ORACLE_STEP
     for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1):
         for poles in ((1, 1), (-1, -1)):
@@ -309,20 +323,22 @@ def test_prepared_points_equal_points_prepared_one_by_one(name, p):
             z0 = chart.embed(tp) + 0.02 * RNG.normal(size=8)
             points = np.vstack([stencil(z0, step), stencil(z0, step / 2)])
             e8, e8inv, j, (va, vb) = chart.chart_data(z0, step)
-            assert len(calls) == 2
+            assert len(calls) == 1
             for k, z in enumerate(points):
                 one_e8, one_e8inv, one_j, (one_va, one_vb) = chart.chart_data(z, step)
                 for got, want in ((one_e8, e8), (one_e8inv, e8inv), (one_j, j), (one_va, va), (one_vb, vb)):
                     assert got.shape == want.shape and len(want) == 66
                     assert np.array_equal(got[0], want[k]), (name, kind, poles)
-            assert len(calls) == 2 + 2 * len(points)
+            assert len(calls) == 1 + len(points)
 
 
 def test_oracle_borrows_nothing_from_the_closed_form_path(monkeypatch):
-    # the referee must not run the twistor kernel: with every function
-    # twistor defines replaced by one that raises (in twistor and wherever
-    # a module imported it), the oracle still returns the same values on
-    # every selector family, for both structure kinds
+    # the referee must not run the closed-form path: with every function
+    # riemann defines, and its PointGeometry, replaced by one that raises
+    # (in riemann and wherever a module imported it), and then every
+    # function twistor defines as well, the oracle still returns the same
+    # values on every selector family, for both structure kinds; the closed
+    # form it is compared with stops at the first patched module it reaches
     m = metric_by_name("flat-perturbed")
     tp = _tp(np.array([0.1, -0.15, 0.2, 0.05]), ComponentTag.MP)
     cases = [(kind, sel) for kind in (StructureKind.GENJ, StructureKind.ALMOST_J1)
@@ -331,25 +347,79 @@ def test_oracle_borrows_nothing_from_the_closed_form_path(monkeypatch):
 
     def refuse(name):
         def call(*args, **kwargs):
-            raise AssertionError(f"the oracle called twistor.{name}")
+            raise AssertionError(f"the oracle called {name}")
 
         return call
 
     patched = set()
     modules = [mod for key, mod in sys.modules.items() if key.startswith("gentwistor")]
-    for name, obj in list(vars(twistor).items()):
-        if inspect.isfunction(obj) and obj.__module__ == twistor.__name__:
-            for module in modules:
-                if getattr(module, name, None) is obj:
-                    monkeypatch.setattr(module, name, refuse(name))
-                    patched.add(f"{module.__name__}.{name}")
-    assert {"gentwistor.twistor.fiber_residuals", "gentwistor.twistor.fiber_blocks",
-            "gentwistor.oracle.fiber_to_structures", "gentwistor.oracle._constraint_block"} <= patched
-    for (kind, sel), ref in zip(cases, before):
-        r = nijenhuis_numeric(m, tp, sel, kind)
-        assert np.array_equal(r.value, ref.value) and r.noise == ref.noise
-    with pytest.raises(AssertionError, match="twistor"):
-        predicted_horizontal_value(m, tp, ("h+", 0), ("h+", 1), StructureKind.GENJ)
+    for source, extra in ((riemann, ("PointGeometry",)), (twistor, ())):
+        for name, obj in list(vars(source).items()):
+            if inspect.isfunction(obj) and obj.__module__ == source.__name__ or name in extra:
+                for module in modules:
+                    if getattr(module, name, None) is obj:
+                        monkeypatch.setattr(module, name, refuse(f"{source.__name__}.{name}"))
+                        patched.add(f"{module.__name__}.{name}")
+        for (kind, sel), ref in zip(cases, before):
+            r = nijenhuis_numeric(m, tp, sel, kind)
+            assert np.array_equal(r.value, ref.value) and r.noise == ref.noise
+        with pytest.raises(AssertionError, match=f"the oracle called {source.__name__}"):
+            predicted_horizontal_value(m, tp, ("h+", 0), ("h+", 1), StructureKind.GENJ)
+    assert {"gentwistor.riemann.PointGeometry", "gentwistor.riemann.christoffel",
+            "gentwistor.riemann._frame", "gentwistor.oracle.christoffel", "gentwistor.oracle.orthonormal_frame",
+            "gentwistor.oracle.generalized_curvature", "gentwistor.twistor.fiber_residuals",
+            "gentwistor.twistor.fiber_blocks", "gentwistor.oracle.fiber_to_structures",
+            "gentwistor.oracle._constraint_block"} <= patched
+
+
+def _named_point(message: str) -> np.ndarray:
+    """The point a guard's message names, as [x1, x2, x3, x4]."""
+    (text,) = re.findall(r"\[([^\]]*)\]", message)
+    return np.array([float(x) for x in text.split(",")])
+
+
+def test_bad_metric_values_are_invalid_input_naming_the_point():
+    # a g of the wrong shape, or one that is not symmetric or not positive
+    # definite near one of the oracle's base points (from 1.5 steps along
+    # x1), is an InvalidInputError; the guard names a point where g is bad,
+    # within the oracle's reach of tp.p
+    s4 = metric_by_name("s4")
+    tp = _tp(P_UNIT, ComponentTag.PM)
+    bad = lambda q: q[..., 0] > P_UNIT[0] + 1.5 * DEFAULT_ORACLE_STEP
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    flip = np.diag([-3.0, 1.0, 1.0, 1.0])
+
+    def asymmetric(q):
+        return s4.g(q) + np.where(bad(q)[..., None, None], skew, 0.0)
+
+    def indefinite(q):
+        return s4.g(q) @ np.where(bad(q)[..., None, None], flip, np.eye(4))
+
+    sel = (("h+", 0), ("v", 1))
+    with pytest.raises(InvalidInputError, match="shape"):
+        nijenhuis_numeric(dataclasses.replace(s4, g=lambda q: s4.g(q)[..., :3, :]), tp, sel, StructureKind.GENJ)
+    for g, message in ((asymmetric, "not symmetric"), (indefinite, "not positive definite")):
+        with pytest.raises(InvalidInputError, match=message) as raised:
+            nijenhuis_numeric(dataclasses.replace(s4, g=g), tp, sel, StructureKind.GENJ)
+        point = _named_point(str(raised.value))
+        assert bad(point)
+        assert np.abs(point - tp.p).max() <= 2.0 * DEFAULT_ORACLE_STEP + 2.0 * s4.fd_step + 1e-12
+
+
+@pytest.mark.parametrize("label", sorted(CATALOG) + ["dsl:s4", "dsl:schwarzschild", "dsl:eguchi-hanson"])
+def test_own_frame_and_connection_match_the_closed_form(label):
+    # two implementations of one convention: the oracle's frame, its
+    # inverse and the frame connection Upsilon agree with PointGeometry's
+    name = label.removeprefix("dsl:")
+    metric = load_metric_file(str(DSL_DIR / f"{name}.cfg")) if label != name else metric_by_name(name)
+    points = metric.interior_points(25, np.random.default_rng(31))
+    e, einv, ups = oracle._frame_connection(metric, points)
+    geo = PointGeometry(metric, points)
+    for got, want in ((e, geo.frame.e), (einv, geo.frame.einv), (ups, geo.connection.upsilon)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=label)
+    assert np.abs(ups).max() > 1e-3 or label == "flat"  # the comparison is not vacuous
 
 
 def test_structure_field_is_an_almost_structure():

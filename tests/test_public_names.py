@@ -28,6 +28,7 @@ SRC = ROOT / "src" / "gentwistor"
 ALLOWED = {
     "harness.report_from_json": "the JSON report round-trip is a kept feature (ROADMAP item 1)",
     "riemann.ConnectionData.antisymmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
+    "riemann.ConnectionData.upsilon": "returned by `riemann.christoffel`, which bench HOOKS trace; goes with ROADMAP item 1",
 }
 
 

@@ -20,6 +20,8 @@ diff -r names the lines that moved.  The groups:
     predict  classify_metric's flags and predict(flags).cells on the 6
              catalog metrics, seeds 0-5
     fibers   200 random_fiber draws, cycling through the components
+    curvature  the curvature --json verb's stdout, stderr and exit code on
+             the 6 catalog metrics, at 3 fixed points of each box
 
 Only the public API is used, so the script runs against any tree that
 has it.  The full run takes a few seconds on one core.
@@ -55,6 +57,8 @@ CELLS = tuple(
 )
 # five selector pairs over the oracle's four test-field families
 PAIRS = ((("h+", 0), ("h+", 1)), (("h-", 2), ("v", 4)), (("h+", 1), ("h-", 3)), (("v", 1), ("v*", 5)), (("h-", 0), ("v*", 2)))
+# the curvature group's points, as fractions of each box's width from lo
+CURVATURE_POINTS = ((0.5, 0.5, 0.5, 0.5), (0.3, 0.6, 0.45, 0.7), (0.62, 0.38, 0.55, 0.41))
 
 
 def sweep_metrics(catalog=tuple(CATALOG), dsl=DSL_METRICS):
@@ -75,17 +79,34 @@ def reports(metrics, seeds=(0, 5)):
     ]
 
 
+def _verb(argv) -> str:
+    """A verb's stdout, stderr and exit code in one line; the streams are
+    repr'd to keep one case a line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{out.getvalue()!r} {err.getvalue()!r} exit={code}"
+
+
 def oracle(names=tuple(CATALOG), seeds=range(6)):
-    """(case, stdout, stderr and exit code) of the oracle verb per metric,
-    seed and structure; the streams are repr'd to keep one case a line."""
+    """(case, the oracle verb's output) per metric, seed and structure."""
+    return [
+        (f"{name} seed={seed} {structure}",
+         _verb(["oracle", "--metric", name, "--seed", str(seed), "--structure", structure]))
+        for name in names
+        for seed in seeds
+        for structure in ("J", "J1")
+    ]
+
+
+def curvature(names=tuple(CATALOG), points=CURVATURE_POINTS):
+    """(case, the curvature --json verb's output) per metric and point."""
     cases = []
     for name in names:
-        for seed in seeds:
-            for structure in ("J", "J1"):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(["oracle", "--metric", name, "--seed", str(seed), "--structure", structure])
-                cases.append((f"{name} seed={seed} {structure}", f"{out.getvalue()!r} {err.getvalue()!r} exit={code}"))
+        metric = CATALOG[name]
+        for fractions in points:
+            point = ",".join(repr(metric.lo + f * (metric.hi - metric.lo)) for f in fractions)
+            cases.append((f"{name} point={point}", _verb(["curvature", "--metric", name, f"--point={point}", "--json"])))
     return cases
 
 
@@ -146,6 +167,7 @@ def main(argv=None) -> int:
         "nijenhuis": lambda: nijenhuis(sweep_metrics()),
         "predict": predictions,
         "fibers": fibers,
+        "curvature": curvature,
     }
     for group, build in groups.items():
         print(f"{write_group(out_dir, group, build())}  {group}", flush=True)
