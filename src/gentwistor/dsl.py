@@ -373,14 +373,21 @@ class _Program:
         out = np.empty((len(self.outputs), len(points)))
         vals: list = []
         fails: list = []
+        marks = []  # len(fails) after each output's steps
         with np.errstate(all="ignore"):
             for k, (slot, span) in enumerate(self.outputs):
-                # the output's new steps, then its final check: the order
-                # in which a point-by-point evaluation meets them
                 for step in self.steps[len(vals) : slot + 1]:
                     vals.append(step(vals, xt, fails))
-                _flag(fails, ~np.isfinite(vals[slot]), span, "expression evaluated to a non-finite value")
+                marks.append(len(fails))
                 out[k] = vals[slot]
+        if not np.isfinite(out).all():
+            # each output's final check goes where a point-by-point
+            # evaluation meets it: after the output's new steps, before the
+            # next output's; inserting from the last keeps the marks valid
+            for (slot, span), mark in reversed(list(zip(self.outputs, marks))):
+                bad = ~np.isfinite(vals[slot])
+                if bad.any():
+                    fails.insert(mark, (bad, span, "expression evaluated to a non-finite value", ()))
         if not fails:
             return out, None
         i = min(0 if np.ndim(bad) == 0 else int(np.argmax(bad)) for bad, *_ in fails)

@@ -75,7 +75,7 @@ class ConfigError(GentwistorError):
 
 def _is_int(value) -> bool:
     """Whether value is an integer, which a bool is not."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
@@ -91,7 +91,7 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
 def _check_real(name: str, value) -> float:
     """value as a float; UsageError unless it is a positive finite real (a bool is not)."""
-    if not isinstance(value, Real) or isinstance(value, bool):
+    if type(value) is not float and (not isinstance(value, Real) or isinstance(value, bool)):
         raise UsageError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)

@@ -89,8 +89,8 @@ def _sampled(metric: MetricSpec, n: int, seed: int):
     blocks = decompose(geometry.operator)
     # np.linalg.norm of a block is the sqrt of vecdot's dot product of its
     # flattened entries, and the sqrt of the largest is the largest norm
-    flat = [x.reshape(-1, 9) for x in (blocks.wplus, blocks.wminus, blocks.b)]
-    wp, wm, bn = (float(np.sqrt(np.vecdot(x, x).max())) for x in flat)
+    flat = np.concatenate([x.reshape(-1, 1, 9) for x in (blocks.wplus, blocks.wminus, blocks.b)], axis=1)
+    wp, wm, bn = np.sqrt(np.vecdot(flat, flat).max(axis=0)).tolist()
     sn = float(np.abs(blocks.scalar).max())
     threshold = DEFAULT_FLAG_THRESHOLD
     zeros = (wp < threshold, wm < threshold, bn < threshold, sn < threshold)
@@ -130,16 +130,22 @@ _RULES: dict[tuple[ComponentTag, StructureKind], tuple[str, ...]] = {
 }
 
 
-def _cell(component, kind) -> tuple[ComponentTag, StructureKind]:
-    """(component, kind) as a key of _RULES; a UsageError names a bad argument or cell."""
+def _rule(component, kind) -> tuple[str, ...]:
+    """The _RULES row of the cell (component, kind); a UsageError names a bad argument or cell."""
     if not isinstance(component, ComponentTag):
         raise UsageError(f"component must be a ComponentTag, got {component!r}")
     if not isinstance(kind, StructureKind):
         raise UsageError(f"kind must be a StructureKind, got {kind!r}")
-    if (component, kind) not in _RULES:
+    rule = _RULES.get((component, kind))
+    if rule is None:
         raise UsageError(f"no cell ({component.value}, {kind.value}): "
                          "semi-integrability is defined on the mixed components only")
-    return component, kind
+    return rule
+
+
+def _holds(flags: CurvatureFlags, rule: tuple[str, ...]) -> bool:
+    """Whether every flag a _RULES row names holds: its cell's prediction."""
+    return all(getattr(flags, c) for c in rule)
 
 
 @dataclass(frozen=True)
@@ -149,12 +155,13 @@ class PredictionTable:
     cells: dict[tuple[ComponentTag, StructureKind], bool]
 
     def expected(self, tag: ComponentTag, kind: StructureKind) -> bool:
-        return self.cells[_cell(tag, kind)]
+        _rule(tag, kind)
+        return self.cells[tag, kind]
 
 
 def predict(flags: CurvatureFlags) -> PredictionTable:
     """Expected verdicts from the curvature flags, by the rules of _RULES."""
-    return PredictionTable({cell: all(getattr(flags, c) for c in rule) for cell, rule in _RULES.items()})
+    return PredictionTable({cell: _holds(flags, rule) for cell, rule in _RULES.items()})
 
 
 @dataclass(frozen=True)
@@ -196,13 +203,13 @@ def check(
     fiber_samples = _check_int("fiber_samples", fiber_samples, 1)
     tol = _check_real("tolerance", tol)
     seed = _check_int("seed", seed, 0, _UINT64_MAX)
-    _cell(component, kind)
+    rule = _rule(component, kind)
 
     t0 = time.perf_counter()
     # one geometry over all points: the flags read its operators, the
     # residual kernel its frame curvature
     points, geometry, flags = _sampled(metric, base_samples, seed)
-    predicted = predict(flags).expected(component, kind)
+    predicted = _holds(flags, rule)
     fibers = random_fibers(fiber_samples, np.random.default_rng([seed, 1]))
 
     # one kernel call; the first strict maximum in (point, fiber, family)

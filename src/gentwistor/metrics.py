@@ -69,7 +69,7 @@ class MetricSpec:
 
     def contains(self, p: np.ndarray, margin: float = 0.0) -> bool:
         p = np.asarray(p, float)
-        return bool(np.all(p >= self.lo + margin) and np.all(p <= self.hi - margin))
+        return bool((p >= self.lo + margin).all() and (p <= self.hi - margin).all())
 
     def require_interior(self, p: np.ndarray, margin: float) -> None:
         """Raise DomainError naming the first of the points p (..., 4) within margin of the box edge."""
@@ -92,8 +92,11 @@ class MetricSpec:
         return rng.uniform(lo, hi, size=(n, 4))
 
 
+_EYE = np.eye(4)
+
+
 def _flat_g(p: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.eye(4), np.shape(p)[:-1] + (4, 4)).copy()
+    return np.broadcast_to(_EYE, np.shape(p)[:-1] + (4, 4)).copy()
 
 
 # np.float_power is C pow, as the scalar x ** k the catalog was first written
@@ -119,7 +122,7 @@ def _flat_perturbed_g(p: np.ndarray) -> np.ndarray:
 def _s4_g(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, float)
     r2 = _pow(p[..., 0], 2) + _pow(p[..., 1], 2) + _pow(p[..., 2], 2) + _pow(p[..., 3], 2)
-    return (4.0 / _pow(1.0 + r2, 2))[..., None, None] * np.eye(4)
+    return (4.0 / _pow(1.0 + r2, 2))[..., None, None] * _EYE
 
 
 def _fubini_study_g(p: np.ndarray) -> np.ndarray:

@@ -84,6 +84,16 @@ _NEAR = np.vstack([np.zeros((1, 4))] + [np.outer(_STEPS, _EYE[k]) for k in range
 # 4 x 4 steps in each coordinate plane k < l, l-step outer, k-step inner
 _MIXED = np.array([a * _EYE[k] + b * _EYE[l] for k, l in WEDGE_PAIRS for b in _STEPS for a in _STEPS])
 _DIAG = np.arange(4)
+_LOWER = np.tri(4, dtype=bool)
+_EYE3 = np.eye(3)
+
+
+def _moved(a: np.ndarray, *order: int) -> np.ndarray:
+    """a with its trailing len(order) axes permuted, the k-th new axis being
+    old trailing axis order[k]; the view np.moveaxis gives, at a fraction
+    of its cost."""
+    lead = a.ndim - len(order)
+    return a.transpose(*range(lead), *(lead + k for k in order))
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,7 @@ class CurvatureBlocks:
 
 def _frame(p: np.ndarray, g: np.ndarray) -> tuple[FrameData, np.ndarray]:
     """Frame at points p (..., 4), and the g^{-1} it factors; errors name the first bad point."""
-    gt = np.swapaxes(g, -1, -2)
+    gt = g.swapaxes(-1, -2)
     sym = (np.abs(g - gt) <= METRIC_SYMMETRY_ATOL + METRIC_SYMMETRY_RTOL * np.abs(gt)).all(axis=(-2, -1))  # np.isclose's rule
     if not sym.all():
         raise InvalidInputError(f"metric at {np.reshape(p, (-1, 4))[np.argmin(sym)].tolist()} is not symmetric")
@@ -156,7 +166,10 @@ class PointGeometry:
     Built from one g call on 17 points per base point (g, dg, the pure
     second derivatives, Gamma and the frame); d2g and everything that
     needs it are computed on first use, from one more call on 96 points
-    per base point.  See the module docstring for the steps."""
+    per base point.  The split also keeps a large batch from holding all
+    113 points' metric values at once: one 113-point call raised the
+    tracemalloc peak of check on schwarzschild at base_samples=4096 from
+    92.1 to 122.1 MB.  See the module docstring for the steps."""
 
     def __init__(self, metric: MetricSpec, p: np.ndarray):
         p = np.asarray(p, dtype=float)
@@ -175,15 +188,15 @@ class PointGeometry:
         self.dginv = -(self.ginv[..., None, :, :] @ dg @ self.ginv[..., None, :, :])
         # Gamma^k_{ij} = g^{kl} y[i,j,l] / 2, y[i,j,l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}:
         # over (ij, l), Gamma = y g^{-T} / 2, moved to [k, i, j]
-        self._y = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-        gamma = 0.5 * (self._y.reshape(p.shape[:-1] + (16, 4)) @ np.swapaxes(self.ginv, -1, -2))
-        self.gamma = np.moveaxis(gamma.reshape(dg.shape), -1, -3)
+        self._y = dg + dg.swapaxes(-3, -2) - _moved(dg, 1, 2, 0)
+        gamma = 0.5 * (self._y.reshape(p.shape[:-1] + (16, 4)) @ self.ginv.swapaxes(-1, -2))
+        self.gamma = _moved(gamma.reshape(dg.shape), 2, 0, 1)
 
     @cached_property
     def frame_derivative(self) -> np.ndarray:
         """de[..., i, :, :] = d_i e in closed form: e Phi(e^{-1} d_i(g^{-1}) e^{-T})."""
         e, einv = self.frame.e[..., None, :, :], self.frame.einv[..., None, :, :]
-        phi = np.tril(einv @ self.dginv @ np.swapaxes(einv, -1, -2))
+        phi = np.where(_LOWER, einv @ self.dginv @ einv.swapaxes(-1, -2), 0.0)  # np.tril's rule
         phi[..., _DIAG, _DIAG] *= 0.5
         return e @ phi
 
@@ -192,12 +205,12 @@ class PointGeometry:
         """The frame connection Upsilon_a[c, b] =
         theta*_c( nabla_{theta_a} theta_b )."""
         e, einv, lead = self.frame.e, self.frame.einv, self.point.shape[:-1]
-        et = np.swapaxes(e, -1, -2)
+        et = e.swapaxes(-1, -2)
         # cov[a, k, b] = e_ia d_i e_kb + e_ia Gamma^k_ij e_jb: e^T de, then e^T Gamma_k e
         cov = (et @ self.frame_derivative.reshape(lead + (4, 16))).reshape(lead + (4, 4, 4))
-        cov += np.swapaxes(et[..., None, :, :] @ self.gamma @ e[..., None, :, :], -3, -2)
+        cov += (et[..., None, :, :] @ self.gamma @ e[..., None, :, :]).swapaxes(-3, -2)
         ups = einv[..., None, :, :] @ cov
-        skew = np.swapaxes(ups, -1, -2)
+        skew = ups.swapaxes(-1, -2)
         return ConnectionData(upsilon=0.5 * (ups - skew), antisymmetry_defect=float(np.abs(ups + skew).max()))
 
     @cached_property
@@ -224,27 +237,27 @@ class PointGeometry:
         error and is antisymmetrized exactly for the bivector algebra downstream."""
         d2g, e, einv, lead = self.d2g, self.frame.e, self.frame.einv, self.point.shape[:-1]
         # dgamma[m,i,j,k] = d_m Gamma^k_ij = (d_m g^kl y[i,j,l] + g^kl z[m,i,j,l]) / 2, products over (ij, l)
-        z = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
-        dgamma = (z.reshape(lead + (64, 4)) @ np.swapaxes(self.ginv, -1, -2)).reshape(d2g.shape)
-        dgamma += (self._y.reshape(lead + (1, 16, 4)) @ np.swapaxes(self.dginv, -1, -2)).reshape(d2g.shape)
+        z = d2g + d2g.swapaxes(-3, -2) - _moved(d2g, 1, 2, 0)
+        dgamma = (z.reshape(lead + (64, 4)) @ self.ginv.swapaxes(-1, -2)).reshape(d2g.shape)
+        dgamma += (self._y.reshape(lead + (1, 16, 4)) @ self.dginv.swapaxes(-1, -2)).reshape(d2g.shape)
         dgamma *= 0.5
         # t[l, j, i, k] = d_j Gamma^l_{ik} + Gamma^l_{jm} Gamma^m_{ik}, the
         # quadratic term one (16 x 4)(4 x 16) product; R[l,k,i,j] = t[l,j,i,k] - t[l,i,j,k]
         t = (self.gamma.reshape(lead + (16, 4)) @ self.gamma.reshape(lead + (4, 16))).reshape(d2g.shape)
-        t += np.moveaxis(dgamma, -1, -4)
-        riemann = np.swapaxes(t - np.swapaxes(t, -3, -2), -3, -1)
+        t += _moved(dgamma, 3, 0, 1, 2)
+        riemann = (t - t.swapaxes(-3, -2)).swapaxes(-3, -1)
         # R(theta_a, theta_b)[l, k] = R[l,k,i,j] e_ia e_jb: (lk, ij) by (ij, pair)
         wedges = (e[..., :, None, WEDGE_I] * e[..., None, :, WEDGE_J]).reshape(lead + (16, 6))
-        mats = np.moveaxis((riemann.reshape(lead + (16, 16)) @ wedges).reshape(lead + (4, 4, 6)), -1, -3)
+        mats = _moved((riemann.reshape(lead + (16, 16)) @ wedges).reshape(lead + (4, 4, 6)), 2, 0, 1)
         f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
-        return 0.5 * (f - np.swapaxes(f, -1, -2))
+        return 0.5 * (f - f.swapaxes(-1, -2))
 
     @cached_property
     def operator(self) -> np.ndarray:
         """6x6 bivector curvature operator over the orthonormal frame,
         one per base point: (..., 6, 6)."""
         # pair coords of R(pair), one column per pair
-        return U6 @ np.swapaxes(pair_coords(self.rf), -1, -2) @ U6.T
+        return U6 @ pair_coords(self.rf).swapaxes(-1, -2) @ U6.T
 
     def rc(self, omega: np.ndarray) -> np.ndarray:
         """Underlying 4x4 curvature image of a frame bivector (one base point)."""
@@ -280,11 +293,11 @@ def decompose(m: np.ndarray) -> CurvatureBlocks:
     either diagonal trace) must agree within OPERATOR_TOL.  An error names
     the readings of the first operator that fails either check.
     """
-    mt = np.swapaxes(m, -1, -2)
+    mt = m.swapaxes(-1, -2)
     defect = np.abs(m - mt).max(axis=(-2, -1))
     ms = 0.5 * (m + mt)
     ul, lr, ur = ms[..., :3, :3], ms[..., 3:, 3:], ms[..., :3, 3:]
-    t_plus, t_minus = np.trace(ul, axis1=-2, axis2=-1), np.trace(lr, axis1=-2, axis2=-1)
+    t_plus, t_minus = ul.trace(axis1=-2, axis2=-1), lr.trace(axis1=-2, axis2=-1)
     s_plus, s_minus = 4.0 * t_plus, 4.0 * t_minus
     bad = (defect > OPERATOR_TOL) | (abs(s_plus - s_minus) > OPERATOR_TOL)
     if bad.any():
@@ -293,6 +306,6 @@ def decompose(m: np.ndarray) -> CurvatureBlocks:
             raise DecompositionError(f"curvature operator asymmetric beyond tolerance: defect {defect.flat[k]:.3e}")
         raise DecompositionError(f"scalar curvature mismatch between duality halves: "
                                  f"{s_plus.flat[k]:.6e} vs {s_minus.flat[k]:.6e}")
-    wplus = ul - (t_plus / 3.0)[..., None, None] * np.eye(3)
-    wminus = lr - (t_minus / 3.0)[..., None, None] * np.eye(3)
+    wplus = ul - (t_plus / 3.0)[..., None, None] * _EYE3
+    wminus = lr - (t_minus / 3.0)[..., None, None] * _EYE3
     return CurvatureBlocks(wplus=wplus, wminus=wminus, b=ur, scalar=s_plus)

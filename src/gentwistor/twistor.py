@@ -21,7 +21,11 @@ the constraint family is
 
     E = [u_c, R(omega1) + u_c R(omega2)]      c in {1, 2}
 
-maximised over the 16 ordered frame index pairs (i, j).  The plus
+maximised over the 16 ordered frame index pairs (i, j).  When both wedge
+slots carry the same block (a = b), omega1 and omega2 are skew in (i, j),
+so E(j, i) = -E(i, j) and E(i, i) = 0 exactly and the 6 pairs i < j give
+the maximum; the kernel evaluates those families there and the mixed-slot
+ones (C5, C6) at all 16.  The plus
 sign in omega2 is fixed by the finite-difference Nijenhuis oracle: on a
 pure-component fiber of the round sphere its horizontal blocks match
 the closed form only with this sign (acceptance criterion 6 and
@@ -44,17 +48,19 @@ and E is linear in the 12 coordinates w_k of omega1 and omega2, which
 depend on the fiber alone, with coefficients [u_c, Rf[k]] and
 u_c [u_c, Rf[k]] = [u_c, u_c Rf[k]].  fiber_residuals takes the fibers
 as their (u1, u2) blocks, (fiber, 2, 4, 4) as fiber_blocks builds them,
-builds the coordinates by elementwise products, once per distinct wedge
-slot pair (3 for J, 1 for J1 and semi; zero at i = j for same-slot
-families), applies R -> [u_c, R] as a 16x16 Kronecker matrix to the six
-Rf[k] of a block's base points in one GEMM, contracts with the
-coordinates in one batched matmul, and returns the square root of the
-largest sum of squares over the pairs: Frobenius norms (..., fiber,
-family).  Blocks of at most _BLOCK (point, fiber) pairs, whole fibers
-or else one fiber's points, bound memory; a value depends neither on
-its block nor on the other points.  J1 is the (C1, C2) columns and semi
-the C2 column alone; constraints_genJ, constraints_J1 and
-semi_integrability_residual each build a geometry and call it once.
+builds the coordinates by elementwise products of entries gathered with
+one take, once per distinct wedge slot pair (3 for J, 1 for J1 and semi)
+and index pair (6 for a same-slot pair, 16 for the mixed one: 28 rows
+for J, 6 for J1 and semi), applies R -> [u_c, R] as a 16x16 Kronecker
+matrix to the six Rf[k] of a block's base points in one GEMM, contracts
+with the coordinates in one batched matmul, and returns the square root
+of the largest sum of squares over each slot pair's rows: Frobenius
+norms (..., fiber, family).  Blocks of at most _BLOCK (point, fiber)
+pairs, whole fibers or else one fiber's points, bound memory; a value
+depends neither on its block nor on the other points.  J1 is the (C1,
+C2) columns and semi the C2 column alone; constraints_genJ,
+constraints_J1 and semi_integrability_residual each build a geometry
+and call it once.
 _constraint_block evaluates one family at one pair through
 PointGeometry.rc, the contraction of Rf with one bivector, and is the
 reference the kernel is tested against; the 8x8 obstruction matrices
@@ -65,19 +71,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bivector import WEDGE_I, WEDGE_J, basis_wedge, unit_combination, wedge
+from .bivector import TRIPLES, WEDGE_I, WEDGE_J, basis_wedge, wedge
 from .errors import InvalidInputError, UsageError
 from .gca import ComponentTag, GenStructure, structure_from_blocks, type_of
 from .metrics import MetricSpec
 from .numerics import UNIT_TOL
 from .riemann import PointGeometry, generalized_curvature
 
-# All 16 ordered index pairs, i-major: for the mixed slot assignments (i, j)
-# and (j, i) are different constraints (swapping the indices swaps which slot
-# carries which block) and omega1(i, i) = -u1 t_i ^ u2 t_i is not zero.
+# All 16 ordered index pairs, i-major.  A same-slot family needs only the 6
+# with i < j: its (j, i) block is minus its (i, j) block and its (i, i) block
+# is zero.  For the mixed slot assignments (i, j) and (j, i) are different
+# constraints (swapping the indices swaps which slot carries which block)
+# and omega1(i, i) = -u1 t_i ^ u2 t_i is not zero, so they need all 16.
 _PAIR_I, _PAIR_J = np.divmod(np.arange(16), 4)
 
 GENJ_LABELS = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -158,10 +167,15 @@ def sphere_directions(n: int) -> np.ndarray:
     )
 
 
+# per component, the generator triple of each block's duality side: (2, 3, 4, 4)
+_TAG_TRIPLES = {tag: np.array([TRIPLES[sign] for sign in tag.signs]) for tag in ComponentTag}
+
+
 def fiber_blocks(tag: ComponentTag, ab: np.ndarray) -> np.ndarray:
-    """fiber_to_structures of the tag's fibers with unit pairs ab (..., 2, 3): (..., 2, 4, 4)."""
-    s1, s2 = tag.signs
-    return np.stack([unit_combination(ab[..., 0, :], s1), unit_combination(ab[..., 1, :], s2)], axis=-3)
+    """fiber_to_structures of the tag's fibers with unit pairs ab (..., 2, 3): (..., 2, 4, 4),
+    each block the sum unit_combination forms, in its order."""
+    terms = ab[..., None, None] * _TAG_TRIPLES[tag]
+    return terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :]
 
 
 def fiber_to_structures(f: FiberPoint) -> np.ndarray:
@@ -223,26 +237,58 @@ def _wedge_coords(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # Blocks feeding each family, as indices into (u1, u2): first wedge slot,
-# second wedge slot, commutator.  Per kind: the labels, the distinct slot
-# pairs and commutators, and each family's index into each.
+# second wedge slot, commutator.
 _FAMILY_SLOTS = np.array([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1)])
-_KIND_PLANS = {
-    kind: (labels, *np.unique(_FAMILY_SLOTS[columns, :2], axis=0, return_inverse=True),
-           *np.unique(_FAMILY_SLOTS[columns, 2], return_inverse=True))
-    for kind, labels, columns in (
-        (StructureKind.GENJ, GENJ_LABELS, slice(0, 6)),
-        (StructureKind.ALMOST_J1, J1_LABELS, slice(0, 2)),
-        (StructureKind.SEMI, ("C2'",), slice(1, 2)),
-    )
-}
 _EYE = np.eye(4)
-# t_i, t_j and the coordinates of t_i ^ t_j, per ordered pair (i, j)
-_TI, _TJ = _EYE[_PAIR_I], _EYE[_PAIR_J]
-_BASIS_COORDS = _wedge_coords(_TI, _TJ)
 # R -> [u, R] = (u kron Id - Id kron u^T) R on row-major R, linear in u's 16 entries
 _COMMUTATOR = np.array([np.kron(e, _EYE) - np.kron(_EYE, e.T) for e in np.eye(16).reshape(16, 4, 4)]).reshape(16, 256)
 # most (point, fiber) pairs per kernel block
 _BLOCK = 256
+
+
+class _Plan(NamedTuple):
+    """A kind's families as rows of the kernel.
+
+    Each distinct wedge slot pair (a, b) owns a run of rows, one per index
+    pair (i, j): the 6 pairs i < j when a == b, all 16 otherwise, starting
+    at starts[s].  At row r and basis wedge k, with x = u_a t_i and
+    y = u_b t_j, gather[:, r, k] indexes x[WI], x[WJ], y[WJ] and y[WI] in a
+    fiber's 32 block entries, and units[:, r, k] holds t_j[WJ], t_j[WI],
+    t_i[WI] and t_i[WJ], the factors that give x ^ t_j and t_i ^ y."""
+
+    labels: tuple[str, ...]
+    slot_pairs: np.ndarray
+    family_pair: np.ndarray
+    commutators: np.ndarray
+    family_commutator: np.ndarray
+    starts: np.ndarray
+    gather: np.ndarray
+    units: np.ndarray
+    basis: np.ndarray  # the coordinates of t_i ^ t_j per row
+
+
+def _plan(labels: tuple[str, ...], columns: slice) -> _Plan:
+    slot_pairs, family_pair = np.unique(_FAMILY_SLOTS[columns, :2], axis=0, return_inverse=True)
+    commutators, family_commutator = np.unique(_FAMILY_SLOTS[columns, 2], return_inverse=True)
+    pairs = [np.flatnonzero(_PAIR_I < _PAIR_J) if a == b else np.arange(16) for a, b in slot_pairs]
+    sizes = [len(p) for p in pairs]
+    i, j = _PAIR_I[np.concatenate(pairs)], _PAIR_J[np.concatenate(pairs)]
+    # the slot pair of each row
+    a, b = np.repeat(slot_pairs, sizes, axis=0).T[..., None]
+    ti, tj = _EYE[i], _EYE[j]
+    i, j = i[:, None], j[:, None]
+    # x_k = u_a[k, i] and y_k = u_b[k, j] are entries a*16 + 4k + i and b*16 + 4k + j
+    gather = np.stack([16 * a + 4 * WEDGE_I + i, 16 * a + 4 * WEDGE_J + i, 16 * b + 4 * WEDGE_J + j, 16 * b + 4 * WEDGE_I + j])
+    units = np.stack([tj[:, WEDGE_J], tj[:, WEDGE_I], ti[:, WEDGE_I], ti[:, WEDGE_J]])
+    return _Plan(labels, slot_pairs, family_pair, commutators, family_commutator,
+                 np.cumsum([0] + sizes[:-1]), gather, units, _wedge_coords(ti, tj))
+
+
+_KIND_PLANS = {
+    StructureKind.GENJ: _plan(GENJ_LABELS, slice(0, 6)),
+    StructureKind.ALMOST_J1: _plan(J1_LABELS, slice(0, 2)),
+    StructureKind.SEMI: _plan(("C2'",), slice(1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -267,20 +313,24 @@ def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = Stru
         raise UsageError(f"u must be fiber blocks of shape (fiber, 2, 4, 4), got shape {np.shape(u)}")
     if len(u) == 0:
         raise UsageError("need at least one fiber point")
-    labels, slot_pairs, family_pair, commutators, family_commutator = _KIND_PLANS[kind]
+    plan = _KIND_PLANS[kind]
+    commutators, rows = plan.commutators, len(plan.basis)
     rf = gc.rf.reshape(-1, 6, 4, 4)  # (point, wedge, 4, 4)
     points = len(rf)
     fiber_step, point_step = max(1, _BLOCK // points), min(points, _BLOCK)
-    norms = np.empty((points, len(u), len(labels)))
+    norms = np.empty((points, len(u), len(plan.labels)))
     for start in range(0, len(u), fiber_step):
         ux = u[start:start + fiber_step]
         n = len(ux)
         # coordinates of omega1 = t_i ^ t_j - x ^ y and omega2 = x ^ t_j + t_i ^ y,
-        # x = u_a t_i and y = u_b t_j, per slot pair and ordered pair (i, j)
-        x = np.swapaxes(ux[:, slot_pairs[:, 0]], -1, -2)[:, :, _PAIR_I]
-        y = np.swapaxes(ux[:, slot_pairs[:, 1]], -1, -2)[:, :, _PAIR_J]
-        w1, w2 = _BASIS_COORDS - _wedge_coords(x, y), _wedge_coords(x, _TJ) + _wedge_coords(_TI, y)
-        coords = np.concatenate([w1, w2], axis=-1).reshape(n, 1, 1, -1, 12)
+        # x = u_a t_i and y = u_b t_j, per row: (fiber, row, 12)
+        xy = ux.reshape(n, 32).take(plan.gather, axis=1)  # x[WI], x[WJ], y[WJ], y[WI]
+        outer = xy[:, :2] * xy[:, 2:]
+        units = xy * plan.units
+        xy_wedge, units_wedge = outer[:, 0] - outer[:, 1], units[:, 0::2] - units[:, 1::2]
+        coords = np.empty((n, 1, 1, rows, 12))
+        np.subtract(plan.basis, xy_wedge, out=coords[:, 0, 0, :, :6])
+        np.add(units_wedge[:, 0], units_wedge[:, 1], out=coords[:, 0, 0, :, 6:])
         # [u_c, R] and [u_c, u_c R] = u_c [u_c, R] for every wedge slice R of
         # rf, the first as one GEMM: (fiber, commutator, t, p, q, point, wedge)
         uc = ux[:, commutators]
@@ -289,10 +339,10 @@ def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = Stru
             images = (maps @ rf[first:first + point_step].reshape(-1, 16).T).reshape(n, len(commutators), 1, 4, -1)
             images = np.concatenate([images, uc[:, :, None] @ images], axis=2).reshape(n, len(commutators), 2, 16, -1, 6)
             images = images.transpose(0, 1, 4, 2, 5, 3).reshape(n, len(commutators), -1, 12, 16)
-            e = coords @ images  # (fiber, commutator, point, slot pair x pair, 16)
-            sq = np.vecdot(e, e).reshape(e.shape[:3] + (len(slot_pairs), 16)).max(axis=-1)
-            norms[first:first + point_step, start:start + n] = np.sqrt(sq).transpose(2, 0, 3, 1)[..., family_pair, family_commutator]
-    return FiberResiduals(labels, norms.reshape(gc.rf.shape[:-3] + (len(u), len(labels))))
+            e = coords @ images  # (fiber, commutator, point, row, 16)
+            sq = np.maximum.reduceat(np.vecdot(e, e), plan.starts, axis=-1)  # (fiber, commutator, point, slot pair)
+            norms[first:first + point_step, start:start + n] = np.sqrt(sq).transpose(2, 0, 3, 1)[..., plan.family_pair, plan.family_commutator]
+    return FiberResiduals(plan.labels, norms.reshape(gc.rf.shape[:-3] + (len(u), len(plan.labels))))
 
 
 def _one_fiber(metric: MetricSpec, p: np.ndarray, f: FiberPoint, kind: StructureKind) -> dict[str, float]:

@@ -34,9 +34,13 @@ def test_groups_on_a_reduced_set(tmp_path):
         "predict": eq.predictions(("s4", "eguchi-hanson"), seeds=(0,)),
         "fibers": eq.fibers(8),
         "curvature": eq.curvature(("s4", "schwarzschild"), points=eq.CURVATURE_POINTS[:2]),
+        "kernel": eq.kernel(eq.sweep_metrics(("schwarzschild",), ("s4",)), seeds=(0,), points=2, fibers=3),
     }
     assert all(text.endswith("exit=0") for _, text in groups["oracle"] + groups["curvature"])
     assert len(groups["curvature"]) == 4 and '"metric": "schwarzschild"' in groups["curvature"][-1][1]
+    # 2 metrics x 4 components x 3 kinds, each 2 points x 3 fibers x the kind's families
+    assert len(groups["kernel"]) == 24
+    assert [len(text.split()) for _, text in groups["kernel"][:3]] == [36, 12, 6]
     for group, cases in groups.items():
         assert cases and all(case and text for case, text in cases), group
         digest = eq.write_group(tmp_path, group, cases)

@@ -442,6 +442,40 @@ def test_kernel_matches_per_block_reference(name):
                 assert res.norms[n, k] == pytest.approx(worst, rel=1e-12, abs=tol)
 
 
+def test_same_slot_families_are_skew_and_mixed_ones_use_every_pair():
+    """A family whose two wedge slots carry the same block is skew in the
+    index pair, bit for bit: _constraint_block at (j, i) is minus that at
+    (i, j), and at (i, i) it is 0, so the kernel's 6 pairs i < j give its
+    maximum over all 16.  A mixed-slot family is not: over these fibers its
+    block is largest (by more than 1e-9 relative) at some pair i > j and at
+    some pair i = j, and the kernel's norm is that maximum, so a kernel that
+    gave the mixed-slot families the 6 pairs i < j too fails here."""
+    rng = np.random.default_rng(88)
+    strict_maxima = set()
+    for name in CATALOG:
+        m = metric_by_name(name)
+        gc = generalized_curvature(m, m.interior_points(1, rng)[0])
+        tol = 1e-12 * np.abs(gc.rf).max()
+        for tag in ComponentTag:
+            fibers = [random_fiber(tag, rng) for _ in range(6)]
+            res = fiber_residuals(gc, _blocks(fibers))
+            for n, f in enumerate(fibers):
+                u = fiber_to_structures(f)
+                for k, (a, b, c) in enumerate(_FAMILY_BLOCKS.values()):
+                    blocks = {(i, j): _constraint_block(gc, u[a], u[b], u[c], i, j) for i, j in _ORDERED}
+                    if a == b:
+                        for (i, j), block in blocks.items():
+                            assert np.array_equal(block, -blocks[j, i] if i != j else np.zeros((4, 4))), (name, k, i, j)
+                        continue
+                    norms = {pair: float(np.linalg.norm(block)) for pair, block in blocks.items()}
+                    first, second = sorted(norms.values())[-2:][::-1]
+                    assert res.norms[n, k] == pytest.approx(first, rel=1e-12, abs=tol)
+                    if first - second > 1e-9 * first and first > 1e-6:
+                        i, j = max(norms, key=norms.get)
+                        strict_maxima.add(int(np.sign(i - j)))
+    assert strict_maxima == {-1, 0, 1}
+
+
 def test_j1_and_semi_are_kernel_columns():
     m = metric_by_name("schwarzschild")
     p = np.array([2.4, 2.2, 2.5, 2.4])

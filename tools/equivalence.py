@@ -22,6 +22,9 @@ diff -r names the lines that moved.  The groups:
     fibers   200 random_fiber draws, cycling through the components
     curvature  the curvature --json verb's stdout, stderr and exit code on
              the 6 catalog metrics, at 3 fixed points of each box
+    kernel   every fiber_residuals norm, bit for bit (float.hex), on the 9
+             metrics of reports, seeds 0 and 1, 5 base points and 9 fibers
+             drawn as check draws them, each component and structure kind
 
 Only the public API is used, so the script runs against any tree that
 has it.  The full run takes a few seconds on one core.
@@ -46,7 +49,16 @@ from gentwistor.harness import check, classify_metric, predict, report_json
 from gentwistor.metrics import CATALOG
 from gentwistor.numerics import SAMPLE_MARGIN
 from gentwistor.oracle import nijenhuis_numeric, oracle_margin
-from gentwistor.twistor import FiberPoint, StructureKind, TwistorPoint, random_fiber, random_fibers
+from gentwistor.riemann import generalized_curvature
+from gentwistor.twistor import (
+    FiberPoint,
+    StructureKind,
+    TwistorPoint,
+    fiber_blocks,
+    fiber_residuals,
+    random_fiber,
+    random_fibers,
+)
 
 DSL_DIR = Path(__file__).resolve().parents[1] / "bench" / "dsl"
 DSL_METRICS = ("s4", "schwarzschild", "eguchi-hanson")
@@ -127,6 +139,21 @@ def nijenhuis(metrics, points=6, pairs=PAIRS):
     return cases
 
 
+def kernel(metrics, seeds=(0, 1), points=5, fibers=9):
+    """(case, the norms as float.hex) per metric, seed, component and kind;
+    the kernel runs semi on every component, as it owns no tag check."""
+    cases = []
+    for label, metric in metrics:
+        for seed in seeds:
+            geometry = generalized_curvature(metric, metric.interior_points(points, np.random.default_rng([seed, 0])))
+            ab = random_fibers(fibers, np.random.default_rng([seed, 1]))
+            for tag in ComponentTag:
+                for kind in StructureKind:
+                    norms = fiber_residuals(geometry, fiber_blocks(tag, ab), kind).norms
+                    cases.append((f"{label} seed={seed} {tag.value}:{kind.value}", " ".join(map(float.hex, norms.ravel().tolist()))))
+    return cases
+
+
 def predictions(names=tuple(CATALOG), seeds=range(6)):
     """(case, flags and predicted cells) per metric and seed."""
     cases = []
@@ -168,6 +195,7 @@ def main(argv=None) -> int:
         "predict": predictions,
         "fibers": fibers,
         "curvature": curvature,
+        "kernel": lambda: kernel(sweep_metrics()),
     }
     for group, build in groups.items():
         print(f"{write_group(out_dir, group, build())}  {group}", flush=True)
