@@ -36,13 +36,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GentwistorError, _check_int
+from .errors import ConfigError, DomainError, GentwistorError, _check_int
 from .gca import ComponentTag
 from .harness import check, classify_metric, report_json
 from .metrics import CATALOG, MetricSpec, metric_by_name
 from .numerics import DEFAULT_TOL, SAMPLE_MARGIN
 from .oracle import nijenhuis_numeric, oracle_margin
-from .riemann import curvature_operator, decompose
+from .riemann import _block_norms, curvature_operator, decompose
 from .twistor import FiberPoint, StructureKind, TwistorPoint, random_fibers, type_of_genJ
 
 _COMPONENT_ALIASES = {
@@ -173,9 +173,7 @@ def _run_catalog(args) -> int:
 def _run_curvature(args) -> int:
     metric = _resolve_metric(args)
     blocks = decompose(curvature_operator(metric, args.point))
-    wp = float(np.linalg.norm(blocks.wplus))
-    wm = float(np.linalg.norm(blocks.wminus))
-    bn = float(np.linalg.norm(blocks.b))
+    wp, wm, bn = _block_norms(blocks).tolist()
     if args.json:
         print(json.dumps({
             "metric": metric.name,
@@ -238,8 +236,11 @@ def _run_oracle(args) -> int:
     metric = _resolve_metric(args)
     n = _check_int("--points", args.points, 1)
     kind = StructureKind(args.structure)
-    # 5% of the width on boxes at least about 0.82 wide, the oracle's own margin on narrower ones
-    margin_frac = max(SAMPLE_MARGIN, oracle_margin(metric) / (metric.hi - metric.lo))
+    # 5% of the width on boxes at least about 0.41 wide, the oracle's own margin on narrower ones
+    margin = oracle_margin(metric)
+    margin_frac = max(SAMPLE_MARGIN, margin / (metric.hi - metric.lo))
+    if margin_frac >= 0.5:
+        raise DomainError(f"box [{metric.lo:g}, {metric.hi:g}]^4 is too narrow for the oracle's margin of {margin:g}")
     points = metric.interior_points(n, np.random.default_rng([args.seed, 0]), margin_frac)
     fibers = random_fibers(n, np.random.default_rng([args.seed, 1]))
     tags = tuple(ComponentTag)

@@ -44,7 +44,7 @@ from .numerics import DEFAULT_FLAG_THRESHOLD, DEFAULT_TOL, OBSTRUCTION_FLOOR
 # curvature_operator, constraints_genJ, constraints_J1 and
 # semi_integrability_residual are not called here; they stay importable from
 # harness because bench/run.py's traced run rebinds them on this module.
-from .riemann import curvature_operator, decompose, generalized_curvature  # noqa: F401
+from .riemann import _block_norms, curvature_operator, decompose, generalized_curvature  # noqa: F401
 from .twistor import (  # noqa: F401
     StructureKind,
     constraints_J1,
@@ -87,10 +87,7 @@ def _sampled(metric: MetricSpec, n: int, seed: int):
     points = metric.interior_points(n, np.random.default_rng([seed, 0]))
     geometry = generalized_curvature(metric, points)
     blocks = decompose(geometry.operator)
-    # np.linalg.norm of a block is the sqrt of vecdot's dot product of its
-    # flattened entries, and the sqrt of the largest is the largest norm
-    flat = np.concatenate([x.reshape(-1, 1, 9) for x in (blocks.wplus, blocks.wminus, blocks.b)], axis=1)
-    wp, wm, bn = np.sqrt(np.vecdot(flat, flat).max(axis=0)).tolist()
+    wp, wm, bn = _block_norms(blocks).max(axis=0).tolist()
     sn = float(np.abs(blocks.scalar).max())
     threshold = DEFAULT_FLAG_THRESHOLD
     zeros = (wp < threshold, wm < threshold, bn < threshold, sn < threshold)

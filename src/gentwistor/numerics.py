@@ -30,8 +30,8 @@ FD_STEP_FACTOR = 1e-3
 # No recorded reason; pinned only at x100, by test_acceptance::test_criterion_7_bracket_calculus; none fails at /100.
 DEFAULT_STEP = 1e-3
 
-#: Outer step of the oracle's chart stencil; nijenhuis_numeric also
-#: evaluates at half of it for its noise estimate.
+#: Step of the oracle's chart stencil, which nijenhuis_numeric always
+#: uses; it also evaluates at half of it for its noise estimate.
 # No recorded reason; pinned by test_cli::test_oracle_verb_output_is_pinned (x10, /10).
 DEFAULT_ORACLE_STEP = 1e-2
 
@@ -46,6 +46,13 @@ SAMPLE_MARGIN = 0.05
 #: refuses a fiber point and asks for the opposite pole.
 # No recorded reason; pinned by test_oracle::test_pole_choice_does_not_change_verdicts (x10), not below.
 POLE_MARGIN = 0.1
+
+#: Rounding allowance of oracle.oracle_margin, in ulps of the box's largest
+#: coordinate: a metric point is the chart point plus two offsets, and the
+#: guard adds lo + margin, three roundings of at most half an ulp each.
+# Those 1.5 ulps, with room for a reach measured by subtraction; none fails at x10 or /10, and at 0
+# the test_properties and test_oracle reach tests do (s4: 0.022000000000000006 against 0.022).
+ORACLE_REACH_ULPS = 4
 
 # -- verdict bounds, read by harness -----------------------------------------
 

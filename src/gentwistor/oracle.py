@@ -15,10 +15,9 @@ Chart conventions:
 
 * fiber sphere coordinates: w = (a1, a2) / (1 + pole * a3) with
   pole in {+1, -1}; the chart is singular at a3 = -pole, and embedding
-  raises when 1 + pole * a3 falls under a safety margin, at which point
-  the caller should re-chart with the opposite pole.  The chart maps take
-  one pole, or an array of poles that broadcasts against the leading axes
-  of their points (one per sphere, say).
+  raises when 1 + pole * a3 falls under a safety margin.  The chart maps
+  take one pole, or an array of poles that broadcasts against the leading
+  axes of their points (one per sphere, say).
 * adapted frame on the chart: horizontal lifts of the orthonormal base
   frame move the fiber with velocity [u, Upsilon_i] (the frame
   connection), vertical directions are fiber rotations; stacking the
@@ -40,25 +39,19 @@ Test fields come in four families, named by selector tuples:
     ("v*", k)              the covector field with the same fiber
                            components and zero tangent part
 
-The result carries a two-step Richardson noise estimate: the tensor is
-evaluated at the requested step and at half the step, the difference
-bounds the discretization error, and the half-step value is reported.
-
-Chart data comes from one batched pass per evaluation.
-``nijenhuis_numeric`` checks all its arguments first; then
-``TwistorChart.chart_data`` computes the frames, the structure matrices
-and the fiber velocity maps at the 66 rows of its two stencils
-(``calculus.stencil`` at h and h/2), whose 25 base and 25 fiber points
-the layout fixes: metric data once per base point, from one ``g`` call
-on the 17-point stencil about each (``_frame_connection``), and fiber
-data once per fiber point, both spheres at once.
-``TwistorChart.field_values`` reads a test field's values off that data,
-and one ``calculus.nijenhuis_values`` call takes the arrays of both
-stencils.  Nothing is shared between evaluations.
+``nijenhuis_numeric`` picks its own chart, step and reach: the poles away
+from the fiber point (``TwistorChart.for_point``), DEFAULT_ORACLE_STEP h,
+and ``oracle_margin``, read off the stencil tables.  It checks every
+argument, then one ``TwistorChart.chart_data`` pass computes the data at
+the 66 rows of its stencils at h and h/2, and one
+``calculus.nijenhuis_values`` call evaluates the tensor on both; the
+half-step value is reported, and the two values' difference as its noise
+(a two-step Richardson estimate).  Nothing is shared between evaluations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +60,10 @@ from .bivector import SIX_BASIS, TRIPLES, sd_asd_coords
 # nijenhuis_field is not called here; it stays importable from oracle
 # because bench/run.py's traced run rebinds it on this module.
 from .calculus import _d, nijenhuis_field, nijenhuis_values, stencil  # noqa: F401
-from .errors import DomainError, InvalidInputError, UsageError, _check_real, _is_int
+from .errors import DomainError, InvalidInputError, UsageError, _is_int
 from .gca import ComponentTag
 from .metrics import MetricSpec
-from .numerics import DEFAULT_ORACLE_STEP, METRIC_SYMMETRY_ATOL, METRIC_SYMMETRY_RTOL, POLE_MARGIN
+from .numerics import DEFAULT_ORACLE_STEP, METRIC_SYMMETRY_ATOL, METRIC_SYMMETRY_RTOL, ORACLE_REACH_ULPS, POLE_MARGIN
 # christoffel and orthonormal_frame are not called here either; bench/run.py's
 # traced run rebinds them on this module.  generalized_curvature serves only
 # predicted_horizontal_value, the closed form the oracle is compared with.
@@ -194,6 +187,9 @@ _FIBER_OFFSETS, _AT_FIBER = np.unique(_ROWS[:, 4:], axis=0, return_inverse=True)
 # the metric stencil about a base point in units of the metric step:
 # calculus.stencil's 17 rows, so base + fd_step * row is a stencil row bit for bit
 _METRIC_ROWS = stencil(np.zeros(4), 1.0)
+# the metric points' reach from the chart point in one coordinate: the chart
+# rows' base offsets in units of the step, the metric stencil's in fd_step
+_CHART_REACH, _METRIC_REACH = (float(np.abs(rows).max()) for rows in (_ROWS[:, :4], _METRIC_ROWS))
 # flat indices of the entries (i, j) above the diagonal of a 4x4 matrix,
 # and of their transposes (j, i)
 _UPPER, _LOWER = (np.ravel_multi_index(ij, (4, 4)) for ij in (np.triu_indices(4, 1), np.triu_indices(4, 1)[::-1]))
@@ -368,37 +364,30 @@ class TwistorChart:
         return out
 
 
-def oracle_margin(metric: MetricSpec, step: float = DEFAULT_ORACLE_STEP) -> float:
-    """Distance from the box edge that nijenhuis_numeric requires at this
-    step.  Its metric points reach 2 step + 2 fd_step from tp.p (the chart
-    stencil, then the Christoffel stencil); the chart term is doubled."""
-    return 4.0 * step + 2.0 * metric.fd_step
+def oracle_margin(metric: MetricSpec) -> float:
+    """Distance from the box edge that nijenhuis_numeric requires: how far
+    its metric points reach from tp.p in one coordinate, plus
+    ORACLE_REACH_ULPS ulps of the box's largest coordinate for rounding."""
+    ulp = math.ulp(max(abs(metric.lo), abs(metric.hi)))
+    return _CHART_REACH * DEFAULT_ORACLE_STEP + _METRIC_REACH * metric.fd_step + ORACLE_REACH_ULPS * ulp
 
 
-def nijenhuis_numeric(
-    metric: MetricSpec,
-    tp: TwistorPoint,
-    selectors,
-    kind: StructureKind,
-    step: float = DEFAULT_ORACLE_STEP,
-    poles: tuple[int, int] | str = "auto",
-) -> OracleResult:
+def nijenhuis_numeric(metric: MetricSpec, tp: TwistorPoint, selectors, kind: StructureKind) -> OracleResult:
     """Generalized Nijenhuis tensor on two selector fields at a point.
 
-    Evaluates at the given step and at half of it; the reported value is
-    the half-step one, the noise their sup-norm difference.  Every
-    argument is checked before any metric evaluation; then one
-    ``chart_data`` pass covers the 66 rows of both stencils."""
+    Charts with the poles away from the fiber point
+    (``TwistorChart.for_point``) and evaluates at DEFAULT_ORACLE_STEP and
+    at half of it; the reported value is the half-step one, the noise
+    their sup-norm difference.  Every argument is checked before any
+    metric evaluation; then one ``chart_data`` pass covers the 66 rows of
+    both stencils."""
     if not (isinstance(selectors, (tuple, list)) and len(selectors) == 2):
         raise UsageError(f"selectors must be a pair of (family, index) tuples, got {selectors!r}")
-    step = _check_real("step", step)
-    if isinstance(poles, str) and poles == "auto":
-        chart = TwistorChart.for_point(metric, tp, kind)
-    else:
-        chart = TwistorChart(metric, tp.f.tag, kind, poles)
+    chart = TwistorChart.for_point(metric, tp, kind)
     for sel in selectors:
         _validate_selector(sel)
-    metric.require_interior(tp.p, oracle_margin(metric, step))
+    metric.require_interior(tp.p, oracle_margin(metric))
+    step = DEFAULT_ORACLE_STEP
     e8, e8inv, j, velocity = chart.chart_data(chart.embed(tp), step)
     y, zf = (chart.field_values(sel, e8, e8inv, velocity).reshape(2, -1, 16) for sel in selectors)
     full, half = nijenhuis_values(j.reshape(2, -1, 16, 16), y, zf, np.array([step, 0.5 * step]))

@@ -309,3 +309,9 @@ def decompose(m: np.ndarray) -> CurvatureBlocks:
     wplus = ul - (t_plus / 3.0)[..., None, None] * _EYE3
     wminus = lr - (t_minus / 3.0)[..., None, None] * _EYE3
     return CurvatureBlocks(wplus=wplus, wminus=wminus, b=ur, scalar=s_plus)
+
+
+def _block_norms(blocks: CurvatureBlocks) -> np.ndarray:
+    """(..., 3) norms |W+|, |W-|, |B|: the sqrt of vecdot's dot product of each block's entries."""
+    flat = np.concatenate([x.reshape(x.shape[:-2] + (1, 9)) for x in (blocks.wplus, blocks.wminus, blocks.b)], axis=-2)
+    return np.sqrt(np.vecdot(flat, flat))

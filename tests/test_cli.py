@@ -1,12 +1,16 @@
+import importlib
 import json
 import shutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "gentwistor.cli"]
+ROOT = Path(__file__).resolve().parents[1]
 
 FLAT_CONFIG = textwrap.dedent(
     """
@@ -236,11 +240,46 @@ def test_oracle_verb_needs_a_point():
 
 
 def test_oracle_verb_samples_inside_the_oracle_margin():
-    # the schwarzschild box is 0.8 wide: 5% of it is 0.04, less than the
-    # 0.0408 that the oracle stencils need.  Point 2 of this seed lies
-    # 0.0402 from the edge when sampled with the 5% margin.
+    # the schwarzschild box is 0.8 wide: 5% of it is 0.04, more than the
+    # 0.0208 that the oracle stencils reach (2 step + 2 fd_step).  Point 2
+    # of this seed lies 0.0402 from the edge when sampled with the 5% margin.
     proc = run("oracle", "--metric", "schwarzschild", "--points", "3", "--seed", "5406165350277484087")
     assert "point 2 (+-)" in proc.stdout
+
+
+def test_oracle_verb_widens_its_margin_on_a_narrow_box(tmp_path, monkeypatch, capsys):
+    # on a 0.3-wide box the oracle's margin is 6.8% of the width, more than
+    # the 5% sampling margin: the verb samples every point at least
+    # oracle_margin inside the box, where the 5% margin would not
+    from gentwistor import cli
+    from gentwistor.dsl import load_metric_file
+    from gentwistor.oracle import oracle_margin
+
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(FLAT_CONFIG.replace("domain = [-1, 1]", "domain = [0, 0.3]"))
+    metric, seed, points = load_metric_file(str(cfg)), 3, []
+    margin = oracle_margin(metric)
+    assert margin / (metric.hi - metric.lo) == pytest.approx(0.068, abs=5e-4)
+    numeric = cli.nijenhuis_numeric
+    monkeypatch.setattr(cli, "nijenhuis_numeric", lambda m, tp, *rest: points.append(tp.p) or numeric(m, tp, *rest))
+    assert cli.main(["oracle", "--metric-file", str(cfg), "--points", "20", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.count("\npoint ") == 19 and len(points) == 60
+    assert all(metric.contains(p, margin) for p in points)
+    at_five = metric.interior_points(20, np.random.default_rng([seed, 0]))
+    assert not all(metric.contains(p, margin) for p in at_five)
+
+
+def test_oracle_verb_on_a_box_too_narrow_for_its_margin(tmp_path):
+    # the oracle's margin is more than half of this 0.03-wide box, so there
+    # is nowhere to sample: one error line, no traceback, before any sample
+    cfg = tmp_path / "sliver.cfg"
+    cfg.write_text(FLAT_CONFIG.replace("domain = [-1, 1]", "domain = [1, 1.03]"))
+    run("check", "--metric-file", str(cfg), "--component=++", "--structure", "J")
+    proc = run("oracle", "--metric-file", str(cfg), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: box [1, 1.03]^4 is too narrow for the oracle's margin of 0.02003\n"
+    )
 
 
 def test_oracle_verb_output_is_pinned():
@@ -254,10 +293,20 @@ def test_oracle_verb_output_is_pinned():
     )
     proc = run("oracle", "--metric", "eguchi-hanson", "--structure", "J1", "--points", "2", "--seed", "0")
     assert proc.stdout == (
-        "point 0 (++): max |Nij| = 3.506e-02  (fd noise 9.4e-08)\n"
-        "point 1 (--): max |Nij| = 2.588e-08  (fd noise 3.9e-07)\n"
-        "max over 2 points: 3.506e-02\n"
+        "point 0 (++): max |Nij| = 3.504e-02  (fd noise 9.4e-08)\n"
+        "point 1 (--): max |Nij| = 2.610e-08  (fd noise 3.9e-07)\n"
+        "max over 2 points: 3.504e-02\n"
     )
+
+
+def test_console_script_target_runs_the_cli(capsys):
+    # the [project.scripts] entry names a callable that runs the CLI, so an
+    # installed gentwistor command would work
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["gentwistor"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["catalog"]) == 0 and "s4" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(shutil.which("gentwistor") is None, reason="console script not on PATH")

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import re
 import sys
 from pathlib import Path
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from gentwistor import oracle, riemann, twistor
-from gentwistor.calculus import stencil
+from gentwistor.calculus import nijenhuis_values, stencil
 from gentwistor.dsl import load_metric_file
 from gentwistor.errors import DomainError, InvalidInputError, UsageError
 from gentwistor.gca import ComponentTag
 from gentwistor.metrics import CATALOG, metric_by_name
-from gentwistor.numerics import DEFAULT_ORACLE_STEP
+from gentwistor.numerics import DEFAULT_ORACLE_STEP, ORACLE_REACH_ULPS
 from gentwistor.oracle import (
     TwistorChart,
     nijenhuis_numeric,
@@ -138,15 +139,6 @@ def test_selector_and_argument_validation():
         nijenhuis_numeric(m, tp, (("v", 6), ("h+", 1)), StructureKind.GENJ)
     with pytest.raises(UsageError):
         nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.SEMI)
-    with pytest.raises(UsageError):
-        nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=0.0)
-    for bad_step in (float("nan"), float("inf")):
-        with pytest.raises(UsageError, match="positive and finite"):
-            nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=bad_step)
-    # a string or None used to raise a bare TypeError, and True was taken as a step of 1.0
-    for bad_step in ("a", None, True, 0.01j):
-        with pytest.raises(UsageError, match="step must be a real number"):
-            nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, step=bad_step)
     edge = TwistorPoint(np.array([0.99, 0.0, 0.0, 0.0]), tp.f)
     with pytest.raises(DomainError):
         nijenhuis_numeric(m, edge, (("h+", 0), ("h+", 1)), StructureKind.GENJ)
@@ -157,7 +149,7 @@ def test_selector_and_argument_validation():
     # poles must be a pair of integers +-1; bools are not integers here
     for bad_poles in ("north", (1,), (float("nan"), 1), None, (True, 1), (1, 0), (1.0, 1), (1, -1, 1)):
         with pytest.raises(UsageError, match="poles"):
-            nijenhuis_numeric(m, tp, (("h+", 0), ("h+", 1)), StructureKind.GENJ, poles=bad_poles)
+            TwistorChart(m, tp.f.tag, StructureKind.GENJ, bad_poles)
 
 
 def test_selector_index_must_be_an_integer():
@@ -262,21 +254,21 @@ def test_bad_arguments_cost_no_metric_evaluation():
     m, calls = _counted_metric("s4")
     tp = _tp(P_UNIT, ComponentTag.PP)
     good, genj = (("h+", 0), ("v", 1)), StructureKind.GENJ
-    for selectors, poles, step, kind, message in (
-        ((("h+", 0), ("v", 6)), "auto", 1e-2, genj, "out of range"),
-        ((("x", 0), ("v", 1)), "auto", 1e-2, genj, "unknown selector family"),
-        ((("h+", 0), ("h-", 1.0)), "auto", 1e-2, genj, "must be an integer"),
-        (good, (1, 0), 1e-2, genj, "poles must be"),
-        (good, "north", 1e-2, genj, "poles must be"),
-        (good, "auto", -1.0, genj, "step must be positive"),
-        (None, "auto", 1e-2, genj, "selectors must be a pair"),
-        (good, "auto", 1e-2, "J", "kind must be a StructureKind, got 'J'"),
-        (good, (1, 1), 1e-2, "J1", "kind must be a StructureKind, got 'J1'"),
-        (good, "auto", 1e-2, "semi", "kind must be a StructureKind, got 'semi'"),
-        (good, "auto", 1e-2, StructureKind.SEMI, "semi-integrability has no pointwise"),
+    for selectors, kind, message in (
+        ((("h+", 0), ("v", 6)), genj, "out of range"),
+        ((("x", 0), ("v", 1)), genj, "unknown selector family"),
+        ((("h+", 0), ("h-", 1.0)), genj, "must be an integer"),
+        (None, genj, "selectors must be a pair"),
+        (good, "J", "kind must be a StructureKind, got 'J'"),
+        (good, "J1", "kind must be a StructureKind, got 'J1'"),
+        (good, "semi", "kind must be a StructureKind, got 'semi'"),
+        (good, StructureKind.SEMI, "semi-integrability has no pointwise"),
     ):
         with pytest.raises(UsageError, match=message):
-            nijenhuis_numeric(m, tp, selectors, kind, step=step, poles=poles)
+            nijenhuis_numeric(m, tp, selectors, kind)
+    for poles in ((1, 0), "north"):
+        with pytest.raises(UsageError, match="poles must be"):
+            TwistorChart(m, tp.f.tag, genj, poles)
     with pytest.raises(UsageError, match="kind must be a StructureKind, got 'J'"):
         predicted_horizontal_value(m, tp, ("h+", 0), ("h+", 1), "J")
     with pytest.raises(UsageError, match="tag must be a ComponentTag, got '[+]-'"):
@@ -294,7 +286,8 @@ def test_bad_arguments_cost_no_metric_evaluation():
 def test_metric_points_lie_within_the_oracle_margin(name, p):
     # the guard asks for oracle_margin from the box edge, so every point the
     # metric is evaluated at must lie within it of tp.p in each coordinate;
-    # the points reach 2 step + 2 fd_step, the margin is 4 step + 2 fd_step
+    # the points reach 2 step + 2 fd_step, and the margin is that reach,
+    # read off the stencil tables, plus a rounding allowance
     m = metric_by_name(name)
     points, rng = [], np.random.default_rng(5)
     recorded = dataclasses.replace(m, g=lambda q: points.append(np.reshape(q, (-1, 4))) or m.g(q))
@@ -307,6 +300,15 @@ def test_metric_points_lie_within_the_oracle_margin(name, p):
                 points.clear()
                 assert reach <= oracle_margin(m), (name, tag, kind, selectors, reach)
     assert reach == pytest.approx(2.0 * DEFAULT_ORACLE_STEP + 2.0 * m.fd_step, rel=1e-9)
+
+
+def test_oracle_margin_is_the_stencil_reach():
+    # read off the stencil tables, the margin is the points' reach,
+    # 2 step + 2 fd_step, plus the rounding allowance of ORACLE_REACH_ULPS
+    for m in CATALOG.values():
+        allowance = ORACLE_REACH_ULPS * math.ulp(max(abs(m.lo), abs(m.hi)))
+        assert oracle_margin(m) == pytest.approx(2.0 * DEFAULT_ORACLE_STEP + 2.0 * m.fd_step + allowance, rel=1e-15)
+        assert 0.0 < allowance < 1e-9 * oracle_margin(m)
 
 
 @pytest.mark.parametrize("name, p", [("s4", P_UNIT), ("eguchi-hanson", P_EH)])
@@ -559,15 +561,30 @@ def test_unit_sphere_mixed_j1_and_asd_instanton():
 # numerics of the estimate itself
 
 
+def _nijenhuis_on(chart, tp, selectors, step):
+    """nijenhuis_numeric's (value, noise) on a given chart and step: the
+    tensor from chart_data at step and step / 2."""
+    e8, e8inv, j, velocity = chart.chart_data(chart.embed(tp), step)
+    y, z = (chart.field_values(sel, e8, e8inv, velocity).reshape(2, -1, 16) for sel in selectors)
+    full, half = nijenhuis_values(j.reshape(2, -1, 16, 16), y, z, np.array([step, 0.5 * step]))
+    return half, float(np.abs(full - half).max())
+
+
 def test_noise_estimate_and_step_stability():
     m = metric_by_name("s4")
     f = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PP)
     tp = TwistorPoint(P_UNIT, f)
     sel = (("h-", 0), ("h-", 1))
-    r1 = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ, step=1e-2)
-    r2 = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ, step=5e-3)
-    assert 0.0 < r1.noise < 1e-5
-    np.testing.assert_allclose(r1.value, r2.value, atol=1e-6)
+    chart = TwistorChart.for_point(m, tp, StructureKind.GENJ)
+    value1, noise1 = _nijenhuis_on(chart, tp, sel, 1e-2)
+    value2, _ = _nijenhuis_on(chart, tp, sel, 5e-3)
+    assert 0.0 < noise1 < 1e-5
+    np.testing.assert_allclose(value1, value2, atol=1e-6)
+    # on the chart for_point picks and at the default step, this is
+    # nijenhuis_numeric's evaluation, bit for bit
+    value, noise = _nijenhuis_on(chart, tp, sel, DEFAULT_ORACLE_STEP)
+    r = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ)
+    assert np.array_equal(r.value, value) and r.noise == noise
 
 
 def test_pole_choice_does_not_change_verdicts():
@@ -576,10 +593,11 @@ def test_pole_choice_does_not_change_verdicts():
     tp = TwistorPoint(P_UNIT, f)
     sel = (("h+", 0), ("h-", 1))
     for poles in ((1, 1), (-1, -1), (1, -1)):
-        r = nijenhuis_numeric(m, tp, sel, StructureKind.GENJ, poles=poles)
-        assert r.norm < 1e-4
+        value, _ = _nijenhuis_on(TwistorChart(m, tp.f.tag, StructureKind.GENJ, poles), tp, sel, DEFAULT_ORACLE_STEP)
+        assert np.abs(value).max() < 1e-4
     f2 = FiberPoint(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), ComponentTag.PP)
     tp2 = TwistorPoint(P_UNIT, f2)
     for poles in ((1, 1), (-1, -1)):
-        r = nijenhuis_numeric(m, tp2, (("h-", 0), ("h-", 1)), StructureKind.GENJ, poles=poles)
-        assert r.norm > 0.5
+        chart = TwistorChart(m, tp2.f.tag, StructureKind.GENJ, poles)
+        value, _ = _nijenhuis_on(chart, tp2, (("h-", 0), ("h-", 1)), DEFAULT_ORACLE_STEP)
+        assert np.abs(value).max() > 0.5

@@ -22,13 +22,16 @@ from gentwistor.gca import (
     change_basis,
     type_of,
 )
+from gentwistor.metrics import MetricSpec, metric_by_name
 from gentwistor.oracle import (
+    nijenhuis_numeric,
+    oracle_margin,
     stereo_from_sphere,
     stereo_jac_from_sphere,
     stereo_jac_to_sphere,
     stereo_to_sphere,
 )
-from gentwistor.twistor import FiberPoint, structure_from_fiber
+from gentwistor.twistor import FiberPoint, StructureKind, TwistorPoint, structure_from_fiber
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -101,3 +104,25 @@ def test_fiber_type_parity(a, b, tag):
     # pure components carry even type, mixed components odd
     t = type_of(structure_from_fiber(FiberPoint.normalized(a, b, tag)))
     assert t % 2 == (1 if tag.mixed else 0)
+
+
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.05, 4.0),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    vec3(),
+    vec3(),
+    st.sampled_from(list(ComponentTag)),
+    st.sampled_from([StructureKind.GENJ, StructureKind.ALMOST_J1]),
+)
+def test_oracle_reach_stays_in_the_box(lo, width, high, a, b, tag, kind):
+    # a twistor point exactly oracle_margin from the edge in every
+    # coordinate, on the low or the high side: every point the oracle
+    # evaluates the metric at lies in the closed box, rounding included
+    flat, points = metric_by_name("flat"), []
+    metric = MetricSpec("box", lo, lo + width, lambda q: points.append(np.reshape(q, (-1, 4))) or flat.g(q))
+    margin = oracle_margin(metric)
+    p = np.where(high, metric.hi - margin, metric.lo + margin)
+    nijenhuis_numeric(metric, TwistorPoint(p, FiberPoint.normalized(a, b, tag)), (("h+", 0), ("v", 1)), kind)
+    q = np.vstack(points)
+    assert len(q) == 425 and (q >= metric.lo).all() and (q <= metric.hi).all()

@@ -26,9 +26,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gentwistor"
 
 ALLOWED = {
-    "harness.report_from_json": "the JSON report round-trip is a kept feature (ROADMAP item 1)",
-    "riemann.ConnectionData.antisymmetry_defect": "the numerical-health diagnostics of ROADMAP item 1 will report it",
-    "riemann.ConnectionData.upsilon": "returned by `riemann.christoffel`, which bench HOOKS trace; goes with ROADMAP item 1",
+    "harness.report_from_json": "the JSON report round-trip; the `explain` verb of ROADMAP item 2 will read it",
+    "riemann.ConnectionData.antisymmetry_defect": "`ConnectionData` exists for the connection path that only bench HOOKS reach; goes with ROADMAP item 14",
+    "riemann.ConnectionData.upsilon": "returned by `riemann.christoffel`, which bench HOOKS trace; goes with ROADMAP item 14",
 }
 
 
