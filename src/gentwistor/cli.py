@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GentwistorError, _check_int
+from .errors import ConfigError, DomainError, GentwistorError, _check_int, _check_real
 from .gca import ComponentTag
 from .harness import check, classify_metric, report_json
 from .metrics import CATALOG, MetricSpec, metric_by_name
@@ -191,7 +191,7 @@ def _run_curvature(args) -> int:
 
 def _run_classify(args) -> int:
     metric = _resolve_metric(args)
-    flags = classify_metric(metric, n_points=args.samples, seed=args.seed)
+    flags = classify_metric(metric, n_points=_check_int("--samples", args.samples, 1), seed=args.seed)
     print(f"metric {metric.name}: {args.samples} samples, seed {args.seed}, threshold {flags.threshold:g}")
     print(f"wplus_zero:  {str(flags.wplus_zero).lower():5s} (|W+| = {flags.wplus_norm:.3e})")
     print(f"wminus_zero: {str(flags.wminus_zero).lower():5s} (|W-| = {flags.wminus_norm:.3e})")
@@ -207,9 +207,9 @@ def _run_check(args) -> int:
         metric,
         args.component,
         StructureKind(args.structure),
-        base_samples=args.base_samples,
-        fiber_samples=args.fiber_samples,
-        tol=args.tol,
+        base_samples=_check_int("--base-samples", args.base_samples, 1),
+        fiber_samples=_check_int("--fiber-samples", args.fiber_samples, 1),
+        tol=_check_real("--tol", args.tol),
         seed=args.seed,
     )
     if args.json:

@@ -19,10 +19,8 @@ single-point shapes and harness.check's 4 points are one pass:
    a, b in {-2, -1, 1, 2}, k < l).  The 4th-order formulas use integer
    weights and one division each, so a constant metric has exactly zero
    derivatives.  MetricSpec.g is batched (points (..., 4) -> metrics
-   (..., 4, 4)), so the near points of every base point are one g call
-   and the mixed points another; a g that returns any other shape raises
-   InvalidInputError.  The mixed points are evaluated only when
-   curvature is asked for; a connection-only caller pays one call.
+   (..., 4, 4)), so the whole stencil of every base point is one g
+   call; a g that returns any other shape raises InvalidInputError.
 2. frame: e = lower Cholesky factor of g(p)^{-1}, so the columns of e
    are an oriented orthonormal frame (e^T g e = Id, det e > 0) varying
    smoothly with p; an error names the first point where g is not SPD.
@@ -83,6 +81,7 @@ _EYE = np.eye(4)
 _NEAR = np.vstack([np.zeros((1, 4))] + [np.outer(_STEPS, _EYE[k]) for k in range(4)])
 # 4 x 4 steps in each coordinate plane k < l, l-step outer, k-step inner
 _MIXED = np.array([a * _EYE[k] + b * _EYE[l] for k, l in WEDGE_PAIRS for b in _STEPS for a in _STEPS])
+_STENCIL = np.vstack([_NEAR, _MIXED])
 _DIAG = np.arange(4)
 _LOWER = np.tri(4, dtype=bool)
 _EYE3 = np.eye(3)
@@ -161,35 +160,37 @@ def _evaluate(metric: MetricSpec, points: np.ndarray) -> np.ndarray:
 
 class PointGeometry:
     """Everything the pipeline needs at base points p (..., 4), from one
-    stencil each; every array leads with p's leading axes.
-
-    Built from one g call on 17 points per base point (g, dg, the pure
-    second derivatives, Gamma and the frame); d2g and everything that
-    needs it are computed on first use, from one more call on 96 points
-    per base point.  The split also keeps a large batch from holding all
-    113 points' metric values at once: one 113-point call raised the
+    g call on all 113 stencil points of each; every array leads with p's
+    leading axes.  g is a copy, so the call's values are freed when
+    __init__ returns: a g kept as a view held them all, which raised the
     tracemalloc peak of check on schwarzschild at base_samples=4096 from
-    92.1 to 122.1 MB.  See the module docstring for the steps."""
+    89 to 126 MB.  See the module docstring for the steps."""
 
     def __init__(self, metric: MetricSpec, p: np.ndarray):
         p = np.asarray(p, dtype=float)
-        h = metric.fd_step
+        h, lead = metric.fd_step, p.shape[:-1]
         metric.require_interior(p, 2.0 * h)
-        self._metric, self.point, self.h = metric, p, h
-        near = _evaluate(metric, p[..., None, :] + _NEAR * h)
-        self.g = g = near[..., 0, :, :]
-        # ax[..., k, step, :, :] = g(p + step h e_k)
-        ax = near[..., 1:, :, :].reshape(p.shape[:-1] + (4, 4, 4, 4))
+        self.point = p
+        values = _evaluate(metric, p[..., None, :] + _STENCIL * h)
+        self.g = g = values[..., 0, :, :].copy()
+        # ax[..., k, step, :, :] = g(p + step h e_k); mx[..., pair, l-step, k-step, :, :]
+        ax = values[..., 1:17, :, :].reshape(lead + (4, 4, 4, 4))
+        mx = values[..., 17:, :, :].reshape(lead + (6, 4, 4, 4, 4))
         self.frame, self.ginv = _frame(p, g)
         a0, a1, a2, a3 = (ax[..., s, :, :] for s in range(4))
         self.dg = dg = (a0 - 8 * a1 + 8 * a2 - a3) / (12.0 * h)
-        self._pure = (-a3 + 16 * a2 - 30 * g[..., None, :, :] + 16 * a1 - a0) / (12 * h * h)
+        # d2g[..., l, k, i, j] = d_l d_k g_ij
+        self.d2g = d2g = np.empty(lead + (4, 4, 4, 4))
+        d2g[..., _DIAG, _DIAG, :, :] = (-a3 + 16 * a2 - 30 * g[..., None, :, :] + 16 * a1 - a0) / (12 * h * h)
+        mixed = np.einsum("b,a,...pbaij->...pij", _W1, _W1, mx) / (144 * h * h)
+        d2g[..., WEDGE_I, WEDGE_J, :, :] = mixed
+        d2g[..., WEDGE_J, WEDGE_I, :, :] = mixed
         # d_m g^{kl} = -g^{ka} dg[m,a,b] g^{bl}
         self.dginv = -(self.ginv[..., None, :, :] @ dg @ self.ginv[..., None, :, :])
         # Gamma^k_{ij} = g^{kl} y[i,j,l] / 2, y[i,j,l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}:
         # over (ij, l), Gamma = y g^{-T} / 2, moved to [k, i, j]
         self._y = dg + dg.swapaxes(-3, -2) - _moved(dg, 1, 2, 0)
-        gamma = 0.5 * (self._y.reshape(p.shape[:-1] + (16, 4)) @ self.ginv.swapaxes(-1, -2))
+        gamma = 0.5 * (self._y.reshape(lead + (16, 4)) @ self.ginv.swapaxes(-1, -2))
         self.gamma = _moved(gamma.reshape(dg.shape), 2, 0, 1)
 
     @cached_property
@@ -212,18 +213,6 @@ class PointGeometry:
         ups = einv[..., None, :, :] @ cov
         skew = ups.swapaxes(-1, -2)
         return ConnectionData(upsilon=0.5 * (ups - skew), antisymmetry_defect=float(np.abs(ups + skew).max()))
-
-    @cached_property
-    def d2g(self) -> np.ndarray:
-        """d2g[..., l, k, i, j] = d_l d_k g_ij; the 96 mixed stencil points."""
-        h, lead = self.h, self.point.shape[:-1]
-        mx = _evaluate(self._metric, self.point[..., None, :] + _MIXED * h).reshape(lead + (6, 4, 4, 4, 4))
-        mixed = np.einsum("b,a,...pbaij->...pij", _W1, _W1, mx) / (144 * h * h)
-        d2g = np.empty(lead + (4, 4, 4, 4))
-        d2g[..., _DIAG, _DIAG, :, :] = self._pure
-        d2g[..., WEDGE_I, WEDGE_J, :, :] = mixed
-        d2g[..., WEDGE_J, WEDGE_I, :, :] = mixed
-        return d2g
 
     @cached_property
     def rf(self) -> np.ndarray:

@@ -239,6 +239,21 @@ def test_oracle_verb_needs_a_point():
         assert proc.stdout == "" and proc.stderr == f"error: --points must be at least 1, got {n}\n"
 
 
+def test_count_and_tolerance_errors_name_the_flag():
+    # classify and check name the option the user typed, as oracle does
+    for args, message in (
+        (("classify", "--metric", "flat", "--samples", "0"), "--samples must be at least 1, got 0"),
+        (("check", "--metric", "flat", "--component=++", "--structure", "J", "--base-samples", "0"),
+         "--base-samples must be at least 1, got 0"),
+        (("check", "--metric", "flat", "--component=++", "--structure", "J", "--fiber-samples", "0"),
+         "--fiber-samples must be at least 1, got 0"),
+        (("check", "--metric", "flat", "--component=++", "--structure", "J", "--tol", "-1"),
+         "--tol must be positive and finite, got -1.0"),
+    ):
+        proc = run(*args, expect=1)
+        assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+
+
 def test_oracle_verb_samples_inside_the_oracle_margin():
     # the schwarzschild box is 0.8 wide: 5% of it is 0.04, more than the
     # 0.0208 that the oracle stencils reach (2 step + 2 fd_step).  Point 2

@@ -480,8 +480,8 @@ def test_check_draws_the_random_fiber_samples():
     (ComponentTag.PM, StructureKind.SEMI),
 ])
 def test_check_stage_counts(tag, kind, monkeypatch):
-    # one check is 2 g calls (the near and the mixed stencil points of all
-    # base points), 1 residual-kernel call and 1 decompose call
+    # one check is 1 g call (the whole stencil of all base points),
+    # 1 residual-kernel call and 1 decompose call
     calls = {"g": 0, "fiber_residuals": 0, "decompose": 0}
 
     def counted(name, fn):
@@ -494,7 +494,7 @@ def test_check_stage_counts(tag, kind, monkeypatch):
     monkeypatch.setattr(harness, "fiber_residuals", counted("fiber_residuals", harness.fiber_residuals))
     monkeypatch.setattr(harness, "decompose", counted("decompose", harness.decompose))
     check(dataclasses.replace(s4, g=counted("g", s4.g)), tag, kind)
-    assert calls == {"g": 2, "fiber_residuals": 1, "decompose": 1}
+    assert calls == {"g": 1, "fiber_residuals": 1, "decompose": 1}
 
 
 def test_readme_verdict_algebra_is_the_rule():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from gentwistor.riemann import (
     orthonormal_frame,
 )
 from gentwistor.twistor import StructureKind, TwistorPoint, random_fiber
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the six built-ins and the DSL transcription of s4 that bench/run.py loads
 BATCH_METRICS = [CATALOG[name] for name in sorted(CATALOG)] + [
@@ -145,25 +148,73 @@ def _counted(metric):
 
 
 def test_metric_evaluation_counts():
-    # the stencil has 1 + 16 + 96 points, one g call for the first 17 (all
-    # a connection needs) and one for the 96 mixed points; check batches
-    # both over its 4 base points
+    # the stencil has 1 + 16 + 96 points, all evaluated in one g call, so a
+    # connection costs as many as the curvature; check batches the stencils
+    # of its 4 base points into that one call
     s4 = metric_by_name("s4")
     p = np.array([0.1, -0.2, 0.3, 0.05])
     m, calls = _counted(s4)
     check(m, ComponentTag.PP, StructureKind.GENJ)
-    assert sum(calls) == 4 * 113 and len(calls) == 2
+    assert sum(calls) == 4 * 113 and len(calls) == 1
     m, calls = _counted(s4)
     geo = generalized_curvature(m, p)
     geo.rf, geo.operator, geo.connection
-    assert calls == [17, 96]
+    assert calls == [113]
     m, calls = _counted(s4)
     christoffel(m, p)
-    assert calls == [17]
+    assert calls == [113]
     m, calls = _counted(s4)
     tp = TwistorPoint(p, random_fiber(ComponentTag.PP, np.random.default_rng(3)))
     nijenhuis_numeric(m, tp, (("h+", 0), ("h-", 2)), StructureKind.GENJ)
     assert sum(calls) == 425 and len(calls) == 1  # the oracle's own 17-point stencils at 25 base points
+
+
+def test_readme_metric_evaluation_table_is_counted():
+    # each row of README's table of metric evaluations, as points and g
+    # calls, is what _counted records for the calls it names ("113 n" is
+    # read at n = 3 for generalized_curvature and n = 1 for curvature_operator)
+    s4 = metric_by_name("s4")
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    tp = TwistorPoint(p, random_fiber(ComponentTag.PP, np.random.default_rng(3)))
+    runs = {
+        "`check`": [(1, lambda m: check(m, ComponentTag.PP, StructureKind.GENJ))],
+        "`generalized_curvature`": [
+            (3, lambda m: generalized_curvature(m, s4.interior_points(3, np.random.default_rng(0))).rf),
+            (1, lambda m: curvature_operator(m, p)),
+        ],
+        "`christoffel`": [(1, lambda m: christoffel(m, p))],
+        "one `oracle.nijenhuis_numeric`": [(1, lambda m: nijenhuis_numeric(m, tp, (("h+", 0), ("h-", 2)), StructureKind.GENJ))],
+    }
+    section = README.read_text().split("Metric evaluations are counted exactly", 1)[1].split("\n\n", 2)[1]
+    seen = set()
+    for line in section.splitlines()[2:]:
+        call, points, g_calls = (c.strip() for c in line.strip().strip("|").split("|"))
+        (name,) = [k for k in runs if call.startswith(k)]
+        k, *var = points.split()
+        for n, run in runs[name]:
+            m, calls = _counted(s4)
+            run(m)
+            assert sum(calls) == int(k) * (n if var == ["n"] else 1), line
+            assert len(calls) == int(g_calls.split()[0]), line
+        seen.add(name)
+    assert seen == set(runs)
+
+
+def test_geometry_frees_its_stencil_values():
+    # the metric values of the 113 stencil points (14.5 KB a base point)
+    # are freed when the geometry is built; the arrays it keeps take about
+    # 4.6 KB a base point, and a g kept as a view of those values held
+    # them all, 18.9 KB
+    m = metric_by_name("schwarzschild")
+    points = m.interior_points(1024, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        geo = generalized_curvature(m, points)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert geo.g.shape == (1024, 4, 4)
+    assert kept <= 8e3 * len(points)
 
 
 @pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.name)
