@@ -213,7 +213,7 @@ def _frame_connection(metric: MetricSpec, base: np.ndarray):
     frame connection, Upsilon_a = e_ia e^-1 (d_i e + Gamma_i e), is
     e_ia (e^T y_i^T / 2 - d_i e^-1) e, antisymmetrized.  Both derivatives
     come from calculus's difference table; an error names the first metric
-    point that is not symmetric or not positive definite."""
+    point that is not finite, not symmetric or not positive definite."""
     h = metric.fd_step
     points = base + h * _METRIC_ROWS[:, None, :]  # (17, n, 4)
     g = np.asarray(metric.g(points), dtype=float)
@@ -222,6 +222,10 @@ def _frame_connection(metric: MetricSpec, base: np.ndarray):
             f"oracle: metric {metric.name!r} returned shape {g.shape} for points of shape {points.shape}; "
             f"MetricSpec.g must map points of shape (..., 4) to metrics of shape (..., 4, 4)"
         )
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        bad = points.reshape(-1, 4)[np.argmin(finite)]
+        raise InvalidInputError(f"oracle: metric {metric.name!r} is not finite at {bad.tolist()}")
     # np.isclose's rule both ways, |g_ij - g_ji| <= atol + rtol min(|g_ij|, |g_ji|)
     flat = g.reshape(-1, 16)
     upper, lower = flat[:, _UPPER], flat[:, _LOWER]

@@ -11,7 +11,8 @@ diagonal block of the 6x6 operator.
 
 One geometry pass over base points p of shape (..., 4), PointGeometry;
 every array it holds leads with p's axes, so a point (4,) gives the
-single-point shapes and harness.check's 4 points are one pass:
+single-point shapes and harness.check's 4 points are one pass.  Its
+constructor runs steps 1-4, all but step 3's Upsilon, made on first use:
 
 1. the metric is evaluated once on a 113-point stencil: the centre, 16
    axis points (p +- h e_k, p +- 2h e_k) shared by the first and the
@@ -20,7 +21,8 @@ single-point shapes and harness.check's 4 points are one pass:
    weights and one division each, so a constant metric has exactly zero
    derivatives.  MetricSpec.g is batched (points (..., 4) -> metrics
    (..., 4, 4)), so the whole stencil of every base point is one g
-   call; a g that returns any other shape raises InvalidInputError.
+   call; a g that returns any other shape, or a value that is not
+   finite, raises InvalidInputError.
 2. frame: e = lower Cholesky factor of g(p)^{-1}, so the columns of e
    are an oriented orthonormal frame (e^T g e = Id, det e > 0) varying
    smoothly with p; an error names the first point where g is not SPD.
@@ -148,23 +150,33 @@ def orthonormal_frame(metric: MetricSpec, p: np.ndarray) -> FrameData:
 
 
 def _evaluate(metric: MetricSpec, points: np.ndarray) -> np.ndarray:
-    """The metric at points (..., 4), one batched g call: -> (..., 4, 4)."""
+    """The metric at points (..., 4), one batched g call, all finite: -> (..., 4, 4)."""
     out = np.asarray(metric.g(points), dtype=float)
     if out.shape != points.shape[:-1] + (4, 4):
         raise InvalidInputError(
             f"metric {metric.name!r} returned shape {out.shape} for points of shape {points.shape}; "
             f"MetricSpec.g must map points of shape (..., 4) to metrics of shape (..., 4, 4)"
         )
+    if not np.isfinite(out).all():
+        bad = np.reshape(points, (-1, 4))[np.argmin(np.isfinite(out).all(axis=(-2, -1)))]
+        raise InvalidInputError(f"metric {metric.name!r} is not finite at {bad.tolist()}")
     return out
+
+
+def _operator(rf: np.ndarray) -> np.ndarray:
+    """6x6 bivector curvature operators (..., 6, 6) over the orthonormal frame
+    from the frame curvature rf (..., 6, 4, 4), a column of pair coordinates per wedge."""
+    return U6 @ pair_coords(rf).swapaxes(-1, -2) @ U6.T
 
 
 class PointGeometry:
     """Everything the pipeline needs at base points p (..., 4), from one
     g call on all 113 stencil points of each; every array leads with p's
-    leading axes.  g is a copy, so the call's values are freed when
-    __init__ returns: a g kept as a view held them all, which raised the
-    tracemalloc peak of check on schwarzschild at base_samples=4096 from
-    89 to 126 MB.  See the module docstring for the steps."""
+    leading axes.  __init__ runs the pass through rf, the frame curvature
+    R(theta_a, theta_b) for each (a, b) in WEDGE_PAIRS, and the 6x6
+    operator; only the connection waits for its first use.  The stencil
+    values are dropped before the curvature's temporaries are made, and g
+    is a copy, since a view would hold them all.  See the module docstring."""
 
     def __init__(self, metric: MetricSpec, p: np.ndarray):
         p = np.asarray(p, dtype=float)
@@ -185,13 +197,35 @@ class PointGeometry:
         mixed = np.einsum("b,a,...pbaij->...pij", _W1, _W1, mx) / (144 * h * h)
         d2g[..., WEDGE_I, WEDGE_J, :, :] = mixed
         d2g[..., WEDGE_J, WEDGE_I, :, :] = mixed
+        del values, ax, mx, a0, a1, a2, a3  # the stencil values, before the curvature's temporaries
         # d_m g^{kl} = -g^{ka} dg[m,a,b] g^{bl}
         self.dginv = -(self.ginv[..., None, :, :] @ dg @ self.ginv[..., None, :, :])
         # Gamma^k_{ij} = g^{kl} y[i,j,l] / 2, y[i,j,l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}:
         # over (ij, l), Gamma = y g^{-T} / 2, moved to [k, i, j]
-        self._y = dg + dg.swapaxes(-3, -2) - _moved(dg, 1, 2, 0)
-        gamma = 0.5 * (self._y.reshape(lead + (16, 4)) @ self.ginv.swapaxes(-1, -2))
+        y = dg + dg.swapaxes(-3, -2) - _moved(dg, 1, 2, 0)
+        gamma = 0.5 * (y.reshape(lead + (16, 4)) @ self.ginv.swapaxes(-1, -2))
         self.gamma = _moved(gamma.reshape(dg.shape), 2, 0, 1)
+        # R(d_i, d_j) d_k = R[l,k,i,j] d_l (the module docstring's sign) from dg
+        # and d2g, so only the metric is ever finite-differenced.
+        # dgamma[m,i,j,k] = d_m Gamma^k_ij = (d_m g^kl y[i,j,l] + g^kl z[m,i,j,l]) / 2, products over (ij, l)
+        z = d2g + d2g.swapaxes(-3, -2) - _moved(d2g, 1, 2, 0)
+        dgamma = (z.reshape(lead + (64, 4)) @ self.ginv.swapaxes(-1, -2)).reshape(d2g.shape)
+        dgamma += (y.reshape(lead + (1, 16, 4)) @ self.dginv.swapaxes(-1, -2)).reshape(d2g.shape)
+        dgamma *= 0.5
+        # t[l, j, i, k] = d_j Gamma^l_{ik} + Gamma^l_{jm} Gamma^m_{ik}, the
+        # quadratic term one (16 x 4)(4 x 16) product; R[l,k,i,j] = t[l,j,i,k] - t[l,i,j,k]
+        t = (self.gamma.reshape(lead + (16, 4)) @ self.gamma.reshape(lead + (4, 16))).reshape(d2g.shape)
+        t += _moved(dgamma, 3, 0, 1, 2)
+        riemann = (t - t.swapaxes(-3, -2)).swapaxes(-3, -1)
+        # R(theta_a, theta_b)[l, k] = R[l,k,i,j] e_ia e_jb: (lk, ij) by (ij, pair)
+        e, einv = self.frame.e, self.frame.einv
+        wedges = (e[..., :, None, WEDGE_I] * e[..., None, :, WEDGE_J]).reshape(lead + (16, 6))
+        mats = _moved((riemann.reshape(lead + (16, 16)) @ wedges).reshape(lead + (4, 4, 6)), 2, 0, 1)
+        f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
+        # each R(theta_a, theta_b) is in so(4) up to the FD error and is
+        # antisymmetrized exactly for the bivector algebra downstream
+        self.rf = 0.5 * (f - f.swapaxes(-1, -2))
+        self.operator = _operator(self.rf)
 
     @cached_property
     def frame_derivative(self) -> np.ndarray:
@@ -213,40 +247,6 @@ class PointGeometry:
         ups = einv[..., None, :, :] @ cov
         skew = ups.swapaxes(-1, -2)
         return ConnectionData(upsilon=0.5 * (ups - skew), antisymmetry_defect=float(np.abs(ups + skew).max()))
-
-    @cached_property
-    def rf(self) -> np.ndarray:
-        """Frame curvature on the six basis wedges, rf[..., k, :, :] =
-        R(theta_a, theta_b) as a 4x4 endomorphism for (a, b) =
-        WEDGE_PAIRS[k], so that rc(w) = pair_coords(w) . rf.
-
-        The coordinate tensor R(d_i, d_j) d_k = R[l,k,i,j] d_l (the module
-        docstring's sign) comes from dg and d2g, so only the metric is ever
-        finite-differenced.  Each R(theta_a, theta_b) is in so(4) up to that
-        error and is antisymmetrized exactly for the bivector algebra downstream."""
-        d2g, e, einv, lead = self.d2g, self.frame.e, self.frame.einv, self.point.shape[:-1]
-        # dgamma[m,i,j,k] = d_m Gamma^k_ij = (d_m g^kl y[i,j,l] + g^kl z[m,i,j,l]) / 2, products over (ij, l)
-        z = d2g + d2g.swapaxes(-3, -2) - _moved(d2g, 1, 2, 0)
-        dgamma = (z.reshape(lead + (64, 4)) @ self.ginv.swapaxes(-1, -2)).reshape(d2g.shape)
-        dgamma += (self._y.reshape(lead + (1, 16, 4)) @ self.dginv.swapaxes(-1, -2)).reshape(d2g.shape)
-        dgamma *= 0.5
-        # t[l, j, i, k] = d_j Gamma^l_{ik} + Gamma^l_{jm} Gamma^m_{ik}, the
-        # quadratic term one (16 x 4)(4 x 16) product; R[l,k,i,j] = t[l,j,i,k] - t[l,i,j,k]
-        t = (self.gamma.reshape(lead + (16, 4)) @ self.gamma.reshape(lead + (4, 16))).reshape(d2g.shape)
-        t += _moved(dgamma, 3, 0, 1, 2)
-        riemann = (t - t.swapaxes(-3, -2)).swapaxes(-3, -1)
-        # R(theta_a, theta_b)[l, k] = R[l,k,i,j] e_ia e_jb: (lk, ij) by (ij, pair)
-        wedges = (e[..., :, None, WEDGE_I] * e[..., None, :, WEDGE_J]).reshape(lead + (16, 6))
-        mats = _moved((riemann.reshape(lead + (16, 16)) @ wedges).reshape(lead + (4, 4, 6)), 2, 0, 1)
-        f = einv[..., None, :, :] @ mats @ e[..., None, :, :]
-        return 0.5 * (f - f.swapaxes(-1, -2))
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        """6x6 bivector curvature operator over the orthonormal frame,
-        one per base point: (..., 6, 6)."""
-        # pair coords of R(pair), one column per pair
-        return U6 @ pair_coords(self.rf).swapaxes(-1, -2) @ U6.T
 
     def rc(self, omega: np.ndarray) -> np.ndarray:
         """Underlying 4x4 curvature image of a frame bivector (one base point)."""

@@ -317,6 +317,8 @@ def fiber_residuals(gc: PointGeometry, u: np.ndarray, kind: StructureKind = Stru
     commutators, rows = plan.commutators, len(plan.basis)
     rf = gc.rf.reshape(-1, 6, 4, 4)  # (point, wedge, 4, 4)
     points = len(rf)
+    if points == 0:
+        raise UsageError("need at least one base point")
     fiber_step, point_step = max(1, _BLOCK // points), min(points, _BLOCK)
     norms = np.empty((points, len(u), len(plan.labels)))
     for start in range(0, len(u), fiber_step):

@@ -381,10 +381,10 @@ def _named_point(message: str) -> np.ndarray:
 
 
 def test_bad_metric_values_are_invalid_input_naming_the_point():
-    # a g of the wrong shape, or one that is not symmetric or not positive
-    # definite near one of the oracle's base points (from 1.5 steps along
-    # x1), is an InvalidInputError; the guard names a point where g is bad,
-    # within the oracle's reach of tp.p
+    # a g of the wrong shape, or one that is not symmetric, not positive
+    # definite or not finite near one of the oracle's base points (from 1.5
+    # steps along x1), is an InvalidInputError; the guard names a point where
+    # g is bad, within the oracle's reach of tp.p
     s4 = metric_by_name("s4")
     tp = _tp(P_UNIT, ComponentTag.PM)
     bad = lambda q: q[..., 0] > P_UNIT[0] + 1.5 * DEFAULT_ORACLE_STEP
@@ -398,10 +398,13 @@ def test_bad_metric_values_are_invalid_input_naming_the_point():
     def indefinite(q):
         return s4.g(q) @ np.where(bad(q)[..., None, None], flip, np.eye(4))
 
+    def nonfinite(q):
+        return np.where(bad(q)[..., None, None], np.nan, s4.g(q))
+
     sel = (("h+", 0), ("v", 1))
     with pytest.raises(InvalidInputError, match="shape"):
         nijenhuis_numeric(dataclasses.replace(s4, g=lambda q: s4.g(q)[..., :3, :]), tp, sel, StructureKind.GENJ)
-    for g, message in ((asymmetric, "not symmetric"), (indefinite, "not positive definite")):
+    for g, message in ((asymmetric, "not symmetric"), (indefinite, "not positive definite"), (nonfinite, "not finite")):
         with pytest.raises(InvalidInputError, match=message) as raised:
             nijenhuis_numeric(dataclasses.replace(s4, g=g), tp, sel, StructureKind.GENJ)
         point = _named_point(str(raised.value))

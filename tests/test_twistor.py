@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gentwistor import twistor
+from gentwistor import riemann, twistor
 from gentwistor.dsl import load_metric_file
 from gentwistor.errors import InvalidInputError, UsageError
 from gentwistor.bivector import U6, WEDGE_PAIRS, basis_wedge, sd_asd_coords
@@ -390,8 +390,8 @@ def test_obstruction_linear_in_curvature(monkeypatch):
     m = metric_by_name("s4")
     p = np.array([0.05, -0.1, 0.2, 0.15])
     gc = generalized_curvature(m, p)
-    # a cached geometry attribute is a plain instance attribute, so the
-    # curvature of a fresh geometry can be set to twice the measured one;
+    # the geometry's rf is a plain instance attribute, so the curvature
+    # of a fresh geometry can be set to twice the measured one;
     # the matrix builds its geometry through twistor.generalized_curvature
     doubled = generalized_curvature(m, p)
     doubled.rf = 2.0 * gc.rf
@@ -571,6 +571,7 @@ def _geometry_of(op):
     cols = U6.T @ op @ U6
     gc = object.__new__(PointGeometry)
     gc.rf = np.einsum("rc,rpq->cpq", cols, np.array([basis_wedge(*pair) for pair in WEDGE_PAIRS]))
+    gc.operator = riemann._operator(gc.rf)
     return gc
 
 
@@ -623,15 +624,24 @@ def test_kernel_validation():
     gc = generalized_curvature(m, np.zeros(4))
     with pytest.raises(UsageError):
         fiber_residuals(gc, np.empty((0, 2, 4, 4)))
+    u = _blocks([random_fiber(ComponentTag.PP, np.random.default_rng(3))])
+    with pytest.raises(UsageError, match="need at least one base point"):
+        fiber_residuals(generalized_curvature(m, np.empty((0, 4))), u)
 
 
-def test_kernel_names_a_bad_argument_before_any_metric_evaluation(monkeypatch):
+def test_kernel_names_a_bad_argument_before_any_metric_evaluation():
     # a kind given as a string, or one fiber's blocks without the fiber
     # axis, is a UsageError naming the argument; the geometry's frame
-    # curvature gc.rf is not read for it
-    rf, reads = PointGeometry.rf, []
-    monkeypatch.setattr(PointGeometry, "rf", property(lambda gc: reads.append(gc) or rf.__get__(gc, PointGeometry)))
-    gc = generalized_curvature(metric_by_name("s4"), np.array([0.1, -0.2, 0.3, 0.05]))
+    # curvature gc.rf, the one attribute the kernel reads, is not read for it
+    geo, reads = generalized_curvature(metric_by_name("s4"), np.array([0.1, -0.2, 0.3, 0.05])), []
+
+    class Recording:
+        @property
+        def rf(self):
+            reads.append(self)
+            return geo.rf
+
+    gc = Recording()
     u = _blocks([random_fiber(ComponentTag.PP, np.random.default_rng(3))])
     for args, message in (
         ((u, "J"), "kind must be a StructureKind, got 'J'"),
